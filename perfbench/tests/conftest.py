@@ -1,0 +1,7 @@
+import os
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
