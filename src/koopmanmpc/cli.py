@@ -64,6 +64,31 @@ _MPC_DEFAULTS = {"r_weight": 0.0, "tol": mpc_mod.DEFAULT_TOL, "max_iter": mpc_mo
 _EVAL_DEFAULTS = {"vvc_deadband": 0.95, "vvc_gain": 2.5, "n_cases": 100, "monitored": None}
 
 
+def _is_number(val, integer: bool) -> bool:
+    """A JSON number, an integer where ``integer``; never a boolean."""
+    return not isinstance(val, bool) and isinstance(val, int if integer else (int, float))
+
+
+def _section(doc: dict, name: str, defaults: dict, violations: list[str]) -> dict:
+    """The section merged over its defaults.  A field whose default is a
+    number must hold a number too, an integer where the default is one; a
+    field that does not is reported and read as its default, so the range
+    checks that follow see only numbers."""
+    given = doc.get(name, {})
+    if not isinstance(given, dict):
+        violations.append(f"{name}: must be an object")
+        given = {}
+    merged = {**defaults, **given}
+    for key, default in defaults.items():
+        if not _is_number(default, integer=False):
+            continue
+        integer = isinstance(default, int)
+        if not _is_number(merged[key], integer):
+            violations.append(f"{name}.{key}: must be {'an integer' if integer else 'a number'}")
+            merged[key] = defaults[key]
+    return merged
+
+
 def load_run_config(path) -> RunConfig:
     """Parse and validate a run config, collecting every violation."""
     path = Path(path)
@@ -89,22 +114,22 @@ def load_run_config(path) -> RunConfig:
                 violations.append(f"plant: invalid plant config ({exc})")
 
     seed = doc.get("seed")
-    if not isinstance(seed, int):
+    if not _is_number(seed, integer=True):
         violations.append("seed: required integer (no implicit entropy)")
 
     ds_doc = doc.get("dataset", {})
     n_loads = ds_doc.get("n_loads", 2500)
-    if not (isinstance(n_loads, int) and n_loads >= 1):
+    if not (_is_number(n_loads, integer=True) and n_loads >= 1):
         violations.append("dataset.n_loads: must be an integer >= 1")
     policies = tuple(ds_doc.get("policies", list(dataset_mod.POLICIES)))
     bad = set(policies) - set(dataset_mod.POLICIES)
     if bad or not policies:
         violations.append(f"dataset.policies: must be a nonempty subset of {list(dataset_mod.POLICIES)}")
     train_ratio = ds_doc.get("train_ratio", 0.7)
-    if not (isinstance(train_ratio, (int, float)) and 0.0 < train_ratio < 1.0):
+    if not (_is_number(train_ratio, integer=False) and 0.0 < train_ratio < 1.0):
         violations.append("dataset.train_ratio: must lie in (0, 1)")
 
-    net = {**_NET_DEFAULTS, **doc.get("koopman_net", {})}
+    net = _section(doc, "koopman_net", _NET_DEFAULTS, violations)
     if net["batch_size"] < 1:
         violations.append("koopman_net.batch_size: must be >= 1")
     if net["max_epochs"] < 1:
@@ -112,15 +137,27 @@ def load_run_config(path) -> RunConfig:
     if plant_cfg is not None and net["lifted_dim"] <= plant_cfg.model.n:
         violations.append("koopman_net.lifted_dim: must exceed the bus count")
 
-    edmd_doc = {**_EDMD_DEFAULTS, **doc.get("edmd", {})}
-    mpc_doc = {**_MPC_DEFAULTS, **doc.get("mpc", {})}
+    edmd_doc = _section(doc, "edmd", _EDMD_DEFAULTS, violations)
+    mpc_doc = _section(doc, "mpc", _MPC_DEFAULTS, violations)
     if mpc_doc["tol"] <= 0 or mpc_doc["max_iter"] < 1:
         violations.append("mpc: tol must be positive and max_iter >= 1")
     if mpc_doc["r_weight"] < 0:
         violations.append("mpc.r_weight: must be nonnegative")
-    eval_doc = {**_EVAL_DEFAULTS, **doc.get("eval", {})}
+    eval_doc = _section(doc, "eval", _EVAL_DEFAULTS, violations)
     if eval_doc["n_cases"] < 1:
         violations.append("eval.n_cases: must be >= 1")
+    monitored = eval_doc["monitored"]
+    if monitored is not None:
+        n_bus = plant_cfg.model.n if plant_cfg is not None else None
+        if not (
+            isinstance(monitored, list)
+            and monitored
+            and all(_is_number(i, integer=True) for i in monitored)
+            and (n_bus is None or all(0 <= i < n_bus for i in monitored))
+        ):
+            violations.append(
+                "eval.monitored: must be null or a nonempty list of bus indices in 0..n-1"
+            )
 
     if violations:
         raise ConfigError(violations)
@@ -277,6 +314,10 @@ def cmd_compare(args) -> int:
     out = _out_dir(args.out)
     report.to_csv(out / "comparison.csv")
     report.to_json(out / "summary.json")
+    if not any(r.ok for r in report.records):
+        print(json.dumps({"error": f"all {n_cases} comparison cases failed",
+                          "first": report.records[0].error}), file=sys.stderr)
+        return 1
     print(f"win fraction (mpc beats vvc): {report.win_fraction:.3f} over {n_cases} cases")
     return 0
 

@@ -28,10 +28,7 @@ from koopmanmpc.plant import (
     Schedule,
     Trajectory,
     U_MAX,
-    full_policy,
-    random_policy,
     run_episode,
-    zero_policy,
 )
 
 LOAD_RANGE = (0.9, 1.1)
@@ -52,12 +49,13 @@ def window_history(traj: Trajectory, k: int) -> np.ndarray:
 
     Column j is the sample (j+1) * ts after instant k-1; the last column
     is the sample at instant k itself.  Valid for 1 <= k <= n_intervals.
+    A batched trajectory gives one history per episode, ``(E, n, h)``.
     """
     h = traj.schedule.h
     if not 1 <= k <= traj.n_intervals:
         raise IndexError(f"window index {k} outside 1..{traj.n_intervals}")
-    block = traj.voltages[(k - 1) * h + 1 : k * h + 1]
-    return block.T.copy()
+    block = traj.voltages[..., (k - 1) * h + 1 : k * h + 1, :]
+    return block.swapaxes(-1, -2).copy()
 
 
 @dataclass(frozen=True)
@@ -211,10 +209,12 @@ def generate(
 
     Per case the load factor is drawn uniformly from [0.9, 1.1]; the
     fault defaults to sagging buses 1..3 by 0.25 p.u.  Each (case,
-    policy) rollout is seeded independently via :func:`rollout_seed`, so
-    rollouts could run concurrently and still merge deterministically in
-    (load, policy) order.  Yields exactly ``n_loads * len(policies) *
-    n_instants`` samples, plus a scaler fitted on the full set.
+    policy) rollout draws its random controls from its own stream, seeded
+    via :func:`rollout_seed`, so the samples do not depend on how the
+    rollouts are run.  Every policy is open loop, so all control
+    sequences are built first and the episodes run as one batch.  Yields
+    exactly ``n_loads * len(policies) * n_instants`` samples in (load,
+    policy, instant) order, plus a scaler fitted on the full set.
     """
     if n_loads < 1:
         raise ValueError("n_loads must be >= 1")
@@ -224,27 +224,27 @@ def generate(
     if fault is None:
         fault = FaultSpec(affected=(1, 2, 3), depth=0.25)
 
-    samples: list[Sample] = []
+    n, m, h, n_inst = plant.n, plant.m, sched.h, sched.n_instants
+    controls = np.zeros((n_loads, len(policies), n_inst, m))
     for load_idx in range(n_loads):
-        lam = _case_load_factor(seed, load_idx)
-        case_plant = plant.with_load(lam)
         for pol_idx, pol_name in enumerate(policies):
-            if pol_name == "zero":
-                policy = zero_policy(case_plant)
-            elif pol_name == "full":
-                policy = full_policy(case_plant)
-            else:
+            if pol_name == "full":
+                controls[load_idx, pol_idx] = U_MAX
+            elif pol_name == "random":
                 rng = np.random.default_rng(rollout_seed(seed, load_idx, pol_idx))
-                policy = random_policy(case_plant, rng)
-            traj = run_episode(case_plant, sched, fault, policy)
-            for k in range(1, sched.n_instants + 1):
-                samples.append(
-                    Sample(
-                        v_k=window_history(traj, k),
-                        u_k=np.array(traj.controls[k]),
-                        v_next=window_history(traj, k + 1),
-                    )
-                )
+                controls[load_idx, pol_idx] = rng.uniform(0.0, U_MAX, size=(n_inst, m))
+    n_episodes = n_loads * len(policies)
+    controls = controls.reshape(n_episodes, n_inst, m)
+    lams = [_case_load_factor(seed, load_idx) for load_idx in range(n_loads)]
+    batch = plant.with_load(np.repeat(lams, len(policies)))
+    traj = run_episode(batch, sched, fault, lambda k, v: controls[:, k])
+
+    # (E, n_inst + 1, n, h); window j ends at instant j + 1
+    windows = np.stack([window_history(traj, k) for k in range(1, n_inst + 2)], axis=1)
+    v_k = windows[:, :-1].reshape(-1, n, h)
+    v_next = windows[:, 1:].reshape(-1, n, h)
+    u_k = traj.controls[:, 1:].reshape(-1, m)
+    samples = [Sample(v_k=v_k[i], u_k=u_k[i], v_next=v_next[i]) for i in range(len(u_k))]
 
     ds = Dataset(
         samples=samples,

@@ -13,11 +13,11 @@ import numpy as np
 from koopmanmpc import mpc as mpc_mod
 from koopmanmpc.dataset import rollout_seed
 from koopmanmpc.plant import (
+    IntegrationError,
     PlantConfig,
     Trajectory,
     U_MAX,
     run_episode,
-    zero_policy,
 )
 
 _CASE_CHANNEL = 0xC0  # pseudo policy index for per-case load draws
@@ -40,18 +40,16 @@ class VvcParams:
             raise ValueError("vvc u_max must be nonnegative")
 
 
-def vvc_policy(v_local: float, params: VvcParams) -> float:
-    """Control for a single bus from its local voltage only."""
-    return float(np.clip(params.gain * max(0.0, params.deadband - v_local), 0.0, params.u_max))
+def vvc_policy(v_local, params: VvcParams):
+    """Control from local voltage only, elementwise over ``v_local``."""
+    return np.clip(params.gain * np.maximum(0.0, params.deadband - v_local), 0.0, params.u_max)
 
 
 def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):
-    """Per-instant controls: channel l reads the voltage of its own bus."""
-
-    def policy(k: int, v: np.ndarray) -> np.ndarray:
-        return np.array([vvc_policy(v[bus], params) for bus in control_buses])
-
-    return policy
+    """Per-instant controls: channel l reads the voltage of its own bus,
+    in every episode of a batch."""
+    buses = list(control_buses)
+    return lambda k, v: vvc_policy(v[..., buses], params)
 
 
 def performance_index(traj: Trajectory, v_ref: float = 1.0, monitored=None) -> float:
@@ -133,16 +131,23 @@ def compare(
     report the fraction of cases where the lifted-space MPC beats VVC.
 
     Cases are seeded independently, so results do not depend on execution
-    order; a failing case is recorded with its error and the rest keep
-    running.
+    order.  Each case runs its no-control and VVC episodes as one batch of
+    two.  A case whose QP solve does not converge or whose integration
+    fails is recorded with its error and the rest keep running; any other
+    error propagates.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
     base = plant_config.model
     sched = plant_config.schedule
     fault = plant_config.fault
-    control_buses = base.control_buses()
+    vvc = vvc_episode_policy(base.control_buses(), vvc_params)
     mpc_kwargs = dict(mpc_kwargs or {})
+
+    def baselines(k: int, v: np.ndarray) -> np.ndarray:
+        u = vvc(k, v)
+        u[0] = 0.0  # episode 0 runs without control, episode 1 under VVC
+        return u
 
     records = []
     wins = 0
@@ -152,22 +157,19 @@ def compare(
         lam = float(rng.uniform(0.9, 1.1))
         plant = base.with_load(lam)
         try:
-            traj_no = run_episode(plant, sched, fault, zero_policy(plant))
-            traj_vvc = run_episode(
-                plant, sched, fault, vvc_episode_policy(control_buses, vvc_params)
-            )
+            both = run_episode(base.with_load([lam, lam]), sched, fault, baselines)
             loop = mpc_mod.receding_horizon(
                 model, plant, sched, v_ref=v_ref, fault=fault, **mpc_kwargs
             )
             if loop.aborted:
+                last = loop.diagnostics[-1]
                 raise mpc_mod.QpNonConvergence(
-                    "closed loop aborted on solver non-convergence",
-                    residual=float("nan"),
+                    f"closed loop aborted at instant {last['instant']}: {last['error']}",
+                    residual=last["pg_norm"],
                 )
-            j_no = performance_index(traj_no, v_ref, monitored)
-            j_vvc = performance_index(traj_vvc, v_ref, monitored)
+            j_no, j_vvc = (performance_index(both.episode(e), v_ref, monitored) for e in (0, 1))
             j_mpc = performance_index(loop.trajectory, v_ref, monitored)
-        except Exception as exc:  # keep going; flag the case
+        except (mpc_mod.QpNonConvergence, IntegrationError) as exc:  # flag the case, keep going
             records.append(
                 CaseRecord(
                     index=idx, load_factor=lam, ok=False,

@@ -15,6 +15,16 @@ with the equilibrium ``v*(lambda) = 1 - 0.3 * lambda * d``.  The coupling
 acts on deviations from equilibrium so that ``v*`` is an exact fixed point
 of the uncontrolled field for every load factor.
 
+Shapes: every integrator function works on a batch of E episodes at once.
+A state is ``(E, n)`` and a control ``(E, m)``; a plain ``(n,)`` state with
+an ``(m,)`` control is the single-episode case and runs through the same
+RK4 code.  A model whose load factor ``lam`` is a vector of E values stands
+for E plants that differ only in load, so each episode has its own
+equilibrium ``(E, n)``, computed once when the model is built.  A policy
+maps ``(k, V)`` to one control row per episode: ``(E, m)`` for an
+``(E, n)`` voltage batch.  A batched ``Trajectory`` holds voltages
+``(E, T, n)`` and controls ``(E, n_intervals, m)``.
+
 All model objects are immutable after construction; ``step`` and
 ``rollout`` are pure functions of their inputs, so rollouts may safely run
 concurrently.
@@ -96,7 +106,8 @@ class PlantModel:
 
     ``w`` is row-stochastic with zero diagonal; ``gamma`` maps the m
     control channels to bus injections; ``d`` scales how strongly the
-    load factor ``lam`` depresses each bus equilibrium.
+    load factor ``lam`` depresses each bus equilibrium.  ``lam`` is a
+    scalar, or a vector of E per-episode load factors for a batch.
     """
 
     n: int
@@ -108,7 +119,7 @@ class PlantModel:
     gamma: np.ndarray
     v_max: float
     d: np.ndarray
-    lam: float = 1.0
+    lam: float | np.ndarray = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "a", _readonly(self.a))
@@ -116,6 +127,10 @@ class PlantModel:
         object.__setattr__(self, "w", _readonly(self.w))
         object.__setattr__(self, "gamma", _readonly(self.gamma))
         object.__setattr__(self, "d", _readonly(self.d))
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.ndim > 1:
+            raise ValueError("lam must be a scalar or a vector of per-episode load factors")
+        object.__setattr__(self, "lam", float(lam) if lam.ndim == 0 else _readonly(lam))
         n, m = self.n, self.m
         if self.a.shape != (n,) or self.b.shape != (n,) or self.d.shape != (n,):
             raise ValueError("a, b, d must be n-vectors")
@@ -137,16 +152,21 @@ class PlantModel:
             raise ValueError("every row of w must sum to 1")
         if np.any(np.abs(np.diag(self.w)) > 0):
             raise ValueError("w must have zero diagonal")
-        v_eq = self.equilibrium()
+        v_eq = self.equilibrium(self.lam)
         if np.any(v_eq <= 0) or np.any(v_eq > 1):
             raise ValueError("equilibrium voltages must lie in (0, 1]")
+        # the integrator reads the equilibrium at every substep
+        object.__setattr__(self, "_v_eq", _readonly(v_eq))
 
-    def equilibrium(self, lam: float | None = None) -> np.ndarray:
-        """Uncontrolled fixed point ``v* = 1 - 0.3 * lam * d``."""
-        lam = self.lam if lam is None else lam
-        return 1.0 - 0.3 * lam * self.d
+    def equilibrium(self, lam=None) -> np.ndarray:
+        """Uncontrolled fixed point ``v* = 1 - 0.3 * lam * d``: ``(n,)`` for
+        a scalar load factor, ``(E, n)`` for a vector of E."""
+        if lam is None:
+            return self._v_eq
+        return 1.0 - 0.3 * np.asarray(lam, dtype=float)[..., None] * self.d
 
-    def with_load(self, lam: float) -> "PlantModel":
+    def with_load(self, lam) -> "PlantModel":
+        """The same network at load factor ``lam``, a scalar or a vector."""
         return replace(self, lam=lam)
 
     def control_buses(self) -> tuple[int, ...]:
@@ -170,7 +190,8 @@ class Trajectory:
     """Voltage samples on the ``ts`` grid plus the zero-order-held controls.
 
     ``voltages[k]`` is the sample at ``times[k]``; ``controls[j]`` was held
-    over the j-th control interval.
+    over the j-th control interval.  A batch of E episodes leads both
+    arrays with the episode axis: ``voltages[e, k]``, ``controls[e, j]``.
     """
 
     times: np.ndarray
@@ -185,25 +206,36 @@ class Trajectory:
 
     @property
     def n_intervals(self) -> int:
-        return self.controls.shape[0]
+        return self.controls.shape[-2]
 
     def held_controls(self) -> np.ndarray:
         """Controls repeated onto the sample grid (first sample gets u_0)."""
         h = self.schedule.h
-        held = np.repeat(self.controls, h, axis=0)
-        return np.vstack([held, held[-1:]])
+        held = np.repeat(self.controls, h, axis=-2)
+        return np.concatenate([held, held[..., -1:, :]], axis=-2)
+
+    def episode(self, e: int) -> "Trajectory":
+        """Episode ``e`` of a batched trajectory, as a single-episode one."""
+        return Trajectory(
+            times=self.times,
+            voltages=self.voltages[e],
+            controls=self.controls[e],
+            schedule=self.schedule,
+        )
 
 
 ControlPolicy = Callable[[int, np.ndarray], np.ndarray]
-"""Maps (control-instant index, current voltage vector) -> m-vector in [0, U_MAX]."""
+"""Maps (control-instant index, voltages ``(E, n)``) -> controls ``(E, m)``
+in [0, U_MAX]; ``(n,)`` -> ``(m,)`` for a single episode."""
 
 
 def vector_field(plant: PlantModel, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Time derivative of the voltages at state ``v`` under control ``u``."""
+    """Time derivative of the voltages at state ``v`` under control ``u``:
+    ``(E, n)`` under ``(E, m)``, or ``(n,)`` under ``(m,)``."""
     e = v - plant.equilibrium()
     recover = plant.a * (-e) + plant.b * (-e) ** 3
-    couple = plant.c * (plant.w @ e - e)
-    inject = (plant.gamma @ u) * (plant.v_max - v)
+    couple = plant.c * (e @ plant.w.T - e)
+    inject = (u @ plant.gamma.T) * (plant.v_max - v)
     return recover + couple + inject
 
 
@@ -219,7 +251,8 @@ def step(
     dt: float,
     substeps: int | None = None,
 ) -> PlantState:
-    """Advance the state by ``dt`` under the constant control ``u``.
+    """Advance the state by ``dt`` under the constant control ``u``:
+    ``(E, n)`` under ``(E, m)``, or ``(n,)`` under ``(m,)``.
 
     Classical RK4 with internal substeps capped at 50 ms (at least 4 per
     call; override with ``substeps`` for convergence studies); voltages
@@ -227,11 +260,14 @@ def step(
     control term stays well posed.  Deterministic: identical inputs give
     bit-identical outputs.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)
+    v = state.v
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if u.shape != (plant.m,):
-        raise ValueError(f"control must have shape ({plant.m},)")
+    if plant.equilibrium().shape not in ((plant.n,), v.shape):
+        raise ValueError(f"state of shape {v.shape} does not match the plant's load factors")
+    if u.shape != v.shape[:-1] + (plant.m,):
+        raise ValueError(f"control must have shape {v.shape[:-1] + (plant.m,)}")
     if np.any(u < -1e-9) or np.any(u > U_MAX + 1e-9):
         raise ValueError(f"control must lie in [0, {U_MAX}] componentwise")
     if not np.all(np.isfinite(u)):
@@ -239,7 +275,6 @@ def step(
 
     n_sub = n_substeps(dt) if substeps is None else int(substeps)
     h = dt / n_sub
-    v = np.array(state.v, dtype=float)
     for _ in range(n_sub):
         k1 = vector_field(plant, v, u)
         k2 = vector_field(plant, v + 0.5 * h * k1, u)
@@ -261,12 +296,13 @@ def apply_fault(state: PlantState, affected: Sequence[int], depth: float) -> Pla
         raise ValueError("fault depth must lie in (0, 1)")
     v = np.array(state.v, dtype=float)
     for i in affected:
-        v[i] = max(v[i] - depth, FAULT_FLOOR)
+        v[..., i] = np.maximum(v[..., i] - depth, FAULT_FLOOR)
     return PlantState(v=v, t=state.t)
 
 
 def faulted_initial_state(plant: PlantModel, fault: FaultSpec) -> PlantState:
-    """Equilibrium state with the fault sag applied, at t = 0."""
+    """Equilibrium state with the fault sag applied, at t = 0; one row per
+    load factor when ``plant.lam`` is a vector."""
     eq = PlantState(v=plant.equilibrium(), t=0.0)
     return apply_fault(eq, fault.affected, fault.depth)
 
@@ -280,24 +316,23 @@ def rollout(
     """Simulate ``n_instants`` control intervals with zero-order-held controls.
 
     The policy is queried once per control instant with the instantaneous
-    voltage vector; the returned trajectory holds ``n_instants * h + 1``
-    samples at spacing ``ts``.
+    voltages; the returned trajectory holds ``n_instants * h + 1`` samples
+    at spacing ``ts``.
     """
-    h = sched.h
     state = init
-    samples = [np.array(init.v)]
-    controls = np.zeros((sched.n_instants, plant.m))
+    samples = [init.v]
+    controls = []
     for k in range(sched.n_instants):
         u = np.asarray(policy(k, np.array(state.v)), dtype=float)
-        controls[k] = u
-        for _ in range(h):
+        controls.append(u)
+        for _ in range(sched.h):
             state = step(plant, state, u, sched.ts)
-            samples.append(np.array(state.v))
+            samples.append(state.v)
     times = init.t + sched.ts * np.arange(len(samples))
     return Trajectory(
         times=times,
-        voltages=np.vstack(samples),
-        controls=controls,
+        voltages=np.stack(samples, axis=-2),
+        controls=np.stack(controls, axis=-2),
         schedule=sched,
     )
 
@@ -310,7 +345,8 @@ def run_episode(
 ) -> Trajectory:
     """One experiment episode: fault at t = 0, one uncontrolled interval
     while the first measurement window accumulates, then ``n_instants``
-    policy-controlled intervals.
+    policy-controlled intervals.  A vector ``plant.lam`` runs one episode
+    per load factor, all in one batch.
 
     The returned trajectory spans ``(n_instants + 1)`` intervals; its
     control array has a leading all-zero row for the uncontrolled one.
@@ -320,23 +356,18 @@ def run_episode(
 
     def shifted(k: int, v: np.ndarray) -> np.ndarray:
         if k == 0:
-            return np.zeros(plant.m)
+            return np.zeros(v.shape[:-1] + (plant.m,))
         return policy(k - 1, v)
 
     return rollout(plant, init, shifted, ext)
 
 
 def zero_policy(plant: PlantModel) -> ControlPolicy:
-    return lambda k, v: np.zeros(plant.m)
+    return lambda k, v: np.zeros(v.shape[:-1] + (plant.m,))
 
 
 def full_policy(plant: PlantModel) -> ControlPolicy:
-    return lambda k, v: np.full(plant.m, U_MAX)
-
-
-def random_policy(plant: PlantModel, rng: np.random.Generator) -> ControlPolicy:
-    """Controls drawn i.i.d. uniform on [0, U_MAX] at every instant."""
-    return lambda k, v: rng.uniform(0.0, U_MAX, size=plant.m)
+    return lambda k, v: np.full(v.shape[:-1] + (plant.m,), U_MAX)
 
 
 # ---------------------------------------------------------------------------

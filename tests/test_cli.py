@@ -47,6 +47,29 @@ class TestConfigValidation:
         joined = " ".join(err["fields"])
         assert "plant" in joined and "n_loads" in joined and "seed" in joined
 
+    def test_wrongly_typed_numbers_enumerated(self, workspace, capsys):
+        run = json.loads((workspace / "run.json").read_text())
+        run["koopman_net"]["batch_size"] = "32"
+        run["mpc"]["tol"] = None
+        run["eval"]["n_cases"] = 2.5
+        run["dataset"]["n_loads"] = True
+        (workspace / "run.json").write_text(json.dumps(run))
+        code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
+        assert code == 2
+        fields = json.loads(capsys.readouterr().err.strip())["fields"]
+        for name in ("koopman_net.batch_size", "mpc.tol", "eval.n_cases", "dataset.n_loads"):
+            assert any(f.startswith(name + ":") for f in fields), fields
+
+    @pytest.mark.parametrize("monitored", [[99], [-1], [], [0, "1"], 3])
+    def test_monitored_buses_checked_at_load(self, workspace, capsys, monitored):
+        run = json.loads((workspace / "run.json").read_text())
+        run["eval"]["monitored"] = monitored
+        (workspace / "run.json").write_text(json.dumps(run))
+        code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
+        assert code == 2
+        fields = json.loads(capsys.readouterr().err.strip())["fields"]
+        assert any(f.startswith("eval.monitored:") for f in fields)
+
     def test_unreadable_config(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{not json")
         code = run_cli("gen-data", "--config", tmp_path / "broken.json", "--out", tmp_path / "o")
@@ -121,6 +144,21 @@ class TestPipeline:
         header = lines[0].split(",")
         assert header[0] == "time" and header[1] == "v_0" and header[-1] == "u_2"
         assert len(lines) == 1 + 25  # (5+1) intervals * 4 samples + initial
+
+    def test_compare_fails_when_no_case_succeeds(self, workspace, capsys):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "identity",
+                       "--out", ws / "edmd") == 0
+        run = json.loads((ws / "run.json").read_text())
+        run["mpc"] = {"tol": 1e-14, "max_iter": 1}  # no solve can converge
+        (ws / "run.json").write_text(json.dumps(run))
+        capsys.readouterr()
+        code = run_cli("compare", "--model", ws / "edmd" / "lifted_model.json",
+                       "--config", ws / "run.json", "--cases", 2, "--out", ws / "cmp")
+        assert code == 1
+        assert "error" in json.loads(capsys.readouterr().err.strip())
+        assert json.loads((ws / "cmp" / "summary.json").read_text())["n_ok"] == 0
 
     def test_missing_data_dir_fails_cleanly(self, workspace, capsys):
         code = run_cli("train", "--data", workspace / "nope", "--config",

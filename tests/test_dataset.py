@@ -81,6 +81,16 @@ class TestWindowing:
         joined = np.hstack([w1, w2])
         assert np.array_equal(joined, traj.voltages[1 : 2 * h + 1].T)
 
+    def test_batched_windows_are_per_episode_windows(self):
+        cfg = default_config()
+        batch = cfg.model.with_load(np.array([0.9, 1.0, 1.1]))
+        traj = run_episode(batch, cfg.schedule, cfg.fault, full_policy(batch))
+        for k in (1, 4, 6):
+            win = window_history(traj, k)
+            assert win.shape == (3, 6, cfg.schedule.h)
+            for e in range(3):
+                assert np.array_equal(win[e], window_history(traj.episode(e), k))
+
     def test_out_of_range_index(self):
         cfg = default_config()
         init = PlantState(v=cfg.model.equilibrium())
@@ -121,6 +131,16 @@ class TestGenerate:
         ds = small_dataset(n_loads=3)
         _, u, _ = ds.stacked()
         assert np.all(u >= 0.0) and np.all(u <= U_MAX)
+
+    @pytest.mark.parametrize("builder, digest", [
+        (default_config, "b972983aad90f9730fbd0199ca610184aca62d0ebaa3b209eaae36755def08bd"),
+        (mirror_config, "d7347ea21a963019a873fd8580571bfb6011accb2b311811f28839c7790650be"),
+    ])
+    def test_golden_samples_bytes(self, builder, digest, tmp_path):
+        # sha256 of samples.csv as written by the one-episode-at-a-time generator
+        cfg = builder()
+        save(generate(cfg.model, cfg.schedule, n_loads=3, seed=2022, fault=cfg.fault), tmp_path)
+        assert hashlib.sha256((tmp_path / dataset.SAMPLES_NAME).read_bytes()).hexdigest() == digest
 
     def test_rollout_seed_mix_is_stable(self):
         # frozen values: the mix is a documented file-format-level contract

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,26 @@ class TestCompare:
         assert all(not r.ok for r in report.records)
         assert all(r.error for r in report.records)
         assert report.win_fraction == 0.0
+        for r in report.records:
+            residual = re.search(r"residual (\S+)", r.error)
+            assert residual and np.isfinite(float(residual.group(1)))
+
+    def test_programming_error_is_not_a_failed_case(self):
+        with pytest.raises(ValueError):
+            compare(untrained_model(), default_config(), n_cases=1, seed=1, monitored=(99,))
+
+    def test_batched_baselines_match_single_episodes(self):
+        cfg = default_config()
+        params = VvcParams(deadband=0.99)
+        report = compare(untrained_model(), cfg, n_cases=2, seed=4, vvc_params=params)
+        vvc = evaluation.vvc_episode_policy(cfg.model.control_buses(), params)
+        for r in report.records:
+            plant = cfg.model.with_load(r.load_factor)
+            j_no = performance_index(
+                run_episode(plant, cfg.schedule, cfg.fault, zero_policy(plant)))
+            j_vvc = performance_index(run_episode(plant, cfg.schedule, cfg.fault, vvc))
+            assert (r.j_no_control, r.j_vvc) == (j_no, j_vvc)
+            assert j_vvc < j_no
 
     def test_report_files(self, tmp_path):
         cfg = default_config()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from koopmanmpc import plant
 from koopmanmpc.plant import (
@@ -201,6 +204,67 @@ class TestRollout:
         assert np.all(traj.controls[0] == 0.0)
         assert np.all(traj.controls[1:] == U_MAX)
         assert traj.voltages.shape == (6 * 4 + 1, 6)
+
+
+def random_coupling_config(seed: int):
+    """The default plant with a dense random row-stochastic coupling."""
+    cfg = default_config()
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, size=(6, 6))
+    np.fill_diagonal(w, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    model = PlantModel(n=6, m=3, a=cfg.model.a, b=cfg.model.b, c=cfg.model.c, w=w,
+                       gamma=cfg.model.gamma, v_max=cfg.model.v_max, d=cfg.model.d)
+    return plant.PlantConfig(model=model, schedule=cfg.schedule, fault=cfg.fault)
+
+
+def batch_and_singles(data, cfg):
+    """Up to four episodes with load factors in [0.9, 1.1], open-loop
+    controls in [0, U_MAX] and one fault depth in (0, 1): one batched run
+    and one run per episode."""
+    n_episodes = data.draw(st.integers(1, 4))
+    lams = data.draw(arrays(float, n_episodes, elements=st.floats(0.9, 1.1)))
+    shape = (n_episodes, cfg.schedule.n_instants, cfg.model.m)
+    controls = data.draw(arrays(float, shape, elements=st.floats(0.0, U_MAX)))
+    depth = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    fault = FaultSpec(affected=cfg.fault.affected, depth=depth)
+    batch = run_episode(cfg.model.with_load(lams), cfg.schedule, fault,
+                        lambda k, v: controls[:, k])
+    singles = [
+        run_episode(cfg.model.with_load(lam), cfg.schedule, fault,
+                    lambda k, v, e=e: controls[e, k])
+        for e, lam in enumerate(lams)
+    ]
+    return batch, singles
+
+
+class TestBatch:
+    @pytest.mark.parametrize("builder", [default_config, mirror_config])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_batch_matches_single_episodes_bitwise(self, builder, data):
+        batch, singles = batch_and_singles(data, builder())
+        assert batch.voltages.shape == (len(singles),) + singles[0].voltages.shape
+        for e, single in enumerate(singles):
+            assert np.array_equal(batch.voltages[e], single.voltages)
+            assert np.array_equal(batch.controls[e], single.controls)
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_matches_single_episodes_random_coupling(self, data, seed):
+        # BLAS may sum a dense coupling row in another order for a matrix
+        batch, singles = batch_and_singles(data, random_coupling_config(seed))
+        for e, single in enumerate(singles):
+            assert np.max(np.abs(batch.voltages[e] - single.voltages)) <= 1e-12
+
+    def test_state_must_match_load_factors(self):
+        model = default_config().model.with_load([0.95, 1.05])
+        with pytest.raises(ValueError):
+            step(model, PlantState(v=np.ones(6)), np.zeros(3), dt=0.75)
+        with pytest.raises(ValueError):
+            step(model, PlantState(v=np.ones((2, 6))), np.zeros(3), dt=0.75)
+        out = step(model, PlantState(v=model.equilibrium()), np.zeros((2, 3)), dt=0.75)
+        assert np.max(np.abs(out.v - model.equilibrium())) < 1e-10
 
 
 class TestConfigIO:
