@@ -9,19 +9,18 @@ Run:  python demos/04_edmd_baseline.py
 import numpy as np
 
 from koopmanmpc import dataset, deep_koopman, edmd, nn
-from koopmanmpc.dataset import Dataset, Sample, Scaler
+from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.plant import default_config
 
 print("== exact recovery of a known linear system ==")
 rng = np.random.default_rng(0)
-samples, x = [], 0.2
-for _ in range(60):
-    u = float(rng.uniform(-1, 1))
-    x_next = 0.5 * x + 1.0 * u
-    samples.append(Sample(v_k=np.array([[x]]), u_k=np.array([u]),
-                          v_next=np.array([[x_next]])))
-    x = x_next
-ds_lin = Dataset(samples=samples, scaler=Scaler.identity())
+u = rng.uniform(-1, 1, size=60)
+x = np.empty(61)
+x[0] = 0.2
+for k in range(60):
+    x[k + 1] = 0.5 * x[k] + 1.0 * u[k]
+ds_lin = Dataset(v_k=x[:-1].reshape(-1, 1, 1), u_k=u.reshape(-1, 1),
+                 v_next=x[1:].reshape(-1, 1, 1), scaler=Scaler.identity())
 lin = edmd.fit(ds_lin, edmd.identity_dictionary(1), ridge=0.0)
 print(f"  true x+ = 0.5 x + 1.0 u; fitted A_xx = {lin.A[1, 1]:.12f}, "
       f"B_x = {lin.B[1, 0]:.12f}")

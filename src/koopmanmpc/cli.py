@@ -44,7 +44,6 @@ class RunConfig:
     policies: tuple[str, ...]
     train_ratio: float
     net: dict
-    edmd: dict
     mpc: dict
     eval: dict
 
@@ -59,7 +58,6 @@ _NET_DEFAULTS = {
     "max_epochs": 500,
     "patience": 20,
 }
-_EDMD_DEFAULTS = {"dictionary": "poly:2", "ridge": 1e-8}
 _MPC_DEFAULTS = {"r_weight": 0.0, "tol": mpc_mod.DEFAULT_TOL, "max_iter": mpc_mod.DEFAULT_MAX_ITER}
 _EVAL_DEFAULTS = {"vvc_deadband": 0.95, "vvc_gain": 2.5, "n_cases": 100, "monitored": None}
 
@@ -137,7 +135,6 @@ def load_run_config(path) -> RunConfig:
     if plant_cfg is not None and net["lifted_dim"] <= plant_cfg.model.n:
         violations.append("koopman_net.lifted_dim: must exceed the bus count")
 
-    edmd_doc = _section(doc, "edmd", _EDMD_DEFAULTS, violations)
     mpc_doc = _section(doc, "mpc", _MPC_DEFAULTS, violations)
     if mpc_doc["tol"] <= 0 or mpc_doc["max_iter"] < 1:
         violations.append("mpc: tol must be positive and max_iter >= 1")
@@ -168,7 +165,6 @@ def load_run_config(path) -> RunConfig:
         policies=policies,
         train_ratio=float(train_ratio),
         net=net,
-        edmd=edmd_doc,
         mpc=mpc_doc,
         eval=eval_doc,
     )
@@ -253,8 +249,7 @@ def cmd_fit_edmd(args) -> int:
     seed = int(ds.meta.get("master_seed", 0))
     flat = None
     if args.dict.startswith("rbf"):
-        v_k, _, _ = ds.stacked()
-        flat = ds.scaler.normalize_v(v_k).reshape(len(ds), -1)
+        flat = ds.scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
     dictionary = parse_dictionary_spec(args.dict, n * h, flat, seed)
     model = edmd.fit(ds, dictionary, ridge=args.ridge)
     out = _out_dir(args.out)
@@ -284,7 +279,10 @@ def cmd_run_mpc(args) -> int:
     loop.to_csv(out / "closed_loop.csv")
     loop.diagnostics_to_json(out / "qp_diagnostics.json")
     if loop.aborted:
-        print("closed loop aborted on solver non-convergence", file=sys.stderr)
+        last = loop.diagnostics[-1]
+        print(json.dumps({"error": "closed loop aborted on solver non-convergence",
+                          "instant": last["instant"], "pg_norm": last["pg_norm"]}),
+              file=sys.stderr)
         return 1
     term = loop.trajectory.voltages[-1].mean()
     print(f"closed loop done; terminal mean voltage {term:.4f} p.u.")

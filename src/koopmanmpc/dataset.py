@@ -3,7 +3,9 @@
 A sample is the triple (voltage history before a control instant, control
 applied at that instant, voltage history after it).  Histories are n x h
 matrices of voltages sampled on the ``ts`` grid; the control is held for
-one full control interval.
+one full control interval.  A :class:`Dataset` of S samples holds them as
+three arrays: pre-histories ``v_k`` (S, n, h), controls ``u_k`` (S, m) and
+post-histories ``v_next`` (S, n, h); row i of each is sample i.
 
 On disk a dataset is a ``dataset.json`` manifest plus a ``samples.csv``
 table whose column order is normative: flattened pre-history row-major
@@ -56,21 +58,6 @@ def window_history(traj: Trajectory, k: int) -> np.ndarray:
         raise IndexError(f"window index {k} outside 1..{traj.n_intervals}")
     block = traj.voltages[..., (k - 1) * h + 1 : k * h + 1, :]
     return block.swapaxes(-1, -2).copy()
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training triple; histories are n x h, the control an m-vector."""
-
-    v_k: np.ndarray
-    u_k: np.ndarray
-    v_next: np.ndarray
-
-    def __post_init__(self):
-        if self.v_k.shape != self.v_next.shape:
-            raise ValueError("both histories must share n and h")
-        if self.v_k.ndim != 2 or self.u_k.ndim != 1:
-            raise ValueError("histories must be matrices and controls vectors")
 
 
 @dataclass(frozen=True)
@@ -133,28 +120,35 @@ class Scaler:
 
 @dataclass
 class Dataset:
-    samples: list[Sample]
+    """S training triples: histories ``v_k`` and ``v_next`` (S, n, h) and
+    controls ``u_k`` (S, m).  An empty set is S = 0."""
+
+    v_k: np.ndarray
+    u_k: np.ndarray
+    v_next: np.ndarray
     scaler: Scaler | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.v_k.ndim != 3 or self.u_k.ndim != 2:
+            raise ValueError("histories must be (S, n, h) arrays and controls (S, m)")
+        if self.v_k.shape != self.v_next.shape:
+            raise ValueError("both histories must share S, n and h")
+        if self.u_k.shape[0] != self.v_k.shape[0]:
+            raise ValueError("histories and controls must hold the same number of samples")
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.v_k.shape[0]
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        """(n, h, m) of the samples; requires a nonempty dataset."""
-        if not self.samples:
-            raise ValueError("empty dataset has no dimensions")
-        s = self.samples[0]
-        n, h = s.v_k.shape
-        return n, h, s.u_k.shape[0]
+        """(n, h, m) of the samples."""
+        _, n, h = self.v_k.shape
+        return n, h, self.u_k.shape[1]
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (S, n, h), (S, m), (S, n, h) over all samples."""
-        v_k = np.stack([s.v_k for s in self.samples])
-        u_k = np.stack([s.u_k for s in self.samples])
-        v_next = np.stack([s.v_next for s in self.samples])
-        return v_k, u_k, v_next
+        return self.v_k, self.u_k, self.v_next
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +235,10 @@ def generate(
 
     # (E, n_inst + 1, n, h); window j ends at instant j + 1
     windows = np.stack([window_history(traj, k) for k in range(1, n_inst + 2)], axis=1)
-    v_k = windows[:, :-1].reshape(-1, n, h)
-    v_next = windows[:, 1:].reshape(-1, n, h)
-    u_k = traj.controls[:, 1:].reshape(-1, m)
-    samples = [Sample(v_k=v_k[i], u_k=u_k[i], v_next=v_next[i]) for i in range(len(u_k))]
-
     ds = Dataset(
-        samples=samples,
+        v_k=windows[:, :-1].reshape(-1, n, h),
+        u_k=traj.controls[:, 1:].reshape(-1, m),
+        v_next=windows[:, 1:].reshape(-1, n, h),
         meta={
             "master_seed": int(seed),
             "n_loads": int(n_loads),
@@ -268,8 +259,7 @@ def fit_scaler(ds: Dataset, v_ref: float = 1.0) -> Scaler:
     bounds are fixed at [0, U_MAX] rather than fitted."""
     if len(ds) == 0:
         raise ValueError("cannot fit a scaler on an empty dataset")
-    v_k, _, v_next = ds.stacked()
-    shifted = np.concatenate([v_k.ravel(), v_next.ravel()]) - v_ref
+    shifted = np.concatenate([ds.v_k.ravel(), ds.v_next.ravel()]) - v_ref
     lo, hi = float(shifted.min()), float(shifted.max())
     if hi <= lo:
         raise ScalerError("all voltages identical; normalization range degenerate")
@@ -278,16 +268,21 @@ def fit_scaler(ds: Dataset, v_ref: float = 1.0) -> Scaler:
 
 def split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint shuffled partition: first ``floor(ratio * N)`` samples into
-    the training set.  Both halves keep the parent's scaler and meta."""
-    if len(ds) == 0:
-        raise ValueError("cannot split an empty dataset")
+    the training set.  Both halves keep the parent's scaler and meta and
+    must be nonempty."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("split ratio must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ds))
     n_train = int(len(ds) * ratio)
+    if not 0 < n_train < len(ds):
+        raise ValueError(
+            f"split ratio {ratio} of {len(ds)} samples leaves {n_train} training and "
+            f"{len(ds) - n_train} held-out samples; both halves must be nonempty"
+        )
+    perm = np.random.default_rng(seed).permutation(len(ds))
     pick = lambda idx: Dataset(
-        samples=[ds.samples[i] for i in idx],
+        v_k=ds.v_k[idx],
+        u_k=ds.u_k[idx],
+        v_next=ds.v_next[idx],
         scaler=ds.scaler,
         meta=dict(ds.meta),
     )
@@ -316,10 +311,7 @@ def save(ds: Dataset, out_dir) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if ds.samples:
-        n, h, m = ds.dims
-    else:
-        n = h = m = 0
+    n, h, m = ds.dims
     manifest = {
         "n": n,
         "h": h,
@@ -331,14 +323,12 @@ def save(ds: Dataset, out_dir) -> None:
     with open(out / MANIFEST_NAME, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    flat = [ds.v_k.reshape(len(ds), n * h), ds.u_k, ds.v_next.reshape(len(ds), n * h)]
     with open(out / SAMPLES_NAME, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_csv_header(n, h, m))
-        for s in ds.samples:
-            row = [repr(float(x)) for x in s.v_k.ravel()]
-            row += [repr(float(x)) for x in s.u_k]
-            row += [repr(float(x)) for x in s.v_next.ravel()]
-            writer.writerow(row)
+        for row in np.hstack(flat):
+            writer.writerow(map(repr, row.tolist()))
 
 
 def load(in_dir) -> Dataset:
@@ -353,11 +343,12 @@ def load(in_dir) -> Dataset:
         n, h, m = int(manifest["n"]), int(manifest["h"]), int(manifest["m"])
         n_samples = int(manifest["n_samples"])
         scaler_doc = manifest["scaler"]
+        table = np.empty((n_samples, 2 * n * h + m))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"manifest missing or malformed field: {exc}") from exc
 
-    width = 2 * n * h + m
-    samples: list[Sample] = []
+    width = table.shape[1]
+    n_rows = 0
     with open(src / SAMPLES_NAME, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -366,35 +357,39 @@ def load(in_dir) -> Dataset:
                 f"samples.csv has {0 if header is None else len(header)} columns, "
                 f"manifest implies {width}"
             )
-        for row_idx, row in enumerate(reader):
+        for row in reader:
+            if n_rows == n_samples:
+                raise DatasetFormatError(f"manifest promises {n_samples} samples, file has more")
             if len(row) != width:
-                raise DatasetFormatError(f"row {row_idx} has {len(row)} columns, expected {width}")
-            vals = np.array([float(x) for x in row])
-            if not np.all(np.isfinite(vals)):
-                raise DatasetFormatError(f"row {row_idx} contains non-finite values")
-            samples.append(
-                Sample(
-                    v_k=vals[: n * h].reshape(n, h),
-                    u_k=vals[n * h : n * h + m],
-                    v_next=vals[n * h + m :].reshape(n, h),
-                )
-            )
-    if len(samples) != n_samples:
-        raise DatasetFormatError(f"manifest promises {n_samples} samples, file has {len(samples)}")
-    scaler = Scaler.from_dict(scaler_doc) if scaler_doc else None
-    return Dataset(samples=samples, scaler=scaler, meta=manifest.get("meta", {}))
+                raise DatasetFormatError(f"row {n_rows} has {len(row)} columns, expected {width}")
+            try:
+                table[n_rows] = row
+            except ValueError as exc:
+                raise DatasetFormatError(f"row {n_rows} has a non-numeric cell: {exc}") from exc
+            n_rows += 1
+    if n_rows != n_samples:
+        raise DatasetFormatError(f"manifest promises {n_samples} samples, file has {n_rows}")
+    non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if non_finite.size:
+        raise DatasetFormatError(f"row {non_finite[0]} contains non-finite values")
+    nh = n * h
+    return Dataset(
+        v_k=table[:, :nh].reshape(n_samples, n, h),
+        u_k=table[:, nh : nh + m],
+        v_next=table[:, nh + m :].reshape(n_samples, n, h),
+        scaler=Scaler.from_dict(scaler_doc) if scaler_doc else None,
+        meta=manifest.get("meta", {}),
+    )
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if len(a) != len(b) or (a.scaler is None) != (b.scaler is None):
+    if (a.scaler is None) != (b.scaler is None):
         return False
     if a.scaler and a.scaler.to_dict() != b.scaler.to_dict():
         return False
-    for sa, sb in zip(a.samples, b.samples):
-        if not (
-            np.array_equal(sa.v_k, sb.v_k)
-            and np.array_equal(sa.u_k, sb.u_k)
-            and np.array_equal(sa.v_next, sb.v_next)
-        ):
-            return False
-    return a.meta == b.meta
+    return (
+        np.array_equal(a.v_k, b.v_k)
+        and np.array_equal(a.u_k, b.u_k)
+        and np.array_equal(a.v_next, b.v_next)
+        and a.meta == b.meta
+    )

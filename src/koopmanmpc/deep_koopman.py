@@ -233,8 +233,7 @@ class EpochStats:
 
 
 def _normalized_arrays(ds: Dataset, scaler: Scaler):
-    v_k, u_k, v_next = ds.stacked()
-    return scaler.normalize_v(v_k), scaler.normalize_u(u_k), scaler.normalize_v(v_next)
+    return scaler.normalize_v(ds.v_k), scaler.normalize_u(ds.u_k), scaler.normalize_v(ds.v_next)
 
 
 def _eval_metrics(net: KoopmanNet, v_k, u_k, v_next, chunk=2048):

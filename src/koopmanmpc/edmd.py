@@ -236,16 +236,15 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     scaler = ds.scaler
     if scaler is None:
         raise ValueError("fitting requires a dataset with a fitted scaler")
-    v_k, u_k, v_next = ds.stacked()
     n, h, m = ds.dims
     if dictionary.input_dim != n * h:
         raise ValueError(
             f"dictionary input dimension {dictionary.input_dim} != flattened history {n * h}"
         )
 
-    x_flat = scaler.normalize_v(v_k).reshape(len(ds), -1)
-    y_flat = scaler.normalize_v(v_next).reshape(len(ds), -1)
-    u_norm = scaler.normalize_u(u_k) if m > 0 else np.zeros((len(ds), 0))
+    x_flat = scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
+    y_flat = scaler.normalize_v(ds.v_next).reshape(len(ds), -1)
+    u_norm = scaler.normalize_u(ds.u_k)
 
     zx = dictionary.lift(x_flat)
     zy = dictionary.lift(y_flat)
@@ -255,7 +254,7 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     gram = g.T @ g + ridge * np.eye(nd + m)
     theta = _solve_normal(gram, g.T @ zy, "dynamics fit")
     A = theta[:nd].T
-    B = theta[nd:].T if m > 0 else np.zeros((nd, 0))
+    B = theta[nd:].T
 
     gram_c = zx.T @ zx + ridge * np.eye(nd)
     c_t = _solve_normal(gram_c, zx.T @ x_flat, "projection fit")

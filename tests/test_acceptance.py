@@ -138,15 +138,13 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_edmd_exact_recovery():
     t0 = time.monotonic()
     rng = np.random.default_rng(2)
-    samples = []
-    x = 0.2
-    for _ in range(80):
-        u = float(rng.uniform(-1, 1))
-        x_next = 0.5 * x + 1.0 * u
-        samples.append(dataset.Sample(v_k=np.array([[x]]), u_k=np.array([u]),
-                                      v_next=np.array([[x_next]])))
-        x = x_next
-    ds = dataset.Dataset(samples=samples, scaler=dataset.Scaler.identity())
+    u = rng.uniform(-1, 1, size=80)
+    x = np.empty(81)
+    x[0] = 0.2
+    for k in range(80):
+        x[k + 1] = 0.5 * x[k] + 1.0 * u[k]
+    ds = dataset.Dataset(v_k=x[:-1].reshape(-1, 1, 1), u_k=u.reshape(-1, 1),
+                         v_next=x[1:].reshape(-1, 1, 1), scaler=dataset.Scaler.identity())
     model = edmd.fit(ds, edmd.identity_dictionary(1), ridge=0.0)
     err_a = abs(model.A[1, 1] - 0.5)
     err_b = abs(model.B[1, 0] - 1.0)

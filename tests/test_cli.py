@@ -19,7 +19,6 @@ def workspace(tmp_path):
         "dataset": {"n_loads": 8, "train_ratio": 0.7},
         "koopman_net": {"lifted_dim": 12, "lstm_hidden": 4, "batch_size": 8,
                         "max_epochs": 3, "patience": 3},
-        "edmd": {"dictionary": "identity", "ridge": 1e-8},
         "mpc": {"r_weight": 0.0, "tol": 1e-6, "max_iter": 20000},
         "eval": {"n_cases": 2},
     }
@@ -159,6 +158,36 @@ class TestPipeline:
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().err.strip())
         assert json.loads((ws / "cmp" / "summary.json").read_text())["n_ok"] == 0
+
+    def test_run_mpc_abort_is_a_json_error(self, workspace, capsys):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "identity",
+                       "--out", ws / "edmd") == 0
+        run = json.loads((ws / "run.json").read_text())
+        run["mpc"] = {"tol": 1e-14, "max_iter": 1}  # no solve can converge
+        (ws / "run.json").write_text(json.dumps(run))
+        capsys.readouterr()
+        code = run_cli("run-mpc", "--model", ws / "edmd" / "lifted_model.json",
+                       "--config", ws / "run.json", "--out", ws / "loop")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        last = json.loads((ws / "loop" / "qp_diagnostics.json").read_text())["instants"][-1]
+        assert "error" in err
+        assert err["instant"] == last["instant"] and err["pg_norm"] == last["pg_norm"] > 1e-14
+
+    def test_train_rejects_an_empty_split_half(self, workspace, capsys):
+        ws = workspace
+        run = json.loads((ws / "run.json").read_text())
+        run["dataset"] = {"n_loads": 1, "train_ratio": 0.05}  # 15 samples, none to train on
+        (ws / "run.json").write_text(json.dumps(run))
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        capsys.readouterr()
+        code = run_cli("train", "--data", ws / "data", "--config", ws / "run.json",
+                       "--out", ws / "m")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "0 training and 15 held-out" in err["error"]
 
     def test_missing_data_dir_fails_cleanly(self, workspace, capsys):
         code = run_cli("train", "--data", workspace / "nope", "--config",

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from koopmanmpc import dataset
 from koopmanmpc.dataset import (
     Dataset,
     DatasetFormatError,
-    Sample,
     Scaler,
     ScalerError,
     fit_scaler,
@@ -35,6 +35,11 @@ from koopmanmpc.plant import (
 def small_dataset(n_loads=2, seed=7):
     cfg = default_config()
     return generate(cfg.model, cfg.schedule, n_loads=n_loads, seed=seed, fault=cfg.fault)
+
+
+def empty_dataset(n, h, m, **kwargs):
+    return Dataset(v_k=np.zeros((0, n, h)), u_k=np.zeros((0, m)), v_next=np.zeros((0, n, h)),
+                   **kwargs)
 
 
 class TestWindowing:
@@ -111,8 +116,7 @@ class TestGenerate:
         ds = generate(cfg.model, cfg.schedule, n_loads=1, seed=0, fault=cfg.fault,
                       policies=("zero",))
         assert len(ds) == 5
-        for s in ds.samples:
-            assert np.all(s.u_k == 0.0)
+        assert np.all(ds.u_k == 0.0)
 
     def test_same_seed_identical_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -184,8 +188,7 @@ class TestScaler:
     def test_degenerate_range_rejected(self):
         with pytest.raises(ScalerError):
             Scaler(v_ref=1.0, v_lo=0.0, v_hi=0.0)
-        const = Dataset(samples=[Sample(v_k=np.ones((2, 2)), u_k=np.zeros(1),
-                                        v_next=np.ones((2, 2)))])
+        const = Dataset(v_k=np.ones((1, 2, 2)), u_k=np.zeros((1, 1)), v_next=np.ones((1, 2, 2)))
         with pytest.raises(ScalerError):
             fit_scaler(const)
 
@@ -198,7 +201,7 @@ class TestSplit:
 
     def test_two_samples_half(self):
         ds = small_dataset(n_loads=1)
-        ds2 = Dataset(samples=ds.samples[:2], scaler=ds.scaler)
+        ds2 = Dataset(v_k=ds.v_k[:2], u_k=ds.u_k[:2], v_next=ds.v_next[:2], scaler=ds.scaler)
         a, b = split(ds2, 0.5, seed=0)
         assert len(a) == 1 and len(b) == 1
 
@@ -212,17 +215,18 @@ class TestSplit:
         ds = small_dataset(n_loads=2)
         train, test = split(ds, 0.6, seed=3)
         assert len(train) + len(test) == len(ds)
-        key = lambda s: s.v_k.tobytes() + s.u_k.tobytes() + s.v_next.tobytes()
-        all_keys = sorted(key(s) for s in ds.samples)
-        got = sorted([key(s) for s in train.samples] + [key(s) for s in test.samples])
-        assert got == all_keys
+        keys = lambda d: [d.v_k[i].tobytes() + d.u_k[i].tobytes() + d.v_next[i].tobytes()
+                          for i in range(len(d))]
+        assert sorted(keys(train) + keys(test)) == sorted(keys(ds))
 
     def test_empty_and_bad_ratio(self):
         ds = small_dataset(n_loads=1)
         with pytest.raises(ValueError):
-            split(Dataset(samples=[]), 0.5, seed=0)
+            split(empty_dataset(6, 4, 3), 0.5, seed=0)
         with pytest.raises(ValueError):
             split(ds, 1.0, seed=0)
+        with pytest.raises(ValueError, match="0 training and 15 held-out"):
+            split(ds, 0.05, seed=0)  # 0.05 of 15 samples rounds down to none
 
 
 class TestPersistence:
@@ -241,7 +245,7 @@ class TestPersistence:
             load(tmp_path)
 
     def test_empty_dataset_round_trip(self, tmp_path):
-        ds = Dataset(samples=[], scaler=None, meta={"note": "empty"})
+        ds = empty_dataset(0, 0, 0, meta={"note": "empty"})
         save(ds, tmp_path)
         back = load(tmp_path)
         assert len(back) == 0 and back.meta == {"note": "empty"}
@@ -256,3 +260,51 @@ class TestPersistence:
         (tmp_path / dataset.SAMPLES_NAME).write_text("\r\n".join(lines) + "\r\n")
         with pytest.raises(DatasetFormatError):
             load(tmp_path)
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat"])
+    def test_row_count_must_match_manifest(self, tmp_path, edit):
+        save(small_dataset(n_loads=1), tmp_path)
+        lines = (tmp_path / dataset.SAMPLES_NAME).read_text().splitlines()
+        lines = lines[:-1] if edit == "drop" else lines + lines[-1:]
+        (tmp_path / dataset.SAMPLES_NAME).write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(DatasetFormatError, match="manifest promises 15 samples"):
+            load(tmp_path)
+
+    def test_non_numeric_rejected(self, tmp_path):
+        ds = small_dataset(n_loads=1)
+        save(ds, tmp_path)
+        lines = (tmp_path / dataset.SAMPLES_NAME).read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[5] = "1.0x"
+        lines[3] = ",".join(cells)
+        (tmp_path / dataset.SAMPLES_NAME).write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(DatasetFormatError, match="row 2 "):
+            load(tmp_path)
+
+    @given(data=st.data(), s=st.integers(0, 6), n=st.integers(1, 3), h=st.integers(1, 3),
+           m=st.integers(0, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path_factory, data, s, n, h, m):
+        cell = st.floats(allow_nan=False, allow_infinity=False)
+        arrays = [data.draw(hnp.arrays(float, shape, elements=cell))
+                  for shape in ((s, n, h), (s, m), (s, n, h))]
+        ds = Dataset(*arrays, scaler=Scaler.identity(), meta={"s": s})
+        out = tmp_path_factory.mktemp("ds")
+        save(ds, out)
+        back = load(out)
+        assert back.dims == (n, h, m) and back.meta == {"s": s}
+        for got, want in zip(back.stacked(), arrays):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestDatasetShapes:
+    @pytest.mark.parametrize("v_k, u_k, v_next", [
+        ((3, 2, 4), (3, 1), (3, 2, 5)),  # histories differ in h
+        ((3, 2, 4), (3, 1), (2, 2, 4)),  # histories differ in S
+        ((3, 2, 4), (2, 1), (3, 2, 4)),  # controls for a different S
+        ((3, 8), (3, 1), (3, 8)),  # flattened histories
+        ((3, 2, 4), (3,), (3, 2, 4)),  # controls not a matrix
+    ])
+    def test_mismatched_shapes_rejected(self, v_k, u_k, v_next):
+        with pytest.raises(ValueError):
+            Dataset(v_k=np.zeros(v_k), u_k=np.zeros(u_k), v_next=np.zeros(v_next))

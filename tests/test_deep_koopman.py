@@ -3,7 +3,7 @@ import pytest
 
 from koopmanmpc import dataset as dataset_mod
 from koopmanmpc import deep_koopman, nn
-from koopmanmpc.dataset import Dataset, Sample, Scaler
+from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.deep_koopman import (
     KoopmanNet,
     KoopmanNetConfig,
@@ -29,15 +29,16 @@ def mini_batch(rng, batch=4, cfg=MINI):
 
 
 def tiny_dataset(rng, n_samples=10, cfg=MINI):
-    samples = [
-        Sample(
-            v_k=rng.uniform(0.9, 1.1, size=(cfg.n, cfg.h)),
-            u_k=rng.uniform(0.0, 0.25, size=cfg.m),
-            v_next=rng.uniform(0.9, 1.1, size=(cfg.n, cfg.h)),
+    draws = [
+        (
+            rng.uniform(0.9, 1.1, size=(cfg.n, cfg.h)),
+            rng.uniform(0.0, 0.25, size=cfg.m),
+            rng.uniform(0.9, 1.1, size=(cfg.n, cfg.h)),
         )
         for _ in range(n_samples)
     ]
-    ds = Dataset(samples=samples)
+    v_k, u_k, v_next = (np.stack(arrays) for arrays in zip(*draws))
+    ds = Dataset(v_k=v_k, u_k=u_k, v_next=v_next)
     ds.scaler = dataset_mod.fit_scaler(ds)
     return ds
 
@@ -151,7 +152,8 @@ class TestTrain:
         cfg = default_config()
         full = dataset_mod.generate(cfg.model, cfg.schedule, n_loads=1, seed=3,
                                     fault=cfg.fault)
-        ds = Dataset(samples=full.samples[:10], scaler=full.scaler)
+        ds = Dataset(v_k=full.v_k[:10], u_k=full.u_k[:10], v_next=full.v_next[:10],
+                     scaler=full.scaler)
         net_cfg = KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16, lstm_hidden=8, seed=42)
         hyper = TrainHyper(batch_size=10, max_epochs=2000, patience=2000)
         net, hist = train(net_cfg, ds, ds, hyper)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopmanmpc import edmd
-from koopmanmpc.dataset import Dataset, Sample, Scaler
+from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.edmd import (
     Dictionary,
     EdmdModel,
@@ -37,16 +37,17 @@ def linear_system_dataset(rho=0.5, gain=1.0, n_samples=60, seed=0):
     """Scalar system x+ = rho x + gain u wrapped as 1x1 histories, with the
     identity scaler so fitted coefficients equal the true ones."""
     rng = np.random.default_rng(seed)
-    samples = []
+    xs, us, xs_next = [], [], []
     x = 0.2
     for _ in range(n_samples):
         u = rng.uniform(-1.0, 1.0)
         x_next = rho * x + gain * u
-        samples.append(
-            Sample(v_k=np.array([[x]]), u_k=np.array([u]), v_next=np.array([[x_next]]))
-        )
+        xs.append(x)
+        us.append(u)
+        xs_next.append(x_next)
         x = x_next if abs(x_next) < 5 else rng.uniform(-1, 1)
-    return Dataset(samples=samples, scaler=Scaler.identity())
+    return Dataset(v_k=np.reshape(xs, (-1, 1, 1)), u_k=np.reshape(us, (-1, 1)),
+                   v_next=np.reshape(xs_next, (-1, 1, 1)), scaler=Scaler.identity())
 
 
 class TestDictionary:
@@ -126,14 +127,15 @@ class TestFit:
     def test_uncontrolled_fit(self):
         # m = 0: only A is identified
         rng = np.random.default_rng(1)
-        samples = []
+        xs, xs_next = [], []
         x = 0.9
         for _ in range(30):
             x_next = 0.8 * x
-            samples.append(Sample(v_k=np.array([[x]]), u_k=np.zeros(0),
-                                  v_next=np.array([[x_next]])))
+            xs.append(x)
+            xs_next.append(x_next)
             x = x_next if abs(x_next) > 1e-3 else rng.uniform(0.5, 1.0)
-        ds = Dataset(samples=samples, scaler=Scaler.identity())
+        ds = Dataset(v_k=np.reshape(xs, (-1, 1, 1)), u_k=np.zeros((30, 0)),
+                     v_next=np.reshape(xs_next, (-1, 1, 1)), scaler=Scaler.identity())
         model = fit(ds, identity_dictionary(1), ridge=0.0)
         assert model.B.shape == (2, 0)
         assert abs(model.A[1, 1] - 0.8) < 1e-8
