@@ -1,7 +1,7 @@
 """Train the encoder / linear-dynamics / decoder network on a small pool
 and check the held-out one-step prediction quality.
 
-About a minute of CPU.  Run:  python demos/03_train_network.py
+About 15 s of CPU.  Run:  python demos/03_train_network.py
 """
 
 import numpy as np

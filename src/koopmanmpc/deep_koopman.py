@@ -94,7 +94,6 @@ class KoopmanNet:
             "decoder_lstm": self.dec_lstm,
             "readout": self.readout,
         }
-        self._last: ForwardPass | None = None
 
     # -- parameter plumbing
 
@@ -115,24 +114,13 @@ class KoopmanNet:
             layer.zero_grads()
 
     def load_params(self, params: dict):
-        own = self.params()
-        missing = set(own) - set(params)
-        if missing:
-            raise ValueError(f"checkpoint missing tensors: {sorted(missing)}")
-        for name, arr in own.items():
-            src = np.asarray(params[name], dtype=float)
-            if src.shape != arr.shape:
-                raise ValueError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
-            arr[...] = src
+        _copy_tensors(self.params(), params)
 
     # -- forward / backward
 
     def encode(self, v_k: np.ndarray):
         """Lift a batch of normalized histories (batch, n, h) to (batch, N)."""
-        seq = np.ascontiguousarray(v_k.transpose(0, 2, 1))
-        hs, c_lstm = self.enc_lstm.forward(seq)
-        z, c_fc = self.enc_fc.forward(hs[:, -1, :])
-        return z, (c_lstm, c_fc)
+        return _encode(self.enc_lstm, self.enc_fc, v_k)
 
     def _decode(self, z: np.ndarray):
         batch = z.shape[0]
@@ -166,32 +154,58 @@ class KoopmanNet:
         az, c_a = self.lin_state.forward(z)
         bu, c_b = self.lin_control.forward(u_k)
         z_next = az + bu
-        v_next_hat, dec_cache_next = self._decode(z_next)
-        v_k_hat, dec_cache_k = self._decode(z)
-        fp = ForwardPass(
-            v_next_hat=v_next_hat,
-            v_k_hat=v_k_hat,
+        # one decoder pass over both lifted batches: rows [:batch] are z_next
+        batch = z.shape[0]
+        v_hat, dec_cache = self._decode(np.concatenate([z_next, z]))
+        return ForwardPass(
+            v_next_hat=v_hat[:batch],
+            v_k_hat=v_hat[batch:],
             z=z,
             z_next=z_next,
-            _caches=(enc_cache, c_a, c_b, dec_cache_next, dec_cache_k),
+            _caches=(enc_cache, c_a, c_b, dec_cache),
         )
-        self._last = fp
-        return fp
 
-    def backward(self, d_v_next: np.ndarray, d_v_k: np.ndarray, fp: ForwardPass | None = None):
-        """Accumulate parameter gradients for output gradients of the most
-        recent forward pass (or an explicitly provided one)."""
-        fp = fp or self._last
-        if fp is None or not fp._caches:
+    def backward(self, d_v_next: np.ndarray, d_v_k: np.ndarray, fp: ForwardPass):
+        """Accumulate parameter gradients for output gradients of the
+        forward pass ``fp``."""
+        if not fp._caches:
             raise RuntimeError("backward requires a recorded forward pass")
-        enc_cache, c_a, c_b, dec_cache_next, dec_cache_k = fp._caches
-        d_z_next = self._decode_backward(dec_cache_next, d_v_next)
-        d_z = self._decode_backward(dec_cache_k, d_v_k)
+        enc_cache, c_a, c_b, dec_cache = fp._caches
+        d_z_both = self._decode_backward(dec_cache, np.concatenate([d_v_next, d_v_k]))
+        batch = d_v_next.shape[0]
+        d_z_next, d_z = d_z_both[:batch], d_z_both[batch:]
         d_z = d_z + self.lin_state.backward(c_a, d_z_next)
         self.lin_control.backward(c_b, d_z_next)
         c_lstm, c_fc = enc_cache
         d_h_last = self.enc_fc.backward(c_fc, d_z)
         self.enc_lstm.backward(c_lstm, d_hs=None, d_h_last=d_h_last)
+
+
+def _encode(lstm: nn.LstmLayer, fc: nn.FcLayer, v_k: np.ndarray):
+    """The encoder shared by the network and the extracted model: the LSTM
+    runs over the history columns, its last hidden state goes through the
+    tanh layer."""
+    seq = np.ascontiguousarray(v_k.transpose(0, 2, 1))
+    hs, c_lstm = lstm.forward(seq)
+    z, c_fc = fc.forward(hs[:, -1, :])
+    return z, (c_lstm, c_fc)
+
+
+def _encoder_params(lstm: nn.LstmLayer, fc: nn.FcLayer) -> dict:
+    return {**lstm.params("encoder_lstm"), **fc.params("encoder_fc")}
+
+
+def _copy_tensors(own: dict, params: dict) -> None:
+    """Copy ``params`` into the named arrays ``own`` in place; every name of
+    ``own`` must be present with its shape."""
+    missing = set(own) - set(params)
+    if missing:
+        raise ValueError(f"missing tensors: {sorted(missing)}")
+    for name, arr in own.items():
+        src = np.asarray(params[name], dtype=float)
+        if src.shape != arr.shape:
+            raise ValueError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
+        arr[...] = src
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +375,10 @@ class LiftedLinearModel:
     """Frozen encoder plus the linear interval dynamics ``z+ = A z + B u``
     (normalized units) and the scaler that defines those units.
 
-    Immutable once built; safe to share across concurrent MPC solves.
+    Holds the encoder layers only, no decoder.  Every encoder tensor and
+    both matrices must have the shapes ``config`` implies, else
+    ``ValueError`` names the offending one.  Immutable once built; safe to
+    share across concurrent MPC solves.
     """
 
     kind = "koopman_net"
@@ -370,14 +387,15 @@ class LiftedLinearModel:
                  B: np.ndarray, scaler: Scaler):
         self.config = config
         self.scaler = scaler
+        nl, nh = config.lifted_dim, config.lstm_hidden
         self.A = np.array(A, dtype=float)
         self.B = np.array(B, dtype=float)
-        net = KoopmanNet(config)
-        full = net.params()
-        for name, arr in encoder_params.items():
-            full[name][...] = np.asarray(arr, dtype=float)
-        self._net = net
-        self._encoder_params = {k: np.array(v, dtype=float) for k, v in encoder_params.items()}
+        for name, arr, shape in (("A", self.A, (nl, nl)), ("B", self.B, (nl, config.m))):
+            if arr.shape != shape:
+                raise ValueError(f"matrix {name} has shape {arr.shape}, expected {shape}")
+        self.enc_lstm = nn.LstmLayer(config.n, nh)
+        self.enc_fc = nn.FcLayer(nh, nl, activation="tanh")
+        _copy_tensors(_encoder_params(self.enc_lstm, self.enc_fc), encoder_params)
 
     @property
     def lifted_dim(self) -> int:
@@ -390,7 +408,7 @@ class LiftedLinearModel:
         single = v_hist.ndim == 2
         if single:
             v_hist = v_hist[None]
-        z, _ = self._net.encode(self.scaler.normalize_v(v_hist))
+        z, _ = _encode(self.enc_lstm, self.enc_fc, self.scaler.normalize_v(v_hist))
         return z[0] if single else z
 
     def lift_reference(self, v_ref: float = 1.0) -> np.ndarray:
@@ -407,7 +425,7 @@ class LiftedLinearModel:
             "B": self.B.tolist(),
             "encoder": {
                 name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                for name, arr in sorted(self._encoder_params.items())
+                for name, arr in sorted(_encoder_params(self.enc_lstm, self.enc_fc).items())
             },
         }
 
@@ -431,15 +449,12 @@ def extract(net: KoopmanNet, scaler: Scaler) -> LiftedLinearModel:
     layers' weights."""
     if scaler is None:
         raise ValueError("extraction requires the scaler used in training")
-    encoder = {}
-    for prefix in ("encoder_lstm", "encoder_fc"):
-        for name, arr in net._layers[prefix].params(prefix).items():
-            encoder[name] = arr.copy()
+    # the model copies every array it is given
     return LiftedLinearModel(
         config=net.config,
-        encoder_params=encoder,
-        A=net.lin_state.weight.copy(),
-        B=net.lin_control.weight.copy(),
+        encoder_params=_encoder_params(net.enc_lstm, net.enc_fc),
+        A=net.lin_state.weight,
+        B=net.lin_control.weight,
         scaler=scaler,
     )
 
@@ -447,9 +462,8 @@ def extract(net: KoopmanNet, scaler: Scaler) -> LiftedLinearModel:
 def save_lifted_model(model, path) -> None:
     """Serialize any lifted model (deep network or dictionary based) to
     the shared JSON schema with dense row-major A and B."""
-    with open(path, "w") as f:
-        json.dump(model.to_dict(), f, sort_keys=True)
-        f.write("\n")
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True) + "\n")
 
 
 def load_lifted_model(path):

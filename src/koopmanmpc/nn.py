@@ -6,8 +6,7 @@ backward-from-cache protocol: ``forward`` returns the output plus an
 opaque cache, ``backward`` consumes the cache and the output gradient,
 accumulates parameter gradients on the layer, and returns the input
 gradient.  Gradients accumulate until ``zero_grads`` is called, so a
-layer used twice in one graph (e.g. a shared decoder) just runs
-``backward`` once per cache.
+layer used twice in one graph just runs ``backward`` once per cache.
 """
 
 from __future__ import annotations
@@ -27,13 +26,10 @@ class MetricError(ValueError):
 
 
 def _sigmoid(x):
-    # piecewise form avoids overflow warnings for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each branch is the logistic function on its
+    # own sign, so both are evaluated and the right one kept
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -133,24 +129,26 @@ class LstmLayer:
         if steps < 1:
             raise ValueError("sequence must contain at least one step")
         nh = self.n_hidden
+        # input projections of every step, hoisted out of the recurrence; the
+        # stacked matmul runs one (batch, n_in) product per step, so each
+        # step's bits equal those of the per-step product
+        xw = seq.transpose(1, 0, 2) @ self.w_x.T
         h = np.zeros((batch, nh))
         c = np.zeros((batch, nh))
-        hs = np.zeros((batch, steps, nh))
+        hs = np.empty((batch, steps, nh))
         records = []
         for t in range(steps):
-            x_t = seq[:, t, :]
-            pre = x_t @ self.w_x.T + h @ self.w_h.T + self.bias
-            i = _sigmoid(pre[:, :nh])
-            f = _sigmoid(pre[:, nh : 2 * nh])
+            pre = xw[t] + h @ self.w_h.T + self.bias
+            gates = _sigmoid(pre)  # the candidate slot is unused
+            i, f, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 3 * nh :]
             g = np.tanh(pre[:, 2 * nh : 3 * nh])
-            o = _sigmoid(pre[:, 3 * nh :])
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             h_new = o * tc
-            records.append((x_t, h, c, i, f, g, o, tc))
+            records.append((h, c, i, f, g, o, tc))
             h, c = h_new, c_new
             hs[:, t, :] = h
-        return hs, (seq.shape, records)
+        return hs, (seq, records)
 
     def backward(self, cache, d_hs=None, d_h_last=None):
         """Backpropagate through time.
@@ -159,16 +157,16 @@ class LstmLayer:
         None), ``d_h_last`` an extra gradient on the final hidden state.
         Returns the gradient w.r.t. the input sequence.
         """
-        shape, records = cache
-        batch, steps, _ = shape
+        seq, records = cache
+        batch, steps, _ = seq.shape
         nh = self.n_hidden
-        d_seq = np.zeros(shape)
+        d_pres = np.empty((steps, batch, 4 * nh))
         dh = np.zeros((batch, nh))
         dc = np.zeros((batch, nh))
         if d_h_last is not None:
             dh = dh + d_h_last
         for t in reversed(range(steps)):
-            x_t, h_prev, c_prev, i, f, g, o, tc = records[t]
+            h_prev, c_prev, i, f, g, o, tc = records[t]
             if d_hs is not None:
                 dh = dh + d_hs[:, t, :]
             do = dh * tc
@@ -185,13 +183,14 @@ class LstmLayer:
                     do * o * (1.0 - o),
                 ],
                 axis=1,
+                out=d_pres[t],
             )
-            self.g_w_x += d_pre.T @ x_t
+            self.g_w_x += d_pre.T @ seq[:, t, :]
             self.g_w_h += d_pre.T @ h_prev
             self.g_bias += d_pre.sum(axis=0)
-            d_seq[:, t, :] = d_pre @ self.w_x
             dh = d_pre @ self.w_h
-        return d_seq
+        # one (batch, 4 nh) product per step, as in the forward projection
+        return (d_pres @ self.w_x).transpose(1, 0, 2)
 
     def params(self, prefix):
         return {
@@ -281,9 +280,8 @@ def save_checkpoint(params: dict, path, extra: dict | None = None) -> None:
         ],
         "extra": extra or {},
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from koopmanmpc import dataset as dataset_mod
-from koopmanmpc import deep_koopman, nn
+from koopmanmpc import deep_koopman, edmd, nn
 from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.deep_koopman import (
+    ForwardPass,
     KoopmanNet,
     KoopmanNetConfig,
     TrainHyper,
@@ -108,8 +111,10 @@ class TestForward:
 
     def test_backward_requires_forward(self):
         net = KoopmanNet(MINI)
+        empty = ForwardPass(v_next_hat=np.zeros((1, 2, 2)), v_k_hat=np.zeros((1, 2, 2)),
+                            z=np.zeros((1, 6)), z_next=np.zeros((1, 6)))
         with pytest.raises(RuntimeError):
-            net.backward(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+            net.backward(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), empty)
 
 
 class TestGradients:
@@ -144,6 +149,52 @@ class TestGradients:
                 fd = (lp - lm) / (2 * eps)
                 denom = max(abs(fd) + abs(gflat[i]), 1e-6)
                 assert abs(fd - gflat[i]) / denom < 1e-4, f"{name}[{i}]"
+
+
+def two_pass_reference(net, v_k, u, d_v_next, d_v_k):
+    """Forward and backward with one decoder pass for z_next and a second
+    for z, each with its own backward.  Reference for the stacked decode of
+    ``KoopmanNet``; returns the two outputs and the parameter gradients."""
+    z, (c_lstm, c_fc) = net.encode(v_k)
+    az, c_a = net.lin_state.forward(z)
+    bu, c_b = net.lin_control.forward(u)
+    z_next = az + bu
+    v_next_hat, dec_next = net._decode(z_next)
+    v_k_hat, dec_k = net._decode(z)
+    net.zero_grads()
+    d_z_next = net._decode_backward(dec_next, d_v_next)
+    d_z = net._decode_backward(dec_k, d_v_k)
+    d_z = d_z + net.lin_state.backward(c_a, d_z_next)
+    net.lin_control.backward(c_b, d_z_next)
+    net.enc_lstm.backward(c_lstm, d_hs=None, d_h_last=net.enc_fc.backward(c_fc, d_z))
+    return v_next_hat, v_k_hat, {k: g.copy() for k, g in net.grads().items()}
+
+
+class TestStackedDecode:
+    @pytest.mark.parametrize("batch", [1, 5, 32])
+    def test_matches_two_pass_reference(self, batch):
+        cfg = KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16, lstm_hidden=8, seed=9)
+        net = KoopmanNet(cfg)
+        rng = np.random.default_rng(batch)
+        v_k = rng.normal(size=(batch, 6, 4))
+        u = rng.normal(size=(batch, 3))
+        d_v_next = rng.normal(size=(batch, 6, 4))
+        d_v_k = rng.normal(size=(batch, 6, 4))
+
+        ref_next, ref_k, ref_grads = two_pass_reference(net, v_k, u, d_v_next, d_v_k)
+        fp = net.forward(v_k, u)
+        net.zero_grads()
+        net.backward(d_v_next, d_v_k, fp)
+
+        def rel_err(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        assert rel_err(fp.v_next_hat, ref_next) <= 1e-12
+        assert rel_err(fp.v_k_hat, ref_k) <= 1e-12
+        grads = net.grads()
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            assert rel_err(grads[name], ref) <= 1e-12, name
 
 
 class TestTrain:
@@ -250,6 +301,44 @@ class TestSerialization:
         for k, v in net.params().items():
             assert np.array_equal(back.params()[k], v)
         assert back_sc.to_dict() == sc.to_dict()
+
+    # sha256 of these artifacts as the pure-Python JSON encoder wrote them
+    GOLDEN = {
+        "checkpoint": "4beb93b10b2d392c24e7222c002f36197e595d1ac098fa9aa31c6a2b5c20121a",
+        "net_model": "9e11ff4e63e89f28389534ebe1fb49dc8bd41ffe0fd36f495b5da0ffcd43c6f5",
+        "edmd_model": "60ef2e99596f130e67416efa7bd9220d76725d5beec246f84e0f1cee14138578",
+    }
+
+    def test_golden_artifact_bytes(self, tmp_path):
+        net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16, lstm_hidden=8, seed=2022))
+        sc = Scaler(v_ref=1.0, v_lo=-0.2, v_hi=0.1)
+        rng = np.random.default_rng(2022)
+        ds = Dataset(v_k=rng.uniform(0.9, 1.1, size=(20, 2, 2)),
+                     u_k=rng.uniform(0.0, 0.25, size=(20, 1)),
+                     v_next=rng.uniform(0.9, 1.1, size=(20, 2, 2)))
+        ds.scaler = dataset_mod.fit_scaler(ds)
+        save_net(net, tmp_path / "checkpoint", scaler=sc)
+        save_lifted_model(extract(net, sc), tmp_path / "net_model")
+        save_lifted_model(edmd.fit(ds, edmd.polynomial_dictionary(4, 2), ridge=1e-6),
+                          tmp_path / "edmd_model")
+        for name, digest in self.GOLDEN.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize(
+        "tensor, edit",
+        [
+            ("encoder_lstm/w_h", lambda doc: doc["encoder"].pop("encoder_lstm/w_h")),
+            ("encoder_fc/bias",
+             lambda doc: doc["encoder"].update({"encoder_fc/bias": {"shape": [1], "data": [0.5]}})),
+            (r"\bA\b", lambda doc: doc.update(A=np.zeros((10, 6)).tolist())),
+        ],
+        ids=["missing_encoder_tensor", "broadcast_bias", "ten_row_A"],
+    )
+    def test_malformed_lifted_model_rejected(self, tensor, edit):
+        doc = extract(KoopmanNet(MINI), Scaler.identity()).to_dict()
+        edit(doc)
+        with pytest.raises(ValueError, match=tensor):
+            deep_koopman.LiftedLinearModel.from_dict(doc)
 
     def test_unknown_kind_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"kind": "mystery"}')

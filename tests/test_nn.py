@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmanmpc import nn
 from koopmanmpc.nn import (
@@ -30,6 +32,74 @@ def finite_diff(loss_fn, arr, eps=1e-5):
         flat[i] = orig
         gflat[i] = (lp - lm) / (2 * eps)
     return g
+
+
+def reference_sigmoid(x):
+    """The masked piecewise sigmoid the layer used before its rewrite."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_lstm_forward(layer, seq):
+    """Per-step LSTM forward: input projection inside the recurrence and
+    one masked sigmoid per gate.  Reference for ``LstmLayer.forward``."""
+    batch, steps, _ = seq.shape
+    nh = layer.n_hidden
+    h = np.zeros((batch, nh))
+    c = np.zeros((batch, nh))
+    hs = np.zeros((batch, steps, nh))
+    records = []
+    for t in range(steps):
+        x_t = seq[:, t, :]
+        pre = x_t @ layer.w_x.T + h @ layer.w_h.T + layer.bias
+        i = reference_sigmoid(pre[:, :nh])
+        f = reference_sigmoid(pre[:, nh : 2 * nh])
+        g = np.tanh(pre[:, 2 * nh : 3 * nh])
+        o = reference_sigmoid(pre[:, 3 * nh :])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        records.append((x_t, h, c, i, f, g, o, tc))
+        h, c = h_new, c_new
+        hs[:, t, :] = h
+    return hs, (seq.shape, records)
+
+
+def reference_lstm_backward(layer, cache, d_hs=None, d_h_last=None):
+    """Per-step BPTT with the input gradient formed inside the loop.
+    Reference for ``LstmLayer.backward``; accumulates into the layer."""
+    shape, records = cache
+    batch, steps, _ = shape
+    nh = layer.n_hidden
+    d_seq = np.zeros(shape)
+    dh = np.zeros((batch, nh))
+    dc = np.zeros((batch, nh))
+    if d_h_last is not None:
+        dh = dh + d_h_last
+    for t in reversed(range(steps)):
+        x_t, h_prev, c_prev, i, f, g, o, tc = records[t]
+        if d_hs is not None:
+            dh = dh + d_hs[:, t, :]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc = dc * f
+        d_pre = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        layer.g_w_x += d_pre.T @ x_t
+        layer.g_w_h += d_pre.T @ h_prev
+        layer.g_bias += d_pre.sum(axis=0)
+        d_seq[:, t, :] = d_pre @ layer.w_x
+        dh = d_pre @ layer.w_h
+    return d_seq
 
 
 def assert_grads_close(analytic, numeric, tol=1e-4):
@@ -133,6 +203,39 @@ class TestLstmLayer:
         assert_grads_close(layer.g_w_h, finite_diff(loss, layer.w_h))
         assert_grads_close(layer.g_bias, finite_diff(loss, layer.bias))
         assert_grads_close(d_seq, finite_diff(loss, seq))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 6),
+        steps=st.integers(1, 5),
+        n_in=st.integers(1, 5),
+        n_hidden=st.integers(1, 6),
+        scale=st.floats(0.01, 50.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_step_reference_bit_for_bit(self, seed, batch, steps, n_in, n_hidden, scale):
+        # inputs up to +-50 saturate the gates, so both sigmoid branches run
+        rng = np.random.default_rng(seed)
+        layer = LstmLayer(n_in, n_hidden, rng=rng)
+        layer.bias = rng.normal(size=4 * n_hidden)
+        seq = scale * rng.uniform(-1.0, 1.0, size=(batch, steps, n_in))
+        d_hs = rng.normal(size=(batch, steps, n_hidden))
+        d_h_last = rng.normal(size=(batch, n_hidden))
+
+        hs, cache = layer.forward(seq)
+        layer.zero_grads()
+        d_seq = layer.backward(cache, d_hs=d_hs, d_h_last=d_h_last)
+        got = (layer.g_w_x, layer.g_w_h, layer.g_bias)
+
+        ref_hs, ref_cache = reference_lstm_forward(layer, seq)
+        layer.zero_grads()
+        ref_d_seq = reference_lstm_backward(layer, ref_cache, d_hs=d_hs, d_h_last=d_h_last)
+        ref = (layer.g_w_x, layer.g_w_h, layer.g_bias)
+
+        assert np.array_equal(hs, ref_hs)
+        assert np.array_equal(d_seq, ref_d_seq)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
 
     def test_empty_sequence_rejected(self):
         layer = LstmLayer(2, 2)
