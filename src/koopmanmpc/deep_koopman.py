@@ -401,6 +401,14 @@ class LiftedLinearModel:
     def lifted_dim(self) -> int:
         return self.config.lifted_dim
 
+    @property
+    def n(self) -> int:
+        return self.config.n
+
+    @property
+    def h(self) -> int:
+        return self.config.h
+
     def lift(self, v_hist: np.ndarray) -> np.ndarray:
         """Normalize and encode a raw p.u. history (n, h) -> (N,), or a
         batch (batch, n, h) -> (batch, N)."""

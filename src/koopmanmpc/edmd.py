@@ -76,9 +76,18 @@ class Dictionary:
             raise ValueError(f"expected inputs of dimension {self.input_dim}, got {x2.shape[1]}")
         cols = [np.ones((x2.shape[0], 1)), x2]
         if self.kind == "polynomial":
-            for combo in self._monomials():
-                feat = np.prod(x2[:, combo], axis=1, keepdims=True)
-                cols.append(feat)
+            # per degree, every monomial at once: a product of gathered
+            # coordinates, multiplied left to right as np.prod would; the
+            # gather runs on rows of the transpose, which is contiguous
+            xt = np.ascontiguousarray(x2.T)
+            for deg in range(2, self.degree + 1):
+                idx = np.array(list(
+                    itertools.combinations_with_replacement(range(self.input_dim), deg)
+                ))
+                feat = xt[idx[:, 0]]
+                for k in range(1, deg):
+                    feat = feat * xt[idx[:, k]]
+                cols.append(feat.T)
         elif self.kind == "rbf":
             d2 = ((x2[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
             cols.append(np.exp(-d2 / self.width**2))

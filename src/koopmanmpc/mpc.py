@@ -7,10 +7,12 @@ At each control instant the finite-horizon tracking objective
 
 subject to z_{k+i+1} = A z_{k+i} + B u_{k+i} and box bounds on u is
 condensed into a quadratic in the stacked control sequence by eliminating
-the predicted states, solved with fixed-step projected gradient descent,
-and the first move is applied to the plant.  All solver arithmetic runs
-in normalized units; controls are denormalized to p.u. before they touch
-the plant.
+the predicted states (prediction blocks A^i B by recursion, never a power
+of A or a Kronecker product of Q: O(H N^2 m) per instant), solved with
+fixed-step projected gradient descent sized by the exact largest
+eigenvalue of the Hessian, and the first move is applied to the plant.
+All solver arithmetic runs in normalized units; controls are denormalized
+to p.u. before they touch the plant.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from koopmanmpc.plant import (
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
 
-# Safety factor on the power-iteration curvature estimate; keeps the fixed
-# step strictly below 1/L even when the estimate converges from below.
+# Safety factor on the exact largest eigenvalue: keeps the fixed step
+# strictly below 1/L, so rounding in lambda_max cannot push it past 1/L.
 _STEP_SAFETY = 1.05
-_POWER_STEPS = 100
 
 
 class QpNonConvergence(RuntimeError):
@@ -116,28 +117,41 @@ class CondensedQp:
 def condense(problem: MpcProblem) -> CondensedQp:
     """Eliminate the predicted states.
 
-    With powers P_i = A^i, the i-th predicted state is
-    ``P_{i+1} z0 + sum_{j<=i} P_{i-j} B u_j``; stacking those into
-    prediction matrices gives the dense quadratic whose value equals the
-    original objective for every feasible control sequence.
+    The i-th predicted state (0-based) is
+    ``z_{i+1} = A^{i+1} z0 + sum_{j<=i} G_{i-j} u_j`` with the prediction
+    blocks ``G_0 = B``, ``G_{k+1} = A G_k``.  The blocks and the free
+    response ``A^{i+1} z0`` come from that recursion (matrix-times-block
+    and matvec), so no power of A is ever formed; the block-diagonal state
+    weight is applied one block row at a time, never as a Kronecker
+    product.  The cost is O(H N^2 m) for the recursion and Q products
+    plus O(H^3 N m^2) for the Hessian GEMM, and the quadratic's value
+    equals the original objective for every feasible control sequence.
     """
     nk, n_lift, m = problem.horizon, problem.A.shape[0], problem.B.shape[1]
-    powers = [np.eye(n_lift)]
-    for _ in range(nk):
-        powers.append(problem.A @ powers[-1])
+    blocks = [problem.B]
+    free = [problem.A @ problem.z0]
+    for _ in range(nk - 1):
+        blocks.append(problem.A @ blocks[-1])
+        free.append(problem.A @ free[-1])
+    d_mat = np.array(free) - problem.z_ref  # (nk, N): free-response tracking error
+    q_blocks = [problem.Q @ g for g in blocks]  # Q G_k, k = 0..nk-1
 
-    s_big = np.zeros((nk * n_lift, nk * m))
-    d_vec = np.zeros(nk * n_lift)
+    # block row i of the prediction matrix is [G_i ... G_0 0 ... 0]
+    s_big = np.zeros((nk, n_lift, nk, m))
+    q_s = np.zeros((nk, n_lift, nk, m))
     for i in range(nk):
-        d_vec[i * n_lift : (i + 1) * n_lift] = powers[i + 1] @ problem.z0 - problem.z_ref
         for j in range(i + 1):
-            s_big[i * n_lift : (i + 1) * n_lift, j * m : (j + 1) * m] = powers[i - j] @ problem.B
+            s_big[i, :, j] = blocks[i - j]
+            q_s[i, :, j] = q_blocks[i - j]
+    s_big = s_big.reshape(nk * n_lift, nk * m)
+    q_s = q_s.reshape(nk * n_lift, nk * m)
 
-    q_s = np.kron(np.eye(nk), problem.Q) @ s_big
-    hessian = s_big.T @ q_s + np.kron(np.eye(nk), problem.R)
+    hessian = s_big.T @ q_s
+    for j in range(nk):
+        hessian[j * m : (j + 1) * m, j * m : (j + 1) * m] += problem.R
     hessian = 0.5 * (hessian + hessian.T)
-    linear = q_s.T @ d_vec
-    const = float(d_vec @ np.kron(np.eye(nk), problem.Q) @ d_vec)
+    linear = q_s.T @ d_mat.ravel()
+    const = float(np.sum((d_mat @ problem.Q) * d_mat))
     return CondensedQp(
         hessian=hessian,
         linear=linear,
@@ -169,18 +183,9 @@ class ControlSequence:
 
 
 def _estimate_curvature(hessian: np.ndarray) -> float:
-    """Largest eigenvalue of the PSD hessian via 100 power-iteration steps."""
-    dim = hessian.shape[0]
-    v = np.ones(dim) / np.sqrt(dim)
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        w = hessian @ v
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-300:
-            return 0.0
-        v = w / norm
-        lam = float(v @ hessian @ v)
-    return lam
+    """Largest eigenvalue of the symmetric PSD hessian, exactly (eigvalsh);
+    0.0 for an empty one.  The hessian is only horizon * m wide."""
+    return float(np.linalg.eigvalsh(hessian)[-1]) if hessian.size else 0.0
 
 
 def solve_box_qp(
@@ -192,12 +197,12 @@ def solve_box_qp(
 ) -> ControlSequence:
     """Fixed-step projected gradient descent from the (projected) origin.
 
-    The step is 1 / (safety * 2 * lambda_max) with lambda_max estimated
-    by power iteration, which guarantees monotone descent; convergence is
-    declared when the step-one projected gradient has max-norm below
-    ``tol`` (interior coordinates then satisfy |grad| < tol, bound
-    coordinates have outward-pushing gradients).  ``trace=True`` records
-    the objective at every iterate.
+    The step is 1 / (safety * 2 * lambda_max) with lambda_max the exact
+    largest eigenvalue of the hessian, which guarantees monotone descent;
+    convergence is declared when the step-one projected gradient has
+    max-norm below ``tol`` (interior coordinates then satisfy
+    |grad| < tol, bound coordinates have outward-pushing gradients).
+    ``trace=True`` records the objective at every iterate.
     """
     lam = _estimate_curvature(qp.hessian)
     step_bound = _STEP_SAFETY * 2.0 * lam
@@ -290,13 +295,19 @@ def receding_horizon(
     window of the previous interval is lifted, the remaining budget
     ``n_instants - k`` is the horizon, and the first move of the solution
     is held for one control interval.  The lifted reference is fixed: the
-    constant ``v_ref`` history, lifted once.
+    constant ``v_ref`` history, lifted once.  A model whose ``(n, h, m)``
+    differs from the plant's ``(n, sched.h, m)`` is rejected up front with
+    ``ValueError``.
     """
     if fault is None:
         raise ValueError("receding_horizon requires the experiment fault")
+    n_lift, m = model.B.shape
+    model_shape, plant_shape = (model.n, model.h, m), (plant.n, sched.h, plant.m)
+    if model_shape != plant_shape:
+        raise ValueError(
+            f"model (n, h, m) = {model_shape} does not match plant (n, h, m) = {plant_shape}"
+        )
     scaler: Scaler = model.scaler
-    n_lift = model.A.shape[0]
-    m = model.B.shape[1]
     Q = np.eye(n_lift) if Q is None else np.asarray(Q, dtype=float)
     R = np.zeros((m, m)) if R is None else np.asarray(R, dtype=float)
     u_lo = np.full(m, float(scaler.normalize_u(u_min_pu)))

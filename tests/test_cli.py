@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from koopmanmpc import cli
-from koopmanmpc.plant import config_to_dict, default_config, save_config
+from koopmanmpc.plant import config_to_dict, default_config, load_config, save_config
 
 
 @pytest.fixture()
@@ -175,6 +175,34 @@ class TestPipeline:
         last = json.loads((ws / "loop" / "qp_diagnostics.json").read_text())["instants"][-1]
         assert "error" in err
         assert err["instant"] == last["instant"] and err["pg_norm"] == last["pg_norm"] > 1e-14
+
+    @pytest.mark.parametrize("kind", ["koopman_net", "edmd"])
+    def test_model_plant_mismatch_is_a_json_error(self, workspace, capsys, kind):
+        # a model fit on the default 6-bus plant, run against the 12-bus mirror plant
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        if kind == "edmd":
+            assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "identity",
+                           "--out", ws / "model") == 0
+        else:
+            assert run_cli("train", "--data", ws / "data", "--config", ws / "run.json",
+                           "--out", ws / "model") == 0
+        root = Path(__file__).resolve().parents[1] / "configs"
+        save_config(load_config(root / "mirror_plant.json"), ws / "mirror.json")
+        run = json.loads((ws / "run.json").read_text())
+        run["plant"] = "mirror.json"
+        run["koopman_net"]["lifted_dim"] = 16  # must exceed the mirror's 12 buses
+        (ws / "run_mirror.json").write_text(json.dumps(run))
+        for command, extra in (("run-mpc", ()), ("compare", ("--cases", 1))):
+            capsys.readouterr()
+            code = run_cli(command, "--model", ws / "model" / "lifted_model.json",
+                           "--config", ws / "run_mirror.json", *extra, "--out", ws / command)
+            assert code == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])
+            assert err["type"] == "ValueError"
+            assert "(6, 4, 3)" in err["error"] and "(12, 4, 5)" in err["error"]
 
     def test_train_rejects_an_empty_split_half(self, workspace, capsys):
         ws = workspace

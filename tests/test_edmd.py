@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmanmpc import edmd
 from koopmanmpc.dataset import Dataset, Scaler
@@ -31,6 +33,18 @@ def gauss_solve(a, b):
             if row != col:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, n:].reshape(b.shape)
+
+
+def reference_polynomial_lift(d: Dictionary, x: np.ndarray) -> np.ndarray:
+    """The per-monomial np.prod loop that the vectorized lift replaced."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    x2 = x[None] if single else x
+    cols = [np.ones((x2.shape[0], 1)), x2]
+    for combo in d._monomials():
+        cols.append(np.prod(x2[:, combo], axis=1, keepdims=True))
+    out = np.hstack(cols)
+    return out[0] if single else out
 
 
 def linear_system_dataset(rho=0.5, gain=1.0, n_samples=60, seed=0):
@@ -87,6 +101,23 @@ class TestDictionary:
             back = Dictionary.from_dict(d.to_dict())
             x = np.linspace(-1, 1, 4)
             assert np.array_equal(back.lift(x), d.lift(x))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        degree=st.integers(1, 3),
+        batch=st.one_of(st.none(), st.integers(1, 20)),
+        scale=st.floats(0.01, 50.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_polynomial_lift_matches_per_monomial_reference(self, seed, dim, degree, batch,
+                                                            scale):
+        rng = np.random.default_rng(seed)
+        d = polynomial_dictionary(dim, degree)
+        x = scale * rng.uniform(-1.0, 1.0, size=(dim,) if batch is None else (batch, dim))
+        got = d.lift(x)
+        assert got.shape == ((d.n_features,) if batch is None else (batch, d.n_features))
+        assert np.array_equal(got, reference_polynomial_lift(d, x))
 
     def test_centers_from_data_deterministic(self):
         x = np.random.default_rng(0).normal(size=(50, 4))

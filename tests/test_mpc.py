@@ -1,7 +1,10 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmanmpc import mpc
 from koopmanmpc.dataset import Scaler
@@ -10,11 +13,12 @@ from koopmanmpc.mpc import (
     CondensedQp,
     MpcProblem,
     QpNonConvergence,
+    _estimate_curvature,
     condense,
     receding_horizon,
     solve_box_qp,
 )
-from koopmanmpc.plant import U_MAX, default_config, run_episode, zero_policy
+from koopmanmpc.plant import U_MAX, default_config, load_config, run_episode, zero_policy
 
 
 def direct_objective(problem: MpcProblem, u_seq: np.ndarray) -> float:
@@ -27,6 +31,62 @@ def direct_objective(problem: MpcProblem, u_seq: np.ndarray) -> float:
         dz = z - problem.z_ref
         total += float(dz @ problem.Q @ dz + u_seq[i] @ problem.R @ u_seq[i])
     return total
+
+
+def reference_condense(problem: MpcProblem) -> CondensedQp:
+    """The A-power / Kronecker-product condensation that ``condense``
+    replaced: forms A^1..A^H and multiplies by kron(I, Q)."""
+    nk, n_lift, m = problem.horizon, problem.A.shape[0], problem.B.shape[1]
+    powers = [np.eye(n_lift)]
+    for _ in range(nk):
+        powers.append(problem.A @ powers[-1])
+
+    s_big = np.zeros((nk * n_lift, nk * m))
+    d_vec = np.zeros(nk * n_lift)
+    for i in range(nk):
+        d_vec[i * n_lift : (i + 1) * n_lift] = powers[i + 1] @ problem.z0 - problem.z_ref
+        for j in range(i + 1):
+            s_big[i * n_lift : (i + 1) * n_lift, j * m : (j + 1) * m] = powers[i - j] @ problem.B
+
+    q_s = np.kron(np.eye(nk), problem.Q) @ s_big
+    hessian = s_big.T @ q_s + np.kron(np.eye(nk), problem.R)
+    hessian = 0.5 * (hessian + hessian.T)
+    linear = q_s.T @ d_vec
+    const = float(d_vec @ np.kron(np.eye(nk), problem.Q) @ d_vec)
+    return CondensedQp(
+        hessian=hessian, linear=linear, const=const,
+        lower=np.tile(problem.u_min, nk), upper=np.tile(problem.u_max, nk),
+        horizon=nk, n_controls=m,
+    )
+
+
+def reference_power_curvature(hessian: np.ndarray, steps: int = 100) -> float:
+    """The 100-step power iteration that ``_estimate_curvature`` replaced."""
+    dim = hessian.shape[0]
+    v = np.ones(dim) / np.sqrt(dim)
+    lam = 0.0
+    for _ in range(steps):
+        w = hessian @ v
+        norm = float(np.linalg.norm(w))
+        if norm < 1e-300:
+            return 0.0
+        v = w / norm
+        lam = float(v @ hessian @ v)
+    return lam
+
+
+def max_rel_err(got, ref) -> float:
+    """Max-norm error relative to the reference's max norm (0 when both are 0)."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    scale = float(np.max(np.abs(ref))) if ref.size else 0.0
+    err = float(np.max(np.abs(got - ref))) if ref.size else 0.0
+    return err / scale if scale > 0 else err
+
+
+def random_psd(rng, dim):
+    """Symmetric PSD of random rank 0..dim (rank-deficient ones included)."""
+    root = rng.normal(size=(dim, int(rng.integers(0, dim + 1))))
+    return root @ root.T
 
 
 def random_problem(rng, n_lift=None, m=None, horizon=None, stable=True):
@@ -222,6 +282,65 @@ class TestSolveBoxQp:
         assert np.allclose(seq.u_pu, sc.denormalize_u(seq.u))
 
 
+class TestCondenseMatchesReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_lift=st.integers(1, 12),
+        m=st.integers(1, 4),
+        horizon=st.integers(1, 6),
+        rho=st.floats(0.0, 0.95),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_qp_and_controls_match(self, seed, n_lift, m, horizon, rho):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_lift, n_lift))
+        a = rho * a / max(np.abs(np.linalg.eigvals(a)).max(), 1e-9)
+        p = MpcProblem(
+            A=a,
+            B=rng.normal(size=(n_lift, m)),
+            z0=rng.normal(size=n_lift),
+            z_ref=rng.normal(size=n_lift),
+            horizon=horizon,
+            Q=random_psd(rng, n_lift),
+            R=random_psd(rng, m),
+            u_min=np.full(m, -1.0),
+            u_max=np.full(m, 1.0),
+        )
+        got, ref = condense(p), reference_condense(p)
+        assert max_rel_err(got.hessian, ref.hessian) <= 1e-12
+        assert max_rel_err(got.linear, ref.linear) <= 1e-12
+        assert max_rel_err(got.const, ref.const) <= 1e-12
+        assert np.array_equal(got.lower, ref.lower) and np.array_equal(got.upper, ref.upper)
+
+        solved = []
+        for qp in (got, ref):
+            try:
+                solved.append(solve_box_qp(qp, tol=1e-10, max_iter=20_000).u)
+            except QpNonConvergence:
+                solved.append(None)
+        if solved[1] is None:
+            assert solved[0] is None
+        else:
+            assert np.max(np.abs(solved[0] - solved[1])) <= 1e-9
+
+
+class TestCurvature:
+    def test_exact_largest_eigenvalue(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            p = random_problem(rng, horizon=int(rng.integers(1, 7)))
+            hess = condense(p).hessian
+            exact = float(np.linalg.eigvalsh(hess)[-1])
+            lam = _estimate_curvature(hess)
+            assert abs(lam - exact) <= 1e-12 * exact
+            # power iteration's Rayleigh quotient approaches it from below
+            assert reference_power_curvature(hess) <= lam * (1 + 1e-12)
+
+    def test_zero_hessian(self):
+        assert _estimate_curvature(np.zeros((3, 3))) == 0.0
+        assert reference_power_curvature(np.zeros((3, 3))) == 0.0
+
+
 class TestRecedingHorizon:
     def test_perfect_model_matches_open_loop_plan(self):
         # when the controlled system IS the lifted model, the shrinking
@@ -310,3 +429,11 @@ class TestRecedingHorizon:
 
         doc = json.loads((tmp_path / "qp.json").read_text())
         assert doc["aborted"] is False and len(doc["instants"]) == 5
+
+    def test_model_plant_mismatch_rejected(self):
+        mirror = load_config(Path(__file__).resolve().parents[1] / "configs" / "mirror_plant.json")
+        net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16,
+                                          lstm_hidden=4, seed=4))
+        model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
+        with pytest.raises(ValueError, match=r"\(6, 4, 3\).*\(12, 4, 5\)"):
+            receding_horizon(model, mirror.model, mirror.schedule, fault=mirror.fault)
