@@ -2,7 +2,7 @@
 
 Trains a quick model, then runs the shrinking-horizon loop after the
 default fault and prints the voltage trace next to the uncontrolled run.
-About a minute of CPU.  Run:  python demos/05_closed_loop_mpc.py
+About 20 s of CPU, most of it training.  Run:  python demos/05_closed_loop_mpc.py
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """Multi-case benchmark: lifted-space MPC against the rule-based volt-var
 baseline and the uncontrolled system across random load levels.
 
-About two minutes of CPU.  Run:  python demos/06_controller_comparison.py
+About 15 s of CPU, most of it training.  Run:  python demos/06_controller_comparison.py
 """
 
 from koopmanmpc import dataset, deep_koopman, evaluation

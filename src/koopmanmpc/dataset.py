@@ -231,7 +231,7 @@ def generate(
     controls = controls.reshape(n_episodes, n_inst, m)
     lams = [_case_load_factor(seed, load_idx) for load_idx in range(n_loads)]
     batch = plant.with_load(np.repeat(lams, len(policies)))
-    traj = run_episode(batch, sched, fault, lambda k, v: controls[:, k])
+    traj = run_episode(batch, sched, fault, lambda k, window: controls[:, k]).check_finite()
 
     # (E, n_inst + 1, n, h); window j ends at instant j + 1
     windows = np.stack([window_history(traj, k) for k in range(1, n_inst + 2)], axis=1)

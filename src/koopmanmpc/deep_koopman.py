@@ -178,7 +178,7 @@ class KoopmanNet:
         self.lin_control.backward(c_b, d_z_next)
         c_lstm, c_fc = enc_cache
         d_h_last = self.enc_fc.backward(c_fc, d_z)
-        self.enc_lstm.backward(c_lstm, d_hs=None, d_h_last=d_h_last)
+        self.enc_lstm.backward(c_lstm, d_hs=None, d_h_last=d_h_last, input_grad=False)
 
 
 def _encode(lstm: nn.LstmLayer, fc: nn.FcLayer, v_k: np.ndarray):
@@ -411,13 +411,17 @@ class LiftedLinearModel:
 
     def lift(self, v_hist: np.ndarray) -> np.ndarray:
         """Normalize and encode a raw p.u. history (n, h) -> (N,), or a
-        batch (batch, n, h) -> (batch, N)."""
+        batch (batch, n, h) -> (batch, N).
+
+        A batch is encoded one history at a time, so each row has the bits
+        of its own single lift whatever else shares the batch; a batched
+        LSTM pass sums in an order that depends on the batch size.
+        """
         v_hist = np.asarray(v_hist, dtype=float)
-        single = v_hist.ndim == 2
-        if single:
-            v_hist = v_hist[None]
-        z, _ = _encode(self.enc_lstm, self.enc_fc, self.scaler.normalize_v(v_hist))
-        return z[0] if single else z
+        if v_hist.ndim == 3:
+            return np.stack([self.lift(v) for v in v_hist])
+        z, _ = _encode(self.enc_lstm, self.enc_fc, self.scaler.normalize_v(v_hist)[None])
+        return z[0]
 
     def lift_reference(self, v_ref: float = 1.0) -> np.ndarray:
         """Lifted image of a constant v_ref history."""

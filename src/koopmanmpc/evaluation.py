@@ -13,6 +13,7 @@ import numpy as np
 from koopmanmpc import mpc as mpc_mod
 from koopmanmpc.dataset import rollout_seed
 from koopmanmpc.plant import (
+    NON_FINITE,
     IntegrationError,
     PlantConfig,
     Trajectory,
@@ -46,10 +47,20 @@ def vvc_policy(v_local, params: VvcParams):
 
 
 def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):
-    """Per-instant controls: channel l reads the voltage of its own bus,
-    in every episode of a batch."""
+    """Per-instant controls: channel l reads the latest voltage of its own
+    bus, ``W[..., bus, -1]``, in every episode of a batch."""
     buses = list(control_buses)
-    return lambda k, v: vvc_policy(v[..., buses], params)
+    return lambda k, window: vvc_policy(window[..., buses, -1], params)
+
+
+def _monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
+    """The monitored bus indices (every bus for None), checked against n."""
+    monitored = tuple(range(n)) if monitored is None else tuple(int(i) for i in monitored)
+    if len(monitored) == 0:
+        raise ValueError("monitored bus set must be nonempty")
+    if any(i < 0 or i >= n for i in monitored):
+        raise ValueError("monitored bus index out of range")
+    return monitored
 
 
 def performance_index(traj: Trajectory, v_ref: float = 1.0, monitored=None) -> float:
@@ -58,12 +69,7 @@ def performance_index(traj: Trajectory, v_ref: float = 1.0, monitored=None) -> f
     Zero exactly when the monitored voltages track the reference at every
     sample; additive over trajectories that share no sample.
     """
-    n = traj.voltages.shape[1]
-    monitored = tuple(range(n)) if monitored is None else tuple(int(i) for i in monitored)
-    if len(monitored) == 0:
-        raise ValueError("monitored bus set must be nonempty")
-    if any(i < 0 or i >= n for i in monitored):
-        raise ValueError("monitored bus index out of range")
+    monitored = _monitored_buses(traj.voltages.shape[1], monitored)
     dev = np.abs(traj.voltages[:, monitored] - v_ref)
     return float(dev.sum())
 
@@ -130,62 +136,67 @@ def compare(
     uniformly from [0.9, 1.1] (fixed fault from the plant config) and
     report the fraction of cases where the lifted-space MPC beats VVC.
 
-    Cases are seeded independently, so results do not depend on execution
-    order.  Each case runs its no-control and VVC episodes as one batch of
-    two.  A case whose QP solve does not converge or whose integration
-    fails is recorded with its error and the rest keep running; any other
-    error propagates.
+    Every case and every controller runs in one plant rollout of
+    ``3 * n_cases`` episodes: the no-control rows, then the VVC rows, then
+    the MPC rows, one of each per case.  Cases are seeded independently
+    and every row's arithmetic is its own, so a case's record does not
+    depend on which other cases run with it.  A case whose QP solve does
+    not converge or whose integration fails is recorded with its error
+    and the rest keep running; any other error propagates, before the
+    rollout when it comes from the arguments.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
     base = plant_config.model
     sched = plant_config.schedule
-    fault = plant_config.fault
+    monitored = _monitored_buses(base.n, monitored)
     vvc = vvc_episode_policy(base.control_buses(), vvc_params)
-    mpc_kwargs = dict(mpc_kwargs or {})
+    mpc = mpc_mod.MpcPolicy(model, base, sched, v_ref=v_ref, **(mpc_kwargs or {}))
 
-    def baselines(k: int, v: np.ndarray) -> np.ndarray:
-        u = vvc(k, v)
-        u[0] = 0.0  # episode 0 runs without control, episode 1 under VVC
+    lams = np.array([
+        np.random.default_rng(rollout_seed(seed, idx, _CASE_CHANNEL)).uniform(0.9, 1.1)
+        for idx in range(n_cases)
+    ])
+    vvc_rows, mpc_rows = slice(n_cases, 2 * n_cases), slice(2 * n_cases, None)
+
+    def policy(k: int, window: np.ndarray) -> np.ndarray:
+        u = np.zeros(window.shape[:-2] + (base.m,))  # no-control rows stay at zero
+        u[vvc_rows] = vvc(k, window[vvc_rows])
+        u[mpc_rows] = mpc(k, window[mpc_rows])
         return u
+
+    traj = run_episode(base.with_load(np.tile(lams, 3)), sched, plant_config.fault, policy)
+    failed = traj.failed()
 
     records = []
     wins = 0
-    n_ok = 0
-    for idx in range(n_cases):
-        rng = np.random.default_rng(rollout_seed(seed, idx, _CASE_CHANNEL))
-        lam = float(rng.uniform(0.9, 1.1))
-        plant = base.with_load(lam)
-        try:
-            both = run_episode(base.with_load([lam, lam]), sched, fault, baselines)
-            loop = mpc_mod.receding_horizon(
-                model, plant, sched, v_ref=v_ref, fault=fault, **mpc_kwargs
-            )
-            if loop.aborted:
-                last = loop.diagnostics[-1]
-                raise mpc_mod.QpNonConvergence(
-                    f"closed loop aborted at instant {last['instant']}: {last['error']}",
-                    residual=last["pg_norm"],
-                )
-            j_no, j_vvc = (performance_index(both.episode(e), v_ref, monitored) for e in (0, 1))
-            j_mpc = performance_index(loop.trajectory, v_ref, monitored)
-        except (mpc_mod.QpNonConvergence, IntegrationError) as exc:  # flag the case, keep going
+    for idx, lam in enumerate(lams):
+        rows = (idx, n_cases + idx, 2 * n_cases + idx)  # no control, VVC, MPC
+        # a baseline failure first, then the MPC's: the order they happen in
+        if failed[rows[0]] or failed[rows[1]]:
+            error = IntegrationError(NON_FINITE)
+        else:
+            error = mpc.failure(idx)
+            if error is None and failed[rows[2]]:
+                error = IntegrationError(NON_FINITE)
+        if error is not None:  # flag the case, keep going
             records.append(
                 CaseRecord(
-                    index=idx, load_factor=lam, ok=False,
+                    index=idx, load_factor=float(lam), ok=False,
                     j_no_control=float("nan"), j_vvc=float("nan"), j_mpc=float("nan"),
-                    error=f"{type(exc).__name__}: {exc}",
+                    error=f"{type(error).__name__}: {error}",
                 )
             )
             continue
-        n_ok += 1
+        j_no, j_vvc, j_mpc = (performance_index(traj.episode(e), v_ref, monitored) for e in rows)
         wins += int(j_mpc < j_vvc)
         records.append(
             CaseRecord(
-                index=idx, load_factor=lam, ok=True,
+                index=idx, load_factor=float(lam), ok=True,
                 j_no_control=j_no, j_vvc=j_vvc, j_mpc=j_mpc,
             )
         )
+    n_ok = sum(r.ok for r in records)
     win_fraction = wins / n_ok if n_ok else 0.0
     return ComparisonReport(
         records=records,

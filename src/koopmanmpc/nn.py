@@ -150,12 +150,14 @@ class LstmLayer:
             hs[:, t, :] = h
         return hs, (seq, records)
 
-    def backward(self, cache, d_hs=None, d_h_last=None):
+    def backward(self, cache, d_hs=None, d_h_last=None, input_grad=True):
         """Backpropagate through time.
 
         ``d_hs`` is the gradient w.r.t. the full hidden sequence (may be
         None), ``d_h_last`` an extra gradient on the final hidden state.
-        Returns the gradient w.r.t. the input sequence.
+        Returns the gradient w.r.t. the input sequence, or None with
+        ``input_grad=False`` for a first layer, whose input has no
+        parameters upstream; the parameter gradients are the same either way.
         """
         seq, records = cache
         batch, steps, _ = seq.shape
@@ -189,6 +191,8 @@ class LstmLayer:
             self.g_w_h += d_pre.T @ h_prev
             self.g_bias += d_pre.sum(axis=0)
             dh = d_pre @ self.w_h
+        if not input_grad:
+            return None
         # one (batch, 4 nh) product per step, as in the forward projection
         return (d_pres @ self.w_x).transpose(1, 0, 2)
 

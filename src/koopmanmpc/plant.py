@@ -20,10 +20,24 @@ A state is ``(E, n)`` and a control ``(E, m)``; a plain ``(n,)`` state with
 an ``(m,)`` control is the single-episode case and runs through the same
 RK4 code.  A model whose load factor ``lam`` is a vector of E values stands
 for E plants that differ only in load, so each episode has its own
-equilibrium ``(E, n)``, computed once when the model is built.  A policy
-maps ``(k, V)`` to one control row per episode: ``(E, m)`` for an
-``(E, n)`` voltage batch.  A batched ``Trajectory`` holds voltages
-``(E, T, n)`` and controls ``(E, n_intervals, m)``.
+equilibrium ``(E, n)``, computed once when the model is built.  A batched
+``Trajectory`` holds voltages ``(E, T, n)`` and controls
+``(E, n_intervals, m)``.
+
+Policies are feedback laws on the measurement window: a policy maps
+``(k, W)`` to one control row per episode, ``(E, m)``, where ``W`` is
+``(E, n, h)`` and holds each episode's last ``h`` samples, oldest first
+(``(n, h)`` -> ``(m,)`` for a single episode).  ``W[..., -1]`` is the
+sample at the control instant itself; the open-loop and rule-based
+policies read only that column, the lifted-space MPC lifts the whole
+window.  ``rollout`` builds ``W`` from its sample list.
+
+Failures are per episode.  An episode whose voltages (or control) turn
+non-finite has failed: its state row becomes NaN and stays NaN, and the
+other episodes of the batch integrate exactly as if it were not there.
+``Trajectory.failed`` reports which episodes failed, and
+``Trajectory.check_finite`` raises ``IntegrationError`` for a caller that
+needs every episode.
 
 All model objects are immutable after construction; ``step`` and
 ``rollout`` are pure functions of their inputs, so rollouts may safely run
@@ -53,6 +67,10 @@ FAULT_FLOOR = 0.05
 
 class IntegrationError(RuntimeError):
     """Non-finite state or parameters encountered while integrating."""
+
+
+#: Error text of an episode whose integration produced non-finite voltages.
+NON_FINITE = "integration produced non-finite voltages"
 
 
 def _readonly(x, dtype=float) -> np.ndarray:
@@ -176,13 +194,18 @@ class PlantModel:
 
 @dataclass(frozen=True)
 class PlantState:
+    """Voltages ``(n,)`` or ``(E, n)`` at time ``t``.  Every row is finite,
+    or all NaN for an episode whose integration failed."""
+
     v: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "v", _readonly(self.v))
         if not np.all(np.isfinite(self.v)):
-            raise IntegrationError("state voltages must be finite")
+            rows_ok = np.all(np.isfinite(self.v), axis=-1) | np.all(np.isnan(self.v), axis=-1)
+            if not np.all(rows_ok):
+                raise IntegrationError("state voltages must be finite")
 
 
 @dataclass(frozen=True)
@@ -208,6 +231,17 @@ class Trajectory:
     def n_intervals(self) -> int:
         return self.controls.shape[-2]
 
+    def failed(self) -> np.ndarray:
+        """Per episode, whether its integration produced non-finite
+        voltages: ``(E,)`` for a batch, a 0-d array for one episode."""
+        return ~np.all(np.isfinite(self.voltages), axis=(-2, -1))
+
+    def check_finite(self) -> "Trajectory":
+        """Raise ``IntegrationError`` if any episode failed; else return self."""
+        if np.any(self.failed()):
+            raise IntegrationError(NON_FINITE)
+        return self
+
     def held_controls(self) -> np.ndarray:
         """Controls repeated onto the sample grid (first sample gets u_0)."""
         h = self.schedule.h
@@ -225,8 +259,9 @@ class Trajectory:
 
 
 ControlPolicy = Callable[[int, np.ndarray], np.ndarray]
-"""Maps (control-instant index, voltages ``(E, n)``) -> controls ``(E, m)``
-in [0, U_MAX]; ``(n,)`` -> ``(m,)`` for a single episode."""
+"""Maps (control-instant index, window ``W`` of shape ``(E, n, h)``) ->
+controls ``(E, m)`` in [0, U_MAX]; ``(n, h)`` -> ``(m,)`` for a single
+episode.  ``W[..., -1]`` is the sample at the control instant."""
 
 
 def vector_field(plant: PlantModel, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -257,8 +292,10 @@ def step(
     Classical RK4 with internal substeps capped at 50 ms (at least 4 per
     call; override with ``substeps`` for convergence studies); voltages
     are clamped to [0, v_max] after every substep so the saturating
-    control term stays well posed.  Deterministic: identical inputs give
-    bit-identical outputs.
+    control term stays well posed.  An episode whose voltages or control
+    are not finite comes out as a row of NaN; the other rows are
+    unaffected.  Deterministic: identical inputs give bit-identical
+    outputs.
     """
     u = np.array(u, dtype=float)
     v = state.v
@@ -270,8 +307,6 @@ def step(
         raise ValueError(f"control must have shape {v.shape[:-1] + (plant.m,)}")
     if np.any(u < -1e-9) or np.any(u > U_MAX + 1e-9):
         raise ValueError(f"control must lie in [0, {U_MAX}] componentwise")
-    if not np.all(np.isfinite(u)):
-        raise IntegrationError("control must be finite")
 
     n_sub = n_substeps(dt) if substeps is None else int(substeps)
     h = dt / n_sub
@@ -282,7 +317,9 @@ def step(
         k4 = vector_field(plant, v + h * k3, u)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(v)):
-            raise IntegrationError("integration produced non-finite voltages")
+            # fail only the episodes that went non-finite, before the clamp
+            # can turn an infinity into v_max; NaN rows stay NaN from here on
+            v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
         v = np.clip(v, 0.0, plant.v_max)
     return PlantState(v=v, t=state.t + dt)
 
@@ -315,15 +352,18 @@ def rollout(
 ) -> Trajectory:
     """Simulate ``n_instants`` control intervals with zero-order-held controls.
 
-    The policy is queried once per control instant with the instantaneous
-    voltages; the returned trajectory holds ``n_instants * h + 1`` samples
-    at spacing ``ts``.
+    The policy is queried once per control instant with the window ``W``
+    of the last ``h`` samples, ``(E, n, h)`` (``(n, h)`` for one episode).
+    At k = 0 only the initial sample exists, so ``W`` holds it ``h`` times
+    over.  The returned trajectory holds ``n_instants * h + 1`` samples at
+    spacing ``ts``.
     """
     state = init
     samples = [init.v]
     controls = []
     for k in range(sched.n_instants):
-        u = np.asarray(policy(k, np.array(state.v)), dtype=float)
+        window = np.stack(samples[-sched.h :] if k else [init.v] * sched.h, axis=-1)
+        u = np.asarray(policy(k, window), dtype=float)
         controls.append(u)
         for _ in range(sched.h):
             state = step(plant, state, u, sched.ts)
@@ -346,7 +386,9 @@ def run_episode(
     """One experiment episode: fault at t = 0, one uncontrolled interval
     while the first measurement window accumulates, then ``n_instants``
     policy-controlled intervals.  A vector ``plant.lam`` runs one episode
-    per load factor, all in one batch.
+    per load factor, all in one batch.  The policy's instant 0 is the end
+    of the uncontrolled interval, so its first window holds the h samples
+    after the fault.
 
     The returned trajectory spans ``(n_instants + 1)`` intervals; its
     control array has a leading all-zero row for the uncontrolled one.
@@ -354,20 +396,20 @@ def run_episode(
     init = faulted_initial_state(plant, fault)
     ext = Schedule(ts=sched.ts, tc=sched.tc, n_instants=sched.n_instants + 1)
 
-    def shifted(k: int, v: np.ndarray) -> np.ndarray:
+    def shifted(k: int, window: np.ndarray) -> np.ndarray:
         if k == 0:
-            return np.zeros(v.shape[:-1] + (plant.m,))
-        return policy(k - 1, v)
+            return np.zeros(window.shape[:-2] + (plant.m,))
+        return policy(k - 1, window)
 
     return rollout(plant, init, shifted, ext)
 
 
 def zero_policy(plant: PlantModel) -> ControlPolicy:
-    return lambda k, v: np.zeros(v.shape[:-1] + (plant.m,))
+    return lambda k, window: np.zeros(window.shape[:-2] + (plant.m,))
 
 
 def full_policy(plant: PlantModel) -> ControlPolicy:
-    return lambda k, v: np.full(v.shape[:-1] + (plant.m,), U_MAX)
+    return lambda k, window: np.full(window.shape[:-2] + (plant.m,), U_MAX)
 
 
 # ---------------------------------------------------------------------------

@@ -308,3 +308,22 @@ class TestDatasetShapes:
     def test_mismatched_shapes_rejected(self, v_k, u_k, v_next):
         with pytest.raises(ValueError):
             Dataset(v_k=np.zeros(v_k), u_k=np.zeros(u_k), v_next=np.zeros(v_next))
+
+
+class TestScalerRoundTrip:
+    @given(
+        v_ref=st.floats(0.5, 1.5),
+        v_lo=st.floats(-1.0, 0.5),
+        v_width=st.floats(1e-3, 2.0),
+        u_lo=st.floats(-1.0, 0.5),
+        u_width=st.floats(1e-3, 2.0),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_then_denormalize_is_identity(self, v_ref, v_lo, v_width, u_lo,
+                                                    u_width, data):
+        sc = Scaler(v_ref=v_ref, v_lo=v_lo, v_hi=v_lo + v_width, u_lo=u_lo, u_hi=u_lo + u_width)
+        v = data.draw(hnp.arrays(float, (3, 4), elements=st.floats(0.0, 2.0)))
+        u = data.draw(hnp.arrays(float, 5, elements=st.floats(u_lo - 1.0, u_lo + u_width + 1.0)))
+        assert np.max(np.abs(sc.denormalize_v(sc.normalize_v(v)) - v)) <= 1e-12
+        assert np.max(np.abs(sc.denormalize_u(sc.normalize_u(u)) - u)) <= 1e-12

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from koopmanmpc import dataset as dataset_mod
 from koopmanmpc import deep_koopman, edmd, nn
@@ -344,3 +347,78 @@ class TestSerialization:
         (tmp_path / "bad.json").write_text('{"kind": "mystery"}')
         with pytest.raises(ValueError):
             load_lifted_model(tmp_path / "bad.json")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def draw_scaler(data):
+    v_lo = data.draw(st.floats(-1.0, 0.5))
+    u_lo = data.draw(st.floats(-1.0, 0.5))
+    return Scaler(v_ref=data.draw(st.floats(0.5, 1.5)), v_lo=v_lo,
+                  v_hi=v_lo + data.draw(st.floats(1e-3, 2.0)),
+                  u_lo=u_lo, u_hi=u_lo + data.draw(st.floats(1e-3, 2.0)))
+
+
+def assert_lifts_equal(a, b, n, h, data):
+    hist = data.draw(arrays(float, (3, n, h), elements=st.floats(0.0, 1.2)))
+    with np.errstate(all="ignore"):  # extreme weights may overflow, identically in both
+        assert np.array_equal(a.lift(hist), b.lift(hist), equal_nan=True)
+        assert np.array_equal(a.lift(hist[0]), b.lift(hist[0]), equal_nan=True)
+
+
+class TestLiftedModelRoundTrip:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_network_model(self, tmp_path_factory, data):
+        n, h, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+        cfg = KoopmanNetConfig(n=n, h=h, m=m, lifted_dim=n + data.draw(st.integers(1, 5)),
+                               lstm_hidden=data.draw(st.integers(1, 4)), seed=0)
+        model = extract(KoopmanNet(cfg), draw_scaler(data))
+        shapes = {name: tuple(rec["shape"]) for name, rec in model.to_dict()["encoder"].items()}
+        tensors = {name: data.draw(arrays(float, shape, elements=finite))
+                   for name, shape in shapes.items()}
+        model = deep_koopman.LiftedLinearModel(
+            cfg, tensors, A=data.draw(arrays(float, model.A.shape, elements=finite)),
+            B=data.draw(arrays(float, model.B.shape, elements=finite)), scaler=model.scaler)
+        path = tmp_path_factory.mktemp("net") / "lifted_model.json"
+        save_lifted_model(model, path)
+        back = load_lifted_model(path)
+        assert np.array_equal(back.A, model.A) and np.array_equal(back.B, model.B)
+        assert back.scaler == model.scaler and back.config == model.config
+        back_enc, enc = back.to_dict()["encoder"], model.to_dict()["encoder"]
+        assert back_enc.keys() == enc.keys()
+        for name in enc:
+            assert np.array_equal(back_enc[name]["data"], enc[name]["data"])
+        assert_lifts_equal(back, model, n, h, data)
+
+    @given(data=st.data(), kind=st.sampled_from(["identity", "polynomial", "rbf"]))
+    @settings(max_examples=30, deadline=None)
+    def test_edmd_model(self, tmp_path_factory, data, kind):
+        n, h, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+        d = n * h
+        if kind == "identity":
+            dictionary = edmd.identity_dictionary(d)
+        elif kind == "polynomial":
+            dictionary = edmd.polynomial_dictionary(d, data.draw(st.integers(1, 3)))
+        else:
+            centers = data.draw(arrays(float, (data.draw(st.integers(1, 4)), d),
+                                       elements=st.floats(-1e3, 1e3)))
+            dictionary = edmd.rbf_dictionary(d, centers, data.draw(st.floats(1e-3, 10.0)))
+        nl = dictionary.n_features
+        model = edmd.EdmdModel(
+            dictionary,
+            A=data.draw(arrays(float, (nl, nl), elements=finite)),
+            B=data.draw(arrays(float, (nl, m), elements=finite)),
+            C=data.draw(arrays(float, (d, nl), elements=finite)),
+            scaler=draw_scaler(data), n=n, h=h,
+        )
+        path = tmp_path_factory.mktemp("edmd") / "lifted_model.json"
+        save_lifted_model(model, path)
+        back = load_lifted_model(path)
+        for name in ("A", "B", "C"):
+            assert np.array_equal(getattr(back, name), getattr(model, name)), name
+        assert back.scaler == model.scaler and (back.n, back.h) == (n, h)
+        if kind == "rbf":
+            assert np.array_equal(back.dictionary.centers, model.dictionary.centers)
+        assert_lifts_equal(back, model, n, h, data)

@@ -15,7 +15,9 @@ from koopmanmpc.evaluation import (
     performance_index,
     vvc_policy,
 )
+from koopmanmpc.mpc import MpcPolicy
 from koopmanmpc.plant import (
+    PlantModel,
     Schedule,
     Trajectory,
     U_MAX,
@@ -198,3 +200,97 @@ class TestVvcClosesLoop:
             run_episode(cfg.model, cfg.schedule, cfg.fault, zero_policy(cfg.model))
         )
         assert j_vvc < j_no
+
+
+def case_iterations(model, cfg, n_cases, seed, **mpc_kwargs):
+    """Per case, the per-instant PGD iteration counts of the sequential loop."""
+    from sequential_reference import case_load, receding_horizon as reference
+
+    counts = []
+    for idx in range(n_cases):
+        loop = reference(model, cfg.model.with_load(case_load(seed, idx)), cfg.schedule,
+                         fault=cfg.fault, **mpc_kwargs)
+        counts.append([d["iterations"] for d in loop.diagnostics])
+    return counts
+
+
+class TestOneRollout:
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_matches_the_sequential_reference(self, bench_models, kind):
+        from sequential_reference import compare as reference
+
+        cfg = default_config()
+        report = compare(bench_models[kind], cfg, n_cases=8, seed=20240)
+        records, win_fraction = reference(bench_models[kind], cfg, n_cases=8, seed=20240)
+        assert report.records == records
+        assert report.win_fraction == win_fraction
+        assert all(r.ok for r in records)
+
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_per_instant_iterations_match_the_sequential_loop(self, bench_models, kind):
+        from sequential_reference import case_load
+
+        cfg = default_config()
+        lams = np.array([case_load(7, idx) for idx in range(4)])
+        policy = MpcPolicy(bench_models[kind], cfg.model, cfg.schedule)
+        run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault, policy)
+        got = [[d["iterations"] for d in rows] for rows in policy.diagnostics]
+        assert got == case_iterations(bench_models[kind], cfg, n_cases=4, seed=7)
+
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_record_does_not_depend_on_the_batch(self, small_models, kind):
+        cfg = default_config()
+        three = compare(small_models[kind], cfg, n_cases=3, seed=11)
+        ten = compare(small_models[kind], cfg, n_cases=10, seed=11)
+        assert three.records == ten.records[:3]
+
+    def test_one_non_converging_case_leaves_the_others(self, small_models):
+        # iteration counts differ by case for this model: a budget that the
+        # cheapest cases meet fails the others at their first instant over it
+        from sequential_reference import compare as reference
+
+        cfg = default_config()
+        model = small_models["edmd"]
+        worst = [max(c) for c in case_iterations(model, cfg, n_cases=6, seed=3)]
+        max_iter = min(worst)
+        assert max_iter < max(worst)
+        kwargs = dict(n_cases=6, seed=3, mpc_kwargs={"max_iter": max_iter})
+        report = compare(model, cfg, **kwargs)
+        records, win_fraction = reference(model, cfg, **kwargs)
+        assert list(map(repr, report.records)) == list(map(repr, records))  # nan J on failures
+        assert report.win_fraction == win_fraction
+        assert [r.ok for r in records] == [w <= max_iter for w in worst]
+        assert all("QpNonConvergence: closed loop aborted at instant" in r.error
+                   for r in records if not r.ok)
+
+    def test_one_non_finite_case_leaves_the_others(self, bench_models):
+        # the second case's MPC episode gets a NaN load factor: its plant
+        # integrates to NaN from the fault on
+        from dataclasses import replace
+
+        from sequential_reference import compare as reference
+
+        class NanLoad(PlantModel):
+            def with_load(self, lam):
+                lam = np.array(lam, dtype=float)
+                lam[2 * 4 + 1] = np.nan
+                return replace(self, lam=lam)
+
+        cfg = default_config()
+        model = bench_models["edmd"]
+        sick = replace(cfg, model=NanLoad(**{f: getattr(cfg.model, f) for f in (
+            "n", "m", "a", "b", "c", "w", "gamma", "v_max", "d", "lam")}))
+        report = compare(model, sick, n_cases=4, seed=5)
+        records, _ = reference(model, cfg, n_cases=4, seed=5)
+        assert [r.ok for r in report.records] == [True, False, True, True]
+        assert report.records[1].error == "IntegrationError: integration produced non-finite voltages"
+        for got, ref in zip(report.records, records):
+            if got.ok:
+                assert got == ref
+
+    def test_monitored_buses_checked_before_any_rollout(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "run_episode", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="monitored"):
+            compare(untrained_model(), default_config(), n_cases=2, seed=1, monitored=(99,))
+        assert calls == []

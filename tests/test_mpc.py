@@ -437,3 +437,115 @@ class TestRecedingHorizon:
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
         with pytest.raises(ValueError, match=r"\(6, 4, 3\).*\(12, 4, 5\)"):
             receding_horizon(model, mirror.model, mirror.schedule, fault=mirror.fault)
+
+
+def problem_batch(rng, n_rows, **kwargs):
+    """One random problem and ``n_rows`` initial states for it."""
+    p = random_problem(rng, **kwargs)
+    z0 = rng.normal(size=(n_rows, p.A.shape[0]))
+    return p, MpcProblem(A=p.A, B=p.B, z0=z0, z_ref=p.z_ref, horizon=p.horizon,
+                         Q=p.Q, R=p.R, u_min=p.u_min, u_max=p.u_max)
+
+
+def row_problem(batch: MpcProblem, i: int) -> MpcProblem:
+    return MpcProblem(A=batch.A, B=batch.B, z0=batch.z0[i], z_ref=batch.z_ref,
+                      horizon=batch.horizon, Q=batch.Q, R=batch.R,
+                      u_min=batch.u_min, u_max=batch.u_max)
+
+
+class TestBatchedProblems:
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_is_its_own_problem_bit_for_bit(self, seed, n_rows):
+        rng = np.random.default_rng(seed)
+        _, batch = problem_batch(rng, n_rows, n_lift=int(rng.integers(2, 40)))
+        qp = condense(batch)
+        seq = solve_box_qp(qp, tol=1e-10, max_iter=20_000)
+        assert seq.u.shape == (n_rows, batch.horizon, batch.B.shape[1])
+        for i in range(n_rows):
+            single_qp = condense(row_problem(batch, i))
+            assert np.array_equal(qp.hessian, single_qp.hessian)
+            assert np.array_equal(qp.linear[i], single_qp.linear)
+            assert qp.const[i] == single_qp.const
+            single = solve_box_qp(single_qp, tol=1e-10, max_iter=20_000)
+            assert np.array_equal(seq.u[i], single.u)
+            assert seq.info.row_iterations[i] == single.info.iterations
+            assert seq.info.row_pg_norm[i] == single.info.pg_norm
+            assert seq.info.row_objective[i] == single.info.objective
+            assert qp.objective(seq.u.reshape(n_rows, -1))[i] == single_qp.objective(single.u.ravel())
+        assert seq.info.iterations == int(seq.info.row_iterations.sum())
+        assert seq.info.converged and seq.info.row_converged.all()
+
+    def test_rows_freeze_at_their_own_convergence(self):
+        rng = np.random.default_rng(21)
+        _, batch = problem_batch(rng, 8, n_lift=10, m=2, horizon=4)
+        seq = solve_box_qp(condense(batch), tol=1e-10)
+        assert len(set(seq.info.row_iterations.tolist())) > 1
+
+    def test_a_failing_row_leaves_the_others_solved(self):
+        rng = np.random.default_rng(22)
+        _, batch = problem_batch(rng, 6, n_lift=8, m=2, horizon=3)
+        full = solve_box_qp(condense(batch), tol=1e-10)
+        counts = full.info.row_iterations
+        max_iter = int(np.median(counts))
+        assert counts.min() <= max_iter < counts.max()
+        with pytest.raises(QpNonConvergence) as err:
+            solve_box_qp(condense(batch), tol=1e-10, max_iter=max_iter)
+        got = err.value.result
+        assert got.info.row_converged.tolist() == (counts <= max_iter).tolist()
+        assert err.value.residual == got.info.row_pg_norm.max() > 1e-10
+        for i in np.flatnonzero(got.info.row_converged):
+            assert np.array_equal(got.u[i], full.u[i])
+
+
+class TestPolicyMatchesSequentialLoop:
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    @pytest.mark.parametrize("lam", [0.9, 1.0, 1.1])
+    def test_receding_horizon_is_the_old_loop(self, small_models, kind, lam):
+        from sequential_reference import receding_horizon as reference
+
+        cfg = default_config()
+        plant = cfg.model.with_load(lam)
+        kwargs = dict(v_ref=1.0, fault=cfg.fault, R=1e-3 * np.eye(3))
+        got = receding_horizon(small_models[kind], plant, cfg.schedule, **kwargs)
+        ref = reference(small_models[kind], plant, cfg.schedule, **kwargs)
+        assert np.array_equal(got.trajectory.times, ref.trajectory.times)
+        assert np.array_equal(got.trajectory.voltages, ref.trajectory.voltages)
+        assert np.array_equal(got.trajectory.controls, ref.trajectory.controls)
+        assert np.array_equal(got.applied_controls, ref.applied_controls)
+        assert got.diagnostics == ref.diagnostics
+        assert not got.aborted and not ref.aborted
+
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_abort_is_the_old_loop(self, small_models, kind):
+        from sequential_reference import receding_horizon as reference
+
+        cfg = default_config()
+        kwargs = dict(fault=cfg.fault, tol=1e-14, max_iter=3)
+        got = receding_horizon(small_models[kind], cfg.model, cfg.schedule, **kwargs)
+        ref = reference(small_models[kind], cfg.model, cfg.schedule, **kwargs)
+        assert got.aborted and ref.aborted
+        assert got.diagnostics == ref.diagnostics
+        assert np.array_equal(got.trajectory.voltages, ref.trajectory.voltages)
+        assert np.array_equal(got.trajectory.controls, ref.trajectory.controls)
+        assert got.trajectory.schedule == ref.trajectory.schedule
+
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_batch_of_episodes_equals_one_episode_each(self, small_models, kind):
+        cfg = default_config()
+        lams = np.array([0.92, 1.08, 1.0, 0.97])
+        policy = mpc.MpcPolicy(small_models[kind], cfg.model, cfg.schedule)
+        batch = run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault, policy)
+        for e, lam in enumerate(lams):
+            single = receding_horizon(small_models[kind], cfg.model.with_load(lam), cfg.schedule,
+                                      fault=cfg.fault)
+            assert np.array_equal(batch.voltages[e], single.trajectory.voltages)
+            assert policy.diagnostics[e] == single.diagnostics
+
+    def test_lifted_batch_rows_equal_single_lifts(self, small_models):
+        windows = np.random.default_rng(6).uniform(0.7, 1.05, size=(9, 6, 4))
+        for model in small_models.values():
+            batch = model.lift(windows)
+            assert batch.shape == (9, model.lifted_dim)
+            for i, w in enumerate(windows):
+                assert np.array_equal(batch[i], model.lift(w))

@@ -326,3 +326,29 @@ class TestCheckpoint:
         assert extra == {"note": 1}
         for k in params:
             assert np.array_equal(back[k], params[k])
+
+
+class TestLstmInputGradSkip:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 6),
+        steps=st.integers(1, 5),
+        n_in=st.integers(1, 5),
+        n_hidden=st.integers(1, 6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_parameter_gradients_equal_with_and_without(self, seed, batch, steps, n_in, n_hidden):
+        rng = np.random.default_rng(seed)
+        layer = LstmLayer(n_in, n_hidden, rng=rng)
+        seq = rng.uniform(-2.0, 2.0, size=(batch, steps, n_in))
+        d_hs = rng.normal(size=(batch, steps, n_hidden))
+        d_h_last = rng.normal(size=(batch, n_hidden))
+        _, cache = layer.forward(seq)
+        grads = []
+        for input_grad in (True, False):
+            layer.zero_grads()
+            d_seq = layer.backward(cache, d_hs=d_hs, d_h_last=d_h_last, input_grad=input_grad)
+            assert (d_seq is None) == (not input_grad)
+            grads.append((layer.g_w_x.copy(), layer.g_w_h.copy(), layer.g_bias.copy()))
+        for with_skip, without in zip(grads[1], grads[0]):
+            assert np.array_equal(with_skip, without)

@@ -296,3 +296,84 @@ class TestConfigIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_config(path)
+
+
+class TestWindowPolicy:
+    def test_window_holds_the_last_h_samples(self):
+        cfg = default_config()
+        h = cfg.schedule.h
+        lams = np.array([0.9, 1.0, 1.1])
+        seen = {}
+
+        def policy(k, window):
+            seen[k] = window.copy()
+            return np.full((len(lams), cfg.model.m), 0.1)
+
+        init = faulted_initial_state(cfg.model.with_load(lams), cfg.fault)
+        traj = rollout(cfg.model.with_load(lams), init, policy, cfg.schedule)
+        assert seen[0].shape == (len(lams), cfg.model.n, h)
+        # k = 0: only the initial sample exists, held h times over
+        assert np.array_equal(seen[0], np.repeat(init.v[..., None], h, axis=-1))
+        for k in range(1, cfg.schedule.n_instants):
+            block = traj.voltages[:, (k - 1) * h + 1 : k * h + 1]
+            assert np.array_equal(seen[k], block.swapaxes(-1, -2))
+            assert np.array_equal(seen[k][..., -1], traj.voltages[:, k * h])
+
+    def test_single_episode_window_is_n_by_h(self):
+        cfg = default_config()
+        shapes = []
+
+        def policy(k, window):
+            shapes.append(window.shape)
+            return np.zeros(cfg.model.m)
+
+        run_episode(cfg.model, cfg.schedule, cfg.fault, policy)
+        assert shapes == [(cfg.model.n, cfg.schedule.h)] * cfg.schedule.n_instants
+
+
+def nan_row_policy(row, m, n_episodes):
+    """Zero control, except a NaN control row for episode ``row``."""
+    def policy(k, window):
+        u = np.zeros((n_episodes, m))
+        u[row] = np.nan
+        return u
+
+    return policy
+
+
+class TestEpisodeFailure:
+    def test_failure_stays_in_its_episode(self):
+        cfg = default_config()
+        lams = np.array([0.95, 1.0, 1.05])
+        batch = run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault,
+                            nan_row_policy(1, cfg.model.m, 3))
+        assert batch.failed().tolist() == [False, True, False]
+        # the failed episode is NaN from its first controlled step on
+        first = cfg.schedule.h + 1
+        assert np.all(np.isnan(batch.voltages[1, first:]))
+        assert np.all(np.isfinite(batch.voltages[1, :first]))
+        for e in (0, 2):
+            single = run_episode(cfg.model.with_load(lams[e]), cfg.schedule, cfg.fault,
+                                 zero_policy(cfg.model))
+            assert np.array_equal(batch.voltages[e], single.voltages)
+        assert not batch.episode(0).failed()
+        batch.episode(0).check_finite()
+        with pytest.raises(plant.IntegrationError, match=plant.NON_FINITE):
+            batch.check_finite()
+
+    def test_non_finite_dynamics_fail_the_episode(self):
+        # a NaN load factor gives a NaN equilibrium: that episode fails from t = 0
+        cfg = default_config()
+        lams = np.array([1.0, np.nan])
+        traj = run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault,
+                           zero_policy(cfg.model))
+        assert traj.failed().tolist() == [False, True]
+        single = run_episode(cfg.model, cfg.schedule, cfg.fault, zero_policy(cfg.model))
+        assert np.array_equal(traj.voltages[0], single.voltages)
+
+    def test_state_rows_are_finite_or_all_nan(self):
+        PlantState(v=np.array([[1.0, 1.0], [np.nan, np.nan]]))
+        with pytest.raises(plant.IntegrationError):
+            PlantState(v=np.array([[1.0, 1.0], [np.nan, 1.0]]))
+        with pytest.raises(plant.IntegrationError):
+            PlantState(v=np.array([1.0, np.inf]))
