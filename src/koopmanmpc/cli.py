@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from koopmanmpc import dataset as dataset_mod
-from koopmanmpc import deep_koopman, edmd, evaluation
+from koopmanmpc import deep_koopman, edmd, evaluation, lifted
 from koopmanmpc import mpc as mpc_mod
 from koopmanmpc import plant as plant_mod
 
@@ -233,7 +233,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     deep_koopman.save_net(net, out / "checkpoint.json", scaler=ds.scaler)
     model = deep_koopman.extract(net, ds.scaler)
-    deep_koopman.save_lifted_model(model, out / "lifted_model.json")
+    lifted.save_lifted_model(model, out / "lifted_model.json")
     deep_koopman.history_to_csv(history, out / "training_history.csv")
     last = history[-1]
     print(
@@ -253,7 +253,7 @@ def cmd_fit_edmd(args) -> int:
     dictionary = parse_dictionary_spec(args.dict, n * h, flat, seed)
     model = edmd.fit(ds, dictionary, ridge=args.ridge)
     out = _out_dir(args.out)
-    deep_koopman.save_lifted_model(model, out / "lifted_model.json")
+    lifted.save_lifted_model(model, out / "lifted_model.json")
     print(
         f"fit {dictionary.kind} dictionary ({model.lifted_dim} features); "
         f"dynamics rms {model.residuals['dynamics_rms']:.3e}"
@@ -263,7 +263,7 @@ def cmd_fit_edmd(args) -> int:
 
 def cmd_run_mpc(args) -> int:
     cfg = load_run_config(args.config)
-    model = deep_koopman.load_lifted_model(args.model)
+    model = lifted.load_lifted_model(args.model)
     m = cfg.plant.model.m
     loop = mpc_mod.receding_horizon(
         model,
@@ -291,7 +291,7 @@ def cmd_run_mpc(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
-    model = deep_koopman.load_lifted_model(args.model)
+    model = lifted.load_lifted_model(args.model)
     seed = cfg.seed if args.seed is None else args.seed
     n_cases = cfg.eval["n_cases"] if args.cases is None else args.cases
     report = evaluation.compare(

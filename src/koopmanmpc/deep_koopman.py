@@ -16,16 +16,16 @@ through encoder and decoder), with equal weights.
 
 from __future__ import annotations
 
-import copy
 import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from koopmanmpc import nn
 from koopmanmpc.dataset import Dataset, Scaler
+from koopmanmpc.lifted import LiftedModel, finite_array
+# re-exported: perfbench/workloads.py loads models as deep_koopman.load_lifted_model
+from koopmanmpc.lifted import load_lifted_model  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -371,43 +371,31 @@ def history_to_csv(history: list[EpochStats], path) -> None:
 # Extraction: the frozen lifting map and linear matrices used by MPC
 
 
-class LiftedLinearModel:
+class LiftedLinearModel(LiftedModel):
     """Frozen encoder plus the linear interval dynamics ``z+ = A z + B u``
     (normalized units) and the scaler that defines those units.
 
     Holds the encoder layers only, no decoder.  Every encoder tensor and
-    both matrices must have the shapes ``config`` implies, else
-    ``ValueError`` names the offending one.  Immutable once built; safe to
-    share across concurrent MPC solves.
+    both matrices must be finite and have the shapes ``config`` implies,
+    else ``ValueError`` names the offending one.  Immutable once built;
+    safe to share across concurrent MPC solves.
     """
 
     kind = "koopman_net"
 
     def __init__(self, config: KoopmanNetConfig, encoder_params: dict, A: np.ndarray,
                  B: np.ndarray, scaler: Scaler):
+        super().__init__(A, B, scaler, config.n, config.h)
         self.config = config
-        self.scaler = scaler
         nl, nh = config.lifted_dim, config.lstm_hidden
-        self.A = np.array(A, dtype=float)
-        self.B = np.array(B, dtype=float)
-        for name, arr, shape in (("A", self.A, (nl, nl)), ("B", self.B, (nl, config.m))):
-            if arr.shape != shape:
-                raise ValueError(f"matrix {name} has shape {arr.shape}, expected {shape}")
+        if (self.lifted_dim, self.m) != (nl, config.m):
+            raise ValueError(f"matrices A, B have (N, m) = {(self.lifted_dim, self.m)}, "
+                             f"the config {(nl, config.m)}")
         self.enc_lstm = nn.LstmLayer(config.n, nh)
         self.enc_fc = nn.FcLayer(nh, nl, activation="tanh")
+        for name, arr in encoder_params.items():
+            finite_array(f"tensor {name!r}", arr)
         _copy_tensors(_encoder_params(self.enc_lstm, self.enc_fc), encoder_params)
-
-    @property
-    def lifted_dim(self) -> int:
-        return self.config.lifted_dim
-
-    @property
-    def n(self) -> int:
-        return self.config.n
-
-    @property
-    def h(self) -> int:
-        return self.config.h
 
     def lift(self, v_hist: np.ndarray) -> np.ndarray:
         """Normalize and encode a raw p.u. history (n, h) -> (N,), or a
@@ -423,18 +411,10 @@ class LiftedLinearModel:
         z, _ = _encode(self.enc_lstm, self.enc_fc, self.scaler.normalize_v(v_hist)[None])
         return z[0]
 
-    def lift_reference(self, v_ref: float = 1.0) -> np.ndarray:
-        """Lifted image of a constant v_ref history."""
-        const = np.full((self.config.n, self.config.h), v_ref)
-        return self.lift(const)
-
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            **super().to_dict(),
             "config": self.config.to_dict(),
-            "scaler": self.scaler.to_dict(),
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
             "encoder": {
                 name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
                 for name, arr in sorted(_encoder_params(self.enc_lstm, self.enc_fc).items())
@@ -450,8 +430,8 @@ class LiftedLinearModel:
         return LiftedLinearModel(
             config=KoopmanNetConfig.from_dict(doc["config"]),
             encoder_params=enc,
-            A=np.array(doc["A"], dtype=float),
-            B=np.array(doc["B"], dtype=float),
+            A=doc["A"],
+            B=doc["B"],
             scaler=Scaler.from_dict(doc["scaler"]),
         )
 
@@ -469,26 +449,6 @@ def extract(net: KoopmanNet, scaler: Scaler) -> LiftedLinearModel:
         B=net.lin_control.weight,
         scaler=scaler,
     )
-
-
-def save_lifted_model(model, path) -> None:
-    """Serialize any lifted model (deep network or dictionary based) to
-    the shared JSON schema with dense row-major A and B."""
-    # json.dumps runs the C encoder; json.dump always runs the Python one
-    Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True) + "\n")
-
-
-def load_lifted_model(path):
-    with open(Path(path)) as f:
-        doc = json.load(f)
-    kind = doc.get("kind")
-    if kind == LiftedLinearModel.kind:
-        return LiftedLinearModel.from_dict(doc)
-    if kind == "edmd":
-        from koopmanmpc.edmd import EdmdModel
-
-        return EdmdModel.from_dict(doc)
-    raise ValueError(f"unknown lifted-model kind {kind!r}")
 
 
 # -- network checkpointing

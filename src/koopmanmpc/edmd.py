@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from koopmanmpc.dataset import Dataset, Scaler
+from koopmanmpc.lifted import LiftedModel, finite_array
 
 
 class SingularityError(np.linalg.LinAlgError):
@@ -151,25 +152,28 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray
     return np.linalg.solve(gram, rhs)
 
 
-class EdmdModel:
+class EdmdModel(LiftedModel):
     """Fitted lifted-linear model: dictionary, matrices A, B, projection C
-    and the scaler defining the normalized units.  Immutable after fit."""
+    and the scaler defining the normalized units.  Immutable after fit.
+    ``ValueError`` names the mismatch if the dictionary does not map
+    flattened ``(n, h)`` histories to N features, or C is not ``(n·h, N)``
+    or not finite."""
 
     kind = "edmd"
 
     def __init__(self, dictionary: Dictionary, A, B, C, scaler: Scaler, n: int, h: int,
                  residuals: dict | None = None):
+        super().__init__(A, B, scaler, n, h)
         self.dictionary = dictionary
-        self.A = np.array(A, dtype=float)
-        self.B = np.array(B, dtype=float)
-        self.C = np.array(C, dtype=float)
-        self.scaler = scaler
-        self.n, self.h = n, h
+        self.C = finite_array("matrix C", C)
         self.residuals = dict(residuals or {})
-
-    @property
-    def lifted_dim(self) -> int:
-        return self.dictionary.n_features
+        d, nl = n * h, self.lifted_dim
+        if dictionary.input_dim != d:
+            raise ValueError(f"dictionary input dimension {dictionary.input_dim} != n*h = {d}")
+        if dictionary.n_features != nl:
+            raise ValueError(f"dictionary has {dictionary.n_features} features, A has {nl}")
+        if self.C.shape != (d, nl):
+            raise ValueError(f"matrix C has shape {self.C.shape}, expected {(d, nl)}")
 
     def lift(self, v_hist: np.ndarray) -> np.ndarray:
         """Normalize, flatten row-major and apply the dictionary."""
@@ -177,9 +181,6 @@ class EdmdModel:
         single = v_hist.ndim == 2
         flat = self.scaler.normalize_v(v_hist).reshape(-1 if single else (v_hist.shape[0], -1))
         return self.dictionary.lift(flat)
-
-    def lift_reference(self, v_ref: float = 1.0) -> np.ndarray:
-        return self.lift(np.full((self.n, self.h), v_ref))
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Lifted vector back to a raw-p.u. history matrix."""
@@ -193,7 +194,7 @@ class EdmdModel:
         the instantaneous reconstruction of ``v_hist`` and index i the
         prediction i control intervals later.
         """
-        u_sequence = np.asarray(u_sequence, dtype=float).reshape(-1, self.B.shape[1])
+        u_sequence = np.asarray(u_sequence, dtype=float).reshape(-1, self.m)
         z = self.lift(v_hist)
         out = [self.project(z)]
         for u in u_sequence:
@@ -203,12 +204,9 @@ class EdmdModel:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            **super().to_dict(),
             "dictionary": self.dictionary.to_dict(),
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
             "C": self.C.tolist(),
-            "scaler": self.scaler.to_dict(),
             "n": self.n,
             "h": self.h,
             "residuals": self.residuals,
@@ -218,9 +216,9 @@ class EdmdModel:
     def from_dict(doc: dict) -> "EdmdModel":
         return EdmdModel(
             dictionary=Dictionary.from_dict(doc["dictionary"]),
-            A=np.array(doc["A"], dtype=float),
-            B=np.array(doc["B"], dtype=float),
-            C=np.array(doc["C"], dtype=float),
+            A=doc["A"],
+            B=doc["B"],
+            C=doc["C"],
             scaler=Scaler.from_dict(doc["scaler"]),
             n=int(doc["n"]),
             h=int(doc["h"]),
@@ -246,10 +244,6 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     if scaler is None:
         raise ValueError("fitting requires a dataset with a fitted scaler")
     n, h, m = ds.dims
-    if dictionary.input_dim != n * h:
-        raise ValueError(
-            f"dictionary input dimension {dictionary.input_dim} != flattened history {n * h}"
-        )
 
     x_flat = scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
     y_flat = scaler.normalize_v(ds.v_next).reshape(len(ds), -1)

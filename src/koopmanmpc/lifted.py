@@ -1,0 +1,79 @@
+"""The lifted linear predictor ``z+ = A z + B u`` both model kinds share
+(Korda & Mezić, Automatica 93, 2018), and its file ``lifted_model.json``:
+the shared keys ``kind``, ``A``, ``B`` and ``scaler`` plus those of the
+kind.  The kinds differ only in the lift: the network's frozen encoder
+(``deep_koopman``) or a feature dictionary (``edmd``).
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from koopmanmpc.dataset import Scaler
+
+
+def finite_array(what: str, value) -> np.ndarray:
+    """``value`` copied to a float array; ``ValueError`` naming ``what`` if
+    any entry is NaN or infinite."""
+    arr = np.array(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+    return arr
+
+
+class LiftedModel:
+    """``A`` (N, N), ``B`` (N, m), the scaler defining the normalized units
+    and the history shape ``(n, h)``; ``A`` and ``B`` are copied, and
+    either one misshapen or not finite raises ``ValueError`` naming it.  A
+    subclass sets ``kind`` and defines ``lift`` ((n, h) -> (N,), a batch
+    (C, n, h) -> (C, N)), ``from_dict`` and its own ``to_dict`` keys.
+    """
+
+    kind: str
+
+    def __init__(self, A, B, scaler: Scaler, n: int, h: int):
+        self.A = finite_array("matrix A", A)
+        self.B = finite_array("matrix B", B)
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+            raise ValueError(f"matrix A has shape {self.A.shape}, expected (N, N)")
+        if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
+            raise ValueError(f"matrix B has shape {self.B.shape}, expected ({self.A.shape[0]}, m)")
+        self.scaler = scaler
+        self.n, self.h = n, h
+
+    @property
+    def lifted_dim(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
+
+    def lift_reference(self, v_ref: float = 1.0) -> np.ndarray:
+        """Lifted image of a constant ``v_ref`` history."""
+        return self.lift(np.full((self.n, self.h), v_ref))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "A": self.A.tolist(), "B": self.B.tolist(),
+                "scaler": self.scaler.to_dict()}
+
+
+def save_lifted_model(model: LiftedModel, path) -> None:
+    """Write ``model`` as one JSON document with sorted keys."""
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True) + "\n")
+
+
+def load_lifted_model(path) -> LiftedModel:
+    """Read a model written by ``save_lifted_model``; its ``kind`` picks
+    the class among the subclasses of ``LiftedModel``."""
+    with open(Path(path)) as f:
+        doc = json.load(f)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    for cls in LiftedModel.__subclasses__():
+        if cls.kind == kind:
+            return cls.from_dict(doc)
+    raise ValueError(f"unknown lifted-model kind {kind!r}")

@@ -345,7 +345,7 @@ class MpcPolicy:
         tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ):
-        n_lift, m = model.B.shape
+        n_lift, m = model.lifted_dim, model.m
         model_shape, plant_shape = (model.n, model.h, m), (plant.n, sched.h, plant.m)
         if model_shape != plant_shape:
             raise ValueError(
@@ -368,7 +368,7 @@ class MpcPolicy:
         if k == 0:
             self.diagnostics = [[] for _ in windows]
             self.aborted = np.zeros(len(windows), dtype=bool)
-        u = np.zeros((len(windows), self.model.B.shape[1]))
+        u = np.zeros((len(windows), self.model.m))
         live = np.flatnonzero(~self.aborted & np.all(np.isfinite(windows), axis=(-2, -1)))
         if live.size:
             horizon = self.n_instants - k

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,26 @@ class TestPipeline:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "error" in err
+
+    def test_compare_rejects_a_model_with_a_nan_matrix(self, workspace, capsys):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "identity",
+                       "--out", ws / "edmd") == 0
+        path = ws / "edmd" / "lifted_model.json"
+        doc = json.loads(path.read_text())
+        doc["A"][3][5] = float("nan")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("compare", "--model", path, "--config", ws / "run.json",
+                       "--cases", 2, "--out", ws / "cmp")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "ValueError"
+        assert re.search(r"\bA\b", err["error"]), err
+        assert not (ws / "cmp").exists()
 
 
 class TestShippedConfigs:

@@ -15,12 +15,11 @@ from koopmanmpc.deep_koopman import (
     KoopmanNetConfig,
     TrainHyper,
     extract,
-    load_lifted_model,
     load_net,
-    save_lifted_model,
     save_net,
     train,
 )
+from koopmanmpc.lifted import load_lifted_model, save_lifted_model
 from koopmanmpc.plant import default_config
 
 

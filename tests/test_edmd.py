@@ -211,7 +211,7 @@ class TestPredict:
         assert np.max(np.abs(pred[1:, 0, 0] - np.array(truth))) < 1e-6
 
     def test_serialization_round_trip(self, tmp_path):
-        from koopmanmpc.deep_koopman import load_lifted_model, save_lifted_model
+        from koopmanmpc.lifted import load_lifted_model, save_lifted_model
 
         ds = linear_system_dataset()
         model = fit(ds, polynomial_dictionary(1, 2), ridge=1e-10)
@@ -222,3 +222,21 @@ class TestPredict:
         assert np.array_equal(back.C, model.C)
         x = np.array([[0.21]])
         assert np.array_equal(back.lift(x), model.lift(x))
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "mismatch, edit",
+        [
+            (r"\bC\b", lambda doc: doc.update(C=[row[:-1] for row in doc["C"]])),
+            ("input dimension", lambda doc: doc["dictionary"].update(input_dim=2)),
+            ("3 features", lambda doc: doc.update(A=np.zeros((4, 4)).tolist(),
+                                                  B=np.zeros((4, 1)).tolist())),
+        ],
+        ids=["short_C", "wrong_input_dim", "A_larger_than_dictionary"],
+    )
+    def test_inconsistent_model_rejected(self, mismatch, edit):
+        doc = fit(linear_system_dataset(), polynomial_dictionary(1, 2), ridge=1e-10).to_dict()
+        edit(doc)
+        with pytest.raises(ValueError, match=mismatch):
+            EdmdModel.from_dict(doc)
