@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,23 +43,36 @@ class RunConfig:
     n_loads: int
     policies: tuple[str, ...]
     train_ratio: float
-    net: dict
-    mpc: dict
-    eval: dict
+    net: deep_koopman.KoopmanNetConfig  # sized for the plant; train swaps in the data's (n, h, m)
+    train: deep_koopman.TrainHyper
+    vvc: evaluation.VvcParams
+    mpc: dict  # MpcPolicy keyword arguments: R, tol, max_iter
+    n_cases: int
+    monitored: list[int] | None
 
 
-_NET_DEFAULTS = {
-    "lifted_dim": 64,
-    "lstm_hidden": 32,
-    "batch_size": 32,
-    "learning_rate": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "max_epochs": 500,
-    "patience": 20,
-}
+# The library dataclass fields each run-config section sets; their field
+# defaults are the section's defaults and their constructors its range checks.
+_NET_KEYS = ("lifted_dim", "lstm_hidden")
+_TRAIN_KEYS = ("batch_size", "learning_rate", "beta1", "beta2", "max_epochs", "patience")
+_VVC_KEYS = ("deadband", "gain")  # read from eval.vvc_deadband, eval.vvc_gain
 _MPC_DEFAULTS = {"r_weight": 0.0, "tol": mpc_mod.DEFAULT_TOL, "max_iter": mpc_mod.DEFAULT_MAX_ITER}
-_EVAL_DEFAULTS = {"vvc_deadband": 0.95, "vvc_gain": 2.5, "n_cases": 100, "monitored": None}
+_EVAL_DEFAULTS = {"n_cases": 100, "monitored": None}
+
+
+def _field_defaults(cls, names, prefix: str = "") -> dict:
+    """The defaults of the dataclass fields ``names``, keyed ``prefix + name``."""
+    return {prefix + f.name: f.default for f in fields(cls) if f.name in names}
+
+
+def _build(section: str, make, violations: list[str], **kwargs):
+    """``make(**kwargs)``, or None with its ``ValueError`` reported under
+    ``section``."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        violations.append(f"{section}: {exc}")
+        return None
 
 
 def _is_number(val, integer: bool) -> bool:
@@ -127,34 +140,36 @@ def load_run_config(path) -> RunConfig:
     if not (_is_number(train_ratio, integer=False) and 0.0 < train_ratio < 1.0):
         violations.append("dataset.train_ratio: must lie in (0, 1)")
 
-    net = _section(doc, "koopman_net", _NET_DEFAULTS, violations)
-    if net["batch_size"] < 1:
-        violations.append("koopman_net.batch_size: must be >= 1")
-    if net["max_epochs"] < 1:
-        violations.append("koopman_net.max_epochs: must be >= 1")
-    if plant_cfg is not None and net["lifted_dim"] <= plant_cfg.model.n:
-        violations.append("koopman_net.lifted_dim: must exceed the bus count")
+    net_defaults = {**_field_defaults(deep_koopman.KoopmanNetConfig, _NET_KEYS),
+                    **_field_defaults(deep_koopman.TrainHyper, _TRAIN_KEYS)}
+    net_doc = _section(doc, "koopman_net", net_defaults, violations)
+    hyper = _build("koopman_net", deep_koopman.TrainHyper, violations,
+                   **{key: net_doc[key] for key in _TRAIN_KEYS})
+    net_cfg = None
+    if plant_cfg is not None and _is_number(seed, integer=True):
+        net_cfg = _build("koopman_net", deep_koopman.KoopmanNetConfig, violations,
+                         n=plant_cfg.model.n, h=plant_cfg.schedule.h, m=plant_cfg.model.m,
+                         seed=seed, **{key: net_doc[key] for key in _NET_KEYS})
 
     mpc_doc = _section(doc, "mpc", _MPC_DEFAULTS, violations)
-    if mpc_doc["tol"] <= 0 or mpc_doc["max_iter"] < 1:
+    if not (mpc_doc["tol"] > 0 and mpc_doc["max_iter"] >= 1):
         violations.append("mpc: tol must be positive and max_iter >= 1")
-    if mpc_doc["r_weight"] < 0:
+    if not mpc_doc["r_weight"] >= 0:
         violations.append("mpc.r_weight: must be nonnegative")
-    eval_doc = _section(doc, "eval", _EVAL_DEFAULTS, violations)
+    eval_defaults = {**_field_defaults(evaluation.VvcParams, _VVC_KEYS, prefix="vvc_"),
+                     **_EVAL_DEFAULTS}
+    eval_doc = _section(doc, "eval", eval_defaults, violations)
+    vvc = _build("eval", evaluation.VvcParams, violations,
+                 **{key: eval_doc[f"vvc_{key}"] for key in _VVC_KEYS})
     if eval_doc["n_cases"] < 1:
         violations.append("eval.n_cases: must be >= 1")
     monitored = eval_doc["monitored"]
-    if monitored is not None:
-        n_bus = plant_cfg.model.n if plant_cfg is not None else None
-        if not (
-            isinstance(monitored, list)
-            and monitored
-            and all(_is_number(i, integer=True) for i in monitored)
-            and (n_bus is None or all(0 <= i < n_bus for i in monitored))
-        ):
-            violations.append(
-                "eval.monitored: must be null or a nonempty list of bus indices in 0..n-1"
-            )
+    if not (monitored is None or (isinstance(monitored, list)
+                                  and all(_is_number(i, integer=True) for i in monitored))):
+        violations.append("eval.monitored: must be null or a list of bus indices")
+    elif plant_cfg is not None:
+        _build("eval.monitored", evaluation.monitored_buses, violations,
+               n=plant_cfg.model.n, monitored=monitored)
 
     if violations:
         raise ConfigError(violations)
@@ -164,24 +179,33 @@ def load_run_config(path) -> RunConfig:
         n_loads=n_loads,
         policies=policies,
         train_ratio=float(train_ratio),
-        net=net,
-        mpc=mpc_doc,
-        eval=eval_doc,
+        net=net_cfg,
+        train=hyper,
+        vvc=vvc,
+        mpc={"R": mpc_doc["r_weight"] * np.eye(plant_cfg.model.m), "tol": mpc_doc["tol"],
+             "max_iter": mpc_doc["max_iter"]},
+        n_cases=eval_doc["n_cases"],
+        monitored=monitored,
     )
 
 
 def parse_dictionary_spec(spec: str, input_dim: int, data: np.ndarray | None, seed: int):
-    """'identity' | 'poly:DEGREE' | 'rbf:K:WIDTH' -> Dictionary."""
+    """'identity' | 'poly:DEGREE' | 'rbf:K:WIDTH' -> Dictionary.  A spec
+    that does not parse, or whose values are out of range, is a
+    ``ConfigError`` naming ``dict``."""
     parts = spec.split(":")
     if parts[0] == "identity" and len(parts) == 1:
         return edmd.identity_dictionary(input_dim)
-    if parts[0] == "poly" and len(parts) == 2:
-        return edmd.polynomial_dictionary(input_dim, int(parts[1]))
-    if parts[0] == "rbf" and len(parts) == 3:
-        if data is None:
-            raise ConfigError(["dict: rbf centers require sample data"])
-        centers = edmd.rbf_centers_from_data(data, int(parts[1]), seed)
-        return edmd.rbf_dictionary(input_dim, centers, float(parts[2]))
+    if parts[0] == "rbf" and len(parts) == 3 and data is None:
+        raise ConfigError(["dict: rbf centers require sample data"])
+    try:
+        if parts[0] == "poly" and len(parts) == 2:
+            return edmd.polynomial_dictionary(input_dim, int(parts[1]))
+        if parts[0] == "rbf" and len(parts) == 3:
+            centers = edmd.rbf_centers_from_data(data, int(parts[1]), seed)
+            return edmd.rbf_dictionary(input_dim, centers, float(parts[2]))
+    except ValueError as exc:
+        raise ConfigError([f"dict: invalid dictionary spec {spec!r} ({exc})"]) from exc
     raise ConfigError([f"dict: cannot parse dictionary spec {spec!r}"])
 
 
@@ -213,23 +237,8 @@ def cmd_train(args) -> int:
     ds = dataset_mod.load(args.data)
     n, h, m = ds.dims
     train_ds, val_ds = dataset_mod.split(ds, cfg.train_ratio, seed=cfg.seed)
-    net_cfg = deep_koopman.KoopmanNetConfig(
-        n=n,
-        h=h,
-        m=m,
-        lifted_dim=int(cfg.net["lifted_dim"]),
-        lstm_hidden=int(cfg.net["lstm_hidden"]),
-        seed=cfg.seed,
-    )
-    hyper = deep_koopman.TrainHyper(
-        batch_size=int(cfg.net["batch_size"]),
-        learning_rate=float(cfg.net["learning_rate"]),
-        beta1=float(cfg.net["beta1"]),
-        beta2=float(cfg.net["beta2"]),
-        max_epochs=int(cfg.net["max_epochs"]),
-        patience=int(cfg.net["patience"]),
-    )
-    net, history = deep_koopman.train(net_cfg, train_ds, val_ds, hyper)
+    net_cfg = replace(cfg.net, n=n, h=h, m=m)
+    net, history = deep_koopman.train(net_cfg, train_ds, val_ds, cfg.train)
     out = _out_dir(args.out)
     deep_koopman.save_net(net, out / "checkpoint.json", scaler=ds.scaler)
     model = deep_koopman.extract(net, ds.scaler)
@@ -264,16 +273,8 @@ def cmd_fit_edmd(args) -> int:
 def cmd_run_mpc(args) -> int:
     cfg = load_run_config(args.config)
     model = lifted.load_lifted_model(args.model)
-    m = cfg.plant.model.m
     loop = mpc_mod.receding_horizon(
-        model,
-        cfg.plant.model,
-        cfg.plant.schedule,
-        v_ref=1.0,
-        fault=cfg.plant.fault,
-        R=cfg.mpc["r_weight"] * np.eye(m),
-        tol=cfg.mpc["tol"],
-        max_iter=int(cfg.mpc["max_iter"]),
+        model, cfg.plant.model, cfg.plant.schedule, v_ref=1.0, fault=cfg.plant.fault, **cfg.mpc
     )
     out = _out_dir(args.out)
     loop.to_csv(out / "closed_loop.csv")
@@ -293,21 +294,15 @@ def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     model = lifted.load_lifted_model(args.model)
     seed = cfg.seed if args.seed is None else args.seed
-    n_cases = cfg.eval["n_cases"] if args.cases is None else args.cases
+    n_cases = cfg.n_cases if args.cases is None else args.cases
     report = evaluation.compare(
         model,
         cfg.plant,
         n_cases=n_cases,
         seed=seed,
-        monitored=cfg.eval["monitored"],
-        vvc_params=evaluation.VvcParams(
-            deadband=cfg.eval["vvc_deadband"], gain=cfg.eval["vvc_gain"]
-        ),
-        mpc_kwargs={
-            "R": cfg.mpc["r_weight"] * np.eye(cfg.plant.model.m),
-            "tol": cfg.mpc["tol"],
-            "max_iter": int(cfg.mpc["max_iter"]),
-        },
+        monitored=cfg.monitored,
+        vvc_params=cfg.vvc,
+        mpc_kwargs=cfg.mpc,
     )
     out = _out_dir(args.out)
     report.to_csv(out / "comparison.csv")

@@ -17,7 +17,7 @@ through encoder and decoder), with equal weights.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from koopmanmpc.lifted import load_lifted_model  # noqa: F401
 
 @dataclass(frozen=True)
 class KoopmanNetConfig:
+    """Network sizes and the seed of its initial weights and batch
+    shuffle.  ``ValueError`` names every field out of range."""
+
     n: int
     h: int
     m: int
@@ -38,10 +41,12 @@ class KoopmanNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lifted_dim <= self.n:
-            raise ValueError("lifted dimension must exceed the state dimension")
-        if min(self.n, self.h, self.m, self.lstm_hidden) < 1:
-            raise ValueError("all dimensions must be positive")
+        bad = [f"{name} must be >= 1 (got {getattr(self, name)!r})"
+               for name in ("n", "h", "m", "lstm_hidden") if not getattr(self, name) >= 1]
+        if not self.lifted_dim > self.n:
+            bad.append(f"lifted_dim must exceed n = {self.n} (got {self.lifted_dim!r})")
+        if bad:
+            raise ValueError("; ".join(bad))
 
     def to_dict(self) -> dict:
         return {
@@ -214,6 +219,9 @@ def _copy_tensors(own: dict, params: dict) -> None:
 
 @dataclass(frozen=True)
 class TrainHyper:
+    """ADAM and early-stopping settings.  ``ValueError`` names every field
+    out of range."""
+
     batch_size: int = 32
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -223,10 +231,16 @@ class TrainHyper:
     patience: int = 20
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("patience", self.patience >= 0, ">= 0"),
+        ) if not ok]
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 @dataclass(frozen=True)
@@ -250,20 +264,20 @@ def _normalized_arrays(ds: Dataset, scaler: Scaler):
     return scaler.normalize_v(ds.v_k), scaler.normalize_u(ds.u_k), scaler.normalize_v(ds.v_next)
 
 
-def _eval_metrics(net: KoopmanNet, v_k, u_k, v_next, chunk=2048):
-    sq_n = sq_k = ab_n = ab_k = 0.0
-    count = 0
+def _error_sums(err_n: np.ndarray, err_k: np.ndarray) -> np.ndarray:
+    """The squared and absolute error sums of the successor and of the
+    reconstruction, in ``EpochStats``' order."""
+    return np.array([np.sum(err_n**2), np.sum(err_k**2), np.sum(np.abs(err_n)),
+                     np.sum(np.abs(err_k))])
+
+
+def _eval_metrics(net: KoopmanNet, v_k, u_k, v_next, chunk=2048) -> list[float]:
+    sums = np.zeros(4)
     for lo in range(0, v_k.shape[0], chunk):
         sl = slice(lo, lo + chunk)
         fp = net.forward(v_k[sl], u_k[sl])
-        err_n = fp.v_next_hat - v_next[sl]
-        err_k = fp.v_k_hat - v_k[sl]
-        sq_n += float(np.sum(err_n**2))
-        sq_k += float(np.sum(err_k**2))
-        ab_n += float(np.sum(np.abs(err_n)))
-        ab_k += float(np.sum(np.abs(err_k)))
-        count += err_n.size
-    return sq_n / count, sq_k / count, ab_n / count, ab_k / count
+        sums += _error_sums(fp.v_next_hat - v_next[sl], fp.v_k_hat - v_k[sl])
+    return (sums / v_next.size).tolist()
 
 
 def train(
@@ -283,6 +297,8 @@ def train(
     scaler = scaler or train_ds.scaler
     if scaler is None:
         raise ValueError("training requires a fitted scaler on the dataset")
+    if len(train_ds) == 0 or len(val_ds) == 0:
+        raise ValueError("training requires nonempty training and validation sets")
     tv_k, tu_k, tv_next = _normalized_arrays(train_ds, scaler)
     vv_k, vu_k, vv_next = _normalized_arrays(val_ds, scaler)
 
@@ -304,8 +320,7 @@ def train(
 
     for epoch in range(hyper.max_epochs):
         perm = shuffle_rng.permutation(n_train)
-        sq_n = sq_k = ab_n = ab_k = 0.0
-        seen = 0
+        sums = np.zeros(4)
         for lo in range(0, n_train, hyper.batch_size):
             idx = perm[lo : lo + hyper.batch_size]
             bv_k, bu_k, bv_next = tv_k[idx], tu_k[idx], tv_next[idx]
@@ -318,23 +333,9 @@ def train(
             net.zero_grads()
             net.backward(2.0 * err_n / err_n.size, 2.0 * err_k / err_k.size, fp)
             opt.step(net.grads())
-            sq_n += float(np.sum(err_n**2))
-            sq_k += float(np.sum(err_k**2))
-            ab_n += float(np.sum(np.abs(err_n)))
-            ab_k += float(np.sum(np.abs(err_k)))
-            seen += err_n.size
-        val = _eval_metrics(net, vv_k, vu_k, vv_next)
-        stats = EpochStats(
-            epoch=epoch,
-            train_mse_next=sq_n / seen,
-            train_mse_recon=sq_k / seen,
-            train_mae_next=ab_n / seen,
-            train_mae_recon=ab_k / seen,
-            val_mse_next=val[0],
-            val_mse_recon=val[1],
-            val_mae_next=val[2],
-            val_mae_recon=val[3],
-        )
+            sums += _error_sums(err_n, err_k)
+        stats = EpochStats(epoch, *(sums / tv_next.size).tolist(),
+                           *_eval_metrics(net, vv_k, vu_k, vv_next))
         history.append(stats)
         if stats.val_mae < best_val:
             best_val = stats.val_mae
@@ -349,22 +350,13 @@ def train(
 
 
 def history_to_csv(history: list[EpochStats], path) -> None:
-    cols = [
-        "epoch",
-        "train_mse_next",
-        "train_mse_recon",
-        "train_mae_next",
-        "train_mae_recon",
-        "val_mse_next",
-        "val_mse_recon",
-        "val_mae_next",
-        "val_mae_recon",
-    ]
+    """One row per epoch, one column per ``EpochStats`` field."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(cols)
+        writer.writerow([f.name for f in fields(EpochStats)])
         for st in history:
-            writer.writerow([st.epoch] + [repr(float(getattr(st, c))) for c in cols[1:]])
+            epoch, *errors = astuple(st)
+            writer.writerow([epoch] + [repr(float(x)) for x in errors])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ the span and is recovered exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class Dictionary:
 
     kinds: 'identity' (constant + coordinates), 'polynomial' (adds all
     monomials of total degree 2..degree), 'rbf' (adds Gaussian bumps
-    exp(-|x - c|^2 / width^2) around the given centers).
+    exp(-|x - c|^2 / width^2) around the given centers).  The monomials
+    are enumerated once: one (count, degree) index array per degree.
     """
 
     kind: str
@@ -40,29 +41,31 @@ class Dictionary:
     degree: int = 1
     centers: np.ndarray | None = None
     width: float = 1.0
+    _monomials: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if self.kind not in ("identity", "polynomial", "rbf"):
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
+        if self.kind == "polynomial":
+            if not self.degree >= 1:
+                raise ValueError(f"polynomial degree must be >= 1 (got {self.degree!r})")
+            object.__setattr__(self, "_monomials", tuple(
+                np.array(list(itertools.combinations_with_replacement(range(self.input_dim), d)))
+                for d in range(2, self.degree + 1)
+            ))
         if self.kind == "rbf":
-            if self.centers is None or self.width <= 0:
+            if self.centers is None or not self.width > 0:
                 raise ValueError("rbf dictionary needs centers and a positive width")
             centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
             if centers.shape[1] != self.input_dim:
                 raise ValueError("rbf centers must match the input dimension")
             object.__setattr__(self, "centers", centers)
 
-    def _monomials(self):
-        for deg in range(2, self.degree + 1):
-            yield from itertools.combinations_with_replacement(range(self.input_dim), deg)
-
     @property
     def n_features(self) -> int:
         base = 1 + self.input_dim
         if self.kind == "polynomial":
-            return base + sum(1 for _ in self._monomials())
+            return base + sum(len(idx) for idx in self._monomials)
         if self.kind == "rbf":
             return base + self.centers.shape[0]
         return base
@@ -81,12 +84,9 @@ class Dictionary:
             # coordinates, multiplied left to right as np.prod would; the
             # gather runs on rows of the transpose, which is contiguous
             xt = np.ascontiguousarray(x2.T)
-            for deg in range(2, self.degree + 1):
-                idx = np.array(list(
-                    itertools.combinations_with_replacement(range(self.input_dim), deg)
-                ))
+            for idx in self._monomials:
                 feat = xt[idx[:, 0]]
-                for k in range(1, deg):
+                for k in range(1, idx.shape[1]):
                     feat = feat * xt[idx[:, k]]
                 cols.append(feat.T)
         elif self.kind == "rbf":
@@ -129,6 +129,8 @@ def rbf_dictionary(input_dim: int, centers: np.ndarray, width: float) -> Diction
 
 def rbf_centers_from_data(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """A seeded random subset of the rows of x, for use as rbf centers."""
+    if not k >= 1:
+        raise ValueError(f"rbf center count must be >= 1 (got {k!r})")
     rng = np.random.default_rng(seed)
     idx = rng.choice(x.shape[0], size=min(k, x.shape[0]), replace=False)
     return np.array(x[np.sort(idx)])

@@ -28,17 +28,19 @@ _CASE_CHANNEL = 0xC0  # pseudo policy index for per-case load draws
 class VvcParams:
     """Decentralized deadband rule: each control bus injects
     gain * (deadband - local voltage), clamped to [0, u_max], whenever its
-    own voltage sits below the deadband."""
+    own voltage sits below the deadband.  ``ValueError`` names every field
+    out of range."""
 
     deadband: float = 0.95
     gain: float = 2.5
     u_max: float = U_MAX
 
     def __post_init__(self):
-        if self.gain < 0:
-            raise ValueError("vvc gain must be nonnegative")
-        if self.u_max < 0:
-            raise ValueError("vvc u_max must be nonnegative")
+        bad = [f"{name} must be finite and >= 0 (got {value!r})"
+               for name, value in (("gain", self.gain), ("u_max", self.u_max))
+               if not (value >= 0 and np.isfinite(value))]
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 def vvc_policy(v_local, params: VvcParams):
@@ -53,7 +55,7 @@ def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):
     return lambda k, window: vvc_policy(window[..., buses, -1], params)
 
 
-def _monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
+def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
     """The monitored bus indices (every bus for None), checked against n."""
     monitored = tuple(range(n)) if monitored is None else tuple(int(i) for i in monitored)
     if len(monitored) == 0:
@@ -69,7 +71,7 @@ def performance_index(traj: Trajectory, v_ref: float = 1.0, monitored=None) -> f
     Zero exactly when the monitored voltages track the reference at every
     sample; additive over trajectories that share no sample.
     """
-    monitored = _monitored_buses(traj.voltages.shape[1], monitored)
+    monitored = monitored_buses(traj.voltages.shape[1], monitored)
     dev = np.abs(traj.voltages[:, monitored] - v_ref)
     return float(dev.sum())
 
@@ -149,7 +151,7 @@ def compare(
         raise ValueError("n_cases must be >= 1")
     base = plant_config.model
     sched = plant_config.schedule
-    monitored = _monitored_buses(base.n, monitored)
+    monitored = monitored_buses(base.n, monitored)
     vvc = vvc_episode_policy(base.control_buses(), vvc_params)
     mpc = mpc_mod.MpcPolicy(model, base, sched, v_ref=v_ref, **(mpc_kwargs or {}))
 

@@ -55,9 +55,9 @@ class QpNonConvergence(RuntimeError):
         self.result = result
 
 
-def _residual_message(pg_norm: float, tol: float, max_iter: int) -> str:
+def _residual_message(pg_norm: float, tol: float, iterations: int) -> str:
     return (f"projected gradient residual {pg_norm:.3e} above tol {tol:.1e} "
-            f"after {max_iter} iterations")
+            f"after {iterations} iterations")
 
 
 def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,6 +73,8 @@ def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _check_weight(mat: np.ndarray, name: str, dim: int):
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim} x {dim}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
     if np.max(np.abs(mat - mat.T)) > 1e-10:
         raise ValueError(f"{name} must be symmetric")
     off_diag = mat - np.diag(np.diag(mat))
@@ -246,10 +248,10 @@ def solve_box_qp(
     |grad| < tol, bound coordinates have outward-pushing gradients).
     The rows of a batch share the step and iterate together, and each
     row freezes at its own convergence, so its iterate and iteration
-    count are those of its own solve.  ``trace=True`` records the
-    objective at every iterate.  Raises ``QpNonConvergence`` if any row
-    is above ``tol`` after ``max_iter`` iterations; the exception's
-    ``result`` still holds every row.
+    count are those of its own solve; a row whose residual is not finite
+    stops there, unconverged.  ``trace=True`` records the objective at
+    every iterate.  Raises ``QpNonConvergence`` if any row is not below
+    ``tol`` when it stops; the exception's ``result`` still holds every row.
     """
     lam = _estimate_curvature(qp.hessian)
     step_bound = _STEP_SAFETY * 2.0 * lam
@@ -273,10 +275,11 @@ def solve_box_qp(
         pg = u_act - np.clip(u_act - grad, qp.lower, qp.upper)
         norm = np.maximum.reduce(np.abs(pg), axis=-1, initial=0.0)
         done = norm < tol
-        if it == max_iter or done.any():
-            out = np.ones_like(done) if it == max_iter else done
+        stop = done | ~np.isfinite(norm)
+        if it == max_iter or stop.any():
+            out = np.ones_like(done) if it == max_iter else stop
             u[active[out]], pg_norm[active[out]] = u_act[out], norm[out]
-            iterations[active[done]] = it
+            iterations[active[stop]] = it
             if out.all():
                 break
             active, u_act, lin_act, grad = active[~out], u_act[~out], lin_act[~out], grad[~out]
@@ -302,7 +305,8 @@ def solve_box_qp(
     u_pu = scaler.denormalize_u(u_mat) if scaler is not None else None
     result = ControlSequence(u=u_mat, u_pu=u_pu, info=info)
     if not info.converged:
-        raise QpNonConvergence(_residual_message(info.pg_norm, tol, max_iter),
+        stopped = int(iterations[~converged].max())
+        raise QpNonConvergence(_residual_message(info.pg_norm, tol, stopped),
                                residual=info.pg_norm, result=result)
     return result
 
@@ -394,7 +398,8 @@ class MpcPolicy:
                     pg_norm = float(info.row_pg_norm[j])
                     self.diagnostics[e].append(
                         {"instant": k, "horizon": horizon, "converged": False,
-                         "error": _residual_message(pg_norm, self.tol, self.max_iter),
+                         "error": _residual_message(pg_norm, self.tol,
+                                                    int(info.row_iterations[j])),
                          "pg_norm": pg_norm}
                     )
                     self.aborted[e] = True

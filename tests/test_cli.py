@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from koopmanmpc import cli
+from koopmanmpc.deep_koopman import KoopmanNetConfig, TrainHyper
+from koopmanmpc.evaluation import VvcParams
 from koopmanmpc.plant import config_to_dict, default_config, load_config, save_config
 
 
@@ -69,6 +71,42 @@ class TestConfigValidation:
         assert code == 2
         fields = json.loads(capsys.readouterr().err.strip())["fields"]
         assert any(f.startswith("eval.monitored:") for f in fields)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("koopman_net", "learning_rate", -1),
+        ("koopman_net", "learning_rate", 0),
+        ("koopman_net", "beta1", 1.5),
+        ("koopman_net", "lstm_hidden", 0),
+        ("koopman_net", "patience", -3),
+        ("eval", "vvc_gain", -1),
+        ("eval", "vvc_gain", float("inf")),  # written as Infinity, which json reads
+    ])
+    def test_library_range_checks_exit_2(self, workspace, capsys, section, key, value):
+        run = json.loads((workspace / "run.json").read_text())
+        run[section][key] = value
+        (workspace / "run.json").write_text(json.dumps(run))
+        code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
+        assert code == 2
+        fields = json.loads(capsys.readouterr().err.strip())["fields"]
+        field = key.removeprefix("vvc_")
+        assert any(f.startswith(section + ":") and field in f for f in fields), fields
+        assert not (workspace / "o").exists()
+
+    def test_every_violated_field_of_a_section_listed(self, workspace, capsys):
+        run = json.loads((workspace / "run.json").read_text())
+        run["koopman_net"].update(batch_size=0, learning_rate=-1)
+        (workspace / "run.json").write_text(json.dumps(run))
+        assert run_cli("gen-data", "--config", workspace / "run.json",
+                       "--out", workspace / "o") == 2
+        joined = " ".join(json.loads(capsys.readouterr().err.strip())["fields"])
+        assert "batch_size" in joined and "learning_rate" in joined
+
+    def test_defaults_are_the_library_dataclasses(self, workspace):
+        (workspace / "min.json").write_text(json.dumps({"plant": "plant.json", "seed": 3}))
+        cfg = cli.load_run_config(workspace / "min.json")
+        assert cfg.train == TrainHyper()
+        assert cfg.vvc == VvcParams()
+        assert cfg.net == KoopmanNetConfig(n=6, h=4, m=3, seed=3)
 
     def test_unreadable_config(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{not json")
@@ -217,6 +255,18 @@ class TestPipeline:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "0 training and 15 held-out" in err["error"]
+
+    @pytest.mark.parametrize("spec", ["poly:x", "poly:0", "rbf:x:1", "rbf:0:1", "rbf:4:0",
+                                      "rbf:4:nan"])
+    def test_bad_dict_values_exit_2(self, workspace, capsys, spec):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        capsys.readouterr()
+        code = run_cli("fit-edmd", "--data", ws / "data", "--dict", spec, "--out", ws / "e")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config validation failed"
+        assert err["fields"][0].startswith("dict:") and spec in err["fields"][0]
 
     def test_missing_data_dir_fails_cleanly(self, workspace, capsys):
         code = run_cli("train", "--data", workspace / "nope", "--config",

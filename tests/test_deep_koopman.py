@@ -234,6 +234,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(MINI, ds, ds, TrainHyper(max_epochs=1))
 
+    def test_hyper_names_every_field_out_of_range(self):
+        with pytest.raises(ValueError) as err:
+            TrainHyper(batch_size=0, learning_rate=-1.0, beta1=1.5, beta2=float("nan"),
+                       max_epochs=0, patience=-3)
+        for name in ("batch_size", "learning_rate", "beta1", "beta2", "max_epochs", "patience"):
+            assert name in str(err.value)
+
     def test_history_csv(self, tmp_path):
         rng = np.random.default_rng(15)
         ds = tiny_dataset(rng)

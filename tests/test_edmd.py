@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,9 @@ def reference_polynomial_lift(d: Dictionary, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     x2 = x[None] if single else x
     cols = [np.ones((x2.shape[0], 1)), x2]
-    for combo in d._monomials():
-        cols.append(np.prod(x2[:, combo], axis=1, keepdims=True))
+    for deg in range(2, d.degree + 1):
+        for combo in itertools.combinations_with_replacement(range(d.input_dim), deg):
+            cols.append(np.prod(x2[:, combo], axis=1, keepdims=True))
     out = np.hstack(cols)
     return out[0] if single else out
 

@@ -144,6 +144,16 @@ class TestProblemValidation:
             MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
                        Q=np.diag([1.0, -0.5, 1.0]), R=p.R, u_min=p.u_min, u_max=p.u_max)
 
+    @pytest.mark.parametrize("weight", ["Q", "R"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight, value):
+        p = random_problem(np.random.default_rng(3), n_lift=4, m=2)
+        diag = {"Q": np.eye(4), "R": np.eye(2)}  # the diagonal fast path
+        diag[weight][1, 1] = value
+        with pytest.raises(ValueError, match=f"{weight} must be finite"):
+            MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
+                       Q=diag["Q"], R=diag["R"], u_min=p.u_min, u_max=p.u_max)
+
     def test_crossed_bounds_rejected(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, m=2)
@@ -496,6 +506,21 @@ class TestBatchedProblems:
         assert err.value.residual == got.info.row_pg_norm.max() > 1e-10
         for i in np.flatnonzero(got.info.row_converged):
             assert np.array_equal(got.u[i], full.u[i])
+
+    def test_a_nan_row_stops_at_once_and_leaves_the_others_solved(self):
+        rng = np.random.default_rng(23)
+        _, batch = problem_batch(rng, 4, n_lift=8, m=2, horizon=3)
+        batch.z0[2, 5] = np.nan
+        with pytest.raises(QpNonConvergence, match="residual nan") as err:
+            solve_box_qp(condense(batch), tol=1e-10, max_iter=20_000)
+        info = err.value.result.info
+        assert np.isnan(err.value.residual)
+        assert info.row_converged.tolist() == [True, True, False, True]
+        assert info.row_iterations[2] == 0 and np.isnan(info.row_pg_norm[2])
+        for i in (0, 1, 3):
+            single = solve_box_qp(condense(row_problem(batch, i)), tol=1e-10, max_iter=20_000)
+            assert np.array_equal(err.value.result.u[i], single.u)
+            assert info.row_iterations[i] == single.info.iterations
 
 
 class TestPolicyMatchesSequentialLoop:
