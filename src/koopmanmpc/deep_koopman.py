@@ -99,24 +99,25 @@ class KoopmanNet:
             "decoder_lstm": self.dec_lstm,
             "readout": self.readout,
         }
+        # every layer tensor and gradient is a view of these two vectors
+        self.flat, self.flat_grad = nn.flatten_layers(self._layers)
+        self._params, self._grads = {}, {}
+        for name, layer in self._layers.items():
+            self._params.update(layer.params(name))
+            self._grads.update(layer.grads(name))
 
     # -- parameter plumbing
 
     def params(self) -> dict:
-        out = {}
-        for name, layer in self._layers.items():
-            out.update(layer.params(name))
-        return out
+        """Named views of ``flat``; the dict is shared, not a copy."""
+        return self._params
 
     def grads(self) -> dict:
-        out = {}
-        for name, layer in self._layers.items():
-            out.update(layer.grads(name))
-        return out
+        """Named views of ``flat_grad``; the dict is shared, not a copy."""
+        return self._grads
 
     def zero_grads(self):
-        for layer in self._layers.values():
-            layer.zero_grads()
+        self.flat_grad.fill(0.0)
 
     def load_params(self, params: dict):
         _copy_tensors(self.params(), params)
@@ -304,7 +305,7 @@ def train(
 
     net = KoopmanNet(config)
     opt = nn.Adam(
-        net.params(),
+        net.flat,
         lr=hyper.learning_rate,
         beta1=hyper.beta1,
         beta2=hyper.beta2,
@@ -315,7 +316,7 @@ def train(
     n_train = tv_k.shape[0]
     history: list[EpochStats] = []
     best_val = np.inf
-    best_params = None
+    best_flat = None
     best_epoch = -1
 
     for epoch in range(hyper.max_epochs):
@@ -327,25 +328,27 @@ def train(
             fp = net.forward(bv_k, bu_k)
             err_n = fp.v_next_hat - bv_next
             err_k = fp.v_k_hat - bv_k
-            loss = float(np.mean(err_n**2) + np.mean(err_k**2))
+            batch_sums = _error_sums(err_n, err_k)
+            # np.mean is the sum over the size: the same float as the mean
+            loss = float(batch_sums[0] / err_n.size + batch_sums[1] / err_k.size)
             if not np.isfinite(loss):
                 raise nn.TrainingError(f"loss diverged at epoch {epoch}")
             net.zero_grads()
             net.backward(2.0 * err_n / err_n.size, 2.0 * err_k / err_k.size, fp)
-            opt.step(net.grads())
-            sums += _error_sums(err_n, err_k)
+            opt.step(net.flat_grad, net.grads())
+            sums += batch_sums
         stats = EpochStats(epoch, *(sums / tv_next.size).tolist(),
                            *_eval_metrics(net, vv_k, vu_k, vv_next))
         history.append(stats)
         if stats.val_mae < best_val:
             best_val = stats.val_mae
-            best_params = {k: v.copy() for k, v in net.params().items()}
+            best_flat = net.flat.copy()
             best_epoch = epoch
         elif epoch - best_epoch >= hyper.patience:
             break
 
-    if best_params is not None:
-        net.load_params(best_params)
+    if best_flat is not None:
+        net.flat[...] = best_flat
     return net, history
 
 

@@ -26,10 +26,16 @@ class MetricError(ValueError):
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; each branch is the logistic function on its
-    # own sign, so both are evaluated and the right one kept
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # e = exp(-|x|) never overflows and lies in [0, 1]; the logistic function
+    # is 1/(1+e) for x >= 0 and e/(1+e) below, so the numerator is
+    # max(e, x >= 0): the same bits as np.where(x >= 0, 1.0, e), without the
+    # branch per element that makes np.where slow on mixed signs
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    np.add(e, 1.0, out=e)
+    return np.divide(num, e, out=num)
 
 
 def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -38,7 +44,32 @@ def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
     return rng.uniform(-s, s, size=shape)
 
 
-class FcLayer:
+class _Layer:
+    """Named tensors ``tensors`` with a gradient ``g_<name>`` of each.
+
+    Gradients are zeroed in place and accumulated with ``+=``, never
+    rebound, so a layer whose tensors are views of a shared buffer (see
+    ``flatten_layers``) keeps writing into that buffer.
+    """
+
+    tensors: tuple[str, ...]
+
+    def _init_grads(self):
+        for name in self.tensors:
+            setattr(self, f"g_{name}", np.zeros_like(getattr(self, name)))
+
+    def zero_grads(self):
+        for name in self.tensors:
+            getattr(self, f"g_{name}").fill(0.0)
+
+    def params(self, prefix):
+        return {f"{prefix}/{name}": getattr(self, name) for name in self.tensors}
+
+    def grads(self, prefix):
+        return {f"{prefix}/{name}": getattr(self, f"g_{name}") for name in self.tensors}
+
+
+class FcLayer(_Layer):
     """Affine map plus activation: y = act(x @ W.T + b).
 
     ``activation`` is 'tanh' or 'identity'; bias is optional so the layer
@@ -55,11 +86,8 @@ class FcLayer:
         else:
             self.weight = init_uniform(rng, (n_out, n_in), n_in)
         self.bias = np.zeros(n_out) if bias else None
-        self.zero_grads()
-
-    def zero_grads(self):
-        self.g_weight = np.zeros_like(self.weight)
-        self.g_bias = np.zeros_like(self.bias) if self.bias is not None else None
+        self.tensors = ("weight", "bias") if bias else ("weight",)
+        self._init_grads()
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.n_in:
@@ -82,26 +110,16 @@ class FcLayer:
             self.g_bias += d_pre.sum(axis=0)
         return d_pre @ self.weight
 
-    def params(self, prefix):
-        out = {f"{prefix}/weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}/bias"] = self.bias
-        return out
 
-    def grads(self, prefix):
-        out = {f"{prefix}/weight": self.g_weight}
-        if self.bias is not None:
-            out[f"{prefix}/bias"] = self.g_bias
-        return out
-
-
-class LstmLayer:
+class LstmLayer(_Layer):
     """Single-layer LSTM over a (batch, steps, features) sequence.
 
     Gate preactivations are stacked in the order
     [input, forget, candidate, output] along the first weight axis:
     sigmoid gates, tanh candidate, tanh cell squashing on the output.
     """
+
+    tensors = ("w_x", "w_h", "bias")
 
     def __init__(self, n_in, n_hidden, rng=None):
         self.n_in, self.n_hidden = n_in, n_hidden
@@ -113,12 +131,7 @@ class LstmLayer:
             self.w_x = init_uniform(rng, (4 * n_hidden, n_in), fan_in)
             self.w_h = init_uniform(rng, (4 * n_hidden, n_hidden), fan_in)
         self.bias = np.zeros(4 * n_hidden)
-        self.zero_grads()
-
-    def zero_grads(self):
-        self.g_w_x = np.zeros_like(self.w_x)
-        self.g_w_h = np.zeros_like(self.w_h)
-        self.g_bias = np.zeros_like(self.bias)
+        self._init_grads()
 
     def forward(self, seq):
         """Returns the hidden-state sequence (batch, steps, hidden); the
@@ -196,47 +209,77 @@ class LstmLayer:
         # one (batch, 4 nh) product per step, as in the forward projection
         return (d_pres @ self.w_x).transpose(1, 0, 2)
 
-    def params(self, prefix):
-        return {
-            f"{prefix}/w_x": self.w_x,
-            f"{prefix}/w_h": self.w_h,
-            f"{prefix}/bias": self.bias,
-        }
 
-    def grads(self, prefix):
-        return {
-            f"{prefix}/w_x": self.g_w_x,
-            f"{prefix}/w_h": self.g_w_h,
-            f"{prefix}/bias": self.g_bias,
-        }
+def flatten_layers(layers: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Move the tensors of ``layers`` (prefix -> layer) into one contiguous
+    float64 parameter vector and their gradients into one gradient vector
+    of the same layout, in layer and tensor order.  Each layer keeps
+    reshaped views of its slices under the same names, with the same
+    values; returns the two vectors."""
+    tensors = [(layer, name) for layer in layers.values() for name in layer.tensors]
+    size = sum(getattr(layer, name).size for layer, name in tensors)
+    flat, grad = np.empty(size), np.zeros(size)
+    lo = 0
+    for layer, name in tensors:
+        arr = getattr(layer, name)
+        hi = lo + arr.size
+        view = flat[lo:hi].reshape(arr.shape)
+        view[...] = arr
+        setattr(layer, name, view)
+        setattr(layer, f"g_{name}", grad[lo:hi].reshape(arr.shape))
+        lo = hi
+    return flat, grad
 
 
 class Adam:
-    """Bias-corrected ADAM over a named parameter dict (updates in place)."""
+    """Bias-corrected ADAM on one flat float64 parameter vector, updated in
+    place.  The moments ``m``, ``v`` and the scratch vectors are allocated
+    once; a step is one finiteness check and a fixed sequence of
+    whole-vector ufuncs writing into them."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, param: np.ndarray, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        self.params = params
+        if param.ndim != 1 or param.dtype != np.float64:
+            raise ValueError(f"expected a flat float64 vector, got {param.dtype} {param.shape}")
+        self.param = param
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self._num = np.empty_like(param)
+        self._den = np.empty_like(param)
+        self._finite = np.empty(param.shape, dtype=bool)
 
-    def step(self, grads: dict):
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in {name!r}")
+    def step(self, grad: np.ndarray, named: dict | None = None):
+        """One update from the flat gradient ``grad``.  A non-finite entry
+        raises ``TrainingError`` before any state changes; it names the
+        first tensor of ``named`` (name -> view of ``grad``) that holds
+        one."""
+        if not np.isfinite(grad, out=self._finite).all():
+            bad = next((k for k, g in (named or {}).items() if not np.isfinite(g).all()), None)
+            raise TrainingError(f"non-finite gradient in {bad!r}" if bad else "non-finite gradient")
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / b1c
-            v_hat = self.v[name] / b2c
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        # m = b1 m + (1 - b1) g
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        np.add(m, num, out=m)
+        # v = b2 v + ((1 - b2) g) g
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        np.multiply(num, grad, out=num)
+        np.add(v, num, out=v)
+        # p -= (lr (m / b1c)) / (sqrt(v / b2c) + eps)
+        np.divide(m, b1c, out=num)
+        np.multiply(num, self.lr, out=num)
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, self.eps, out=den)
+        np.divide(num, den, out=num)
+        np.subtract(self.param, num, out=self.param)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The closed loop as it ran before it became a batched feedback policy:
-MPC stepping one episode through its own loop, and ``compare`` running
-one case after another.  Kept as the reference the batched path must
-reproduce bit for bit."""
+"""Paths as they ran before their batched or flat rewrites, kept as the
+references those must reproduce bit for bit: the closed loop with MPC
+stepping one episode through its own loop, ``compare`` running one case
+after another, and ADAM updating one tensor after another."""
 
 import numpy as np
 
-from koopmanmpc import evaluation, mpc
+from koopmanmpc import evaluation, mpc, nn
 from koopmanmpc.dataset import rollout_seed
 from koopmanmpc.plant import (
     IntegrationError,
@@ -125,3 +125,30 @@ def compare(model, plant_config, n_cases, seed, v_ref=1.0, monitored=None,
                                              j_no_control=j_no, j_vvc=j_vvc, j_mpc=j_mpc))
     n_ok = sum(r.ok for r in records)
     return records, (wins / n_ok if n_ok else 0.0)
+
+
+class PerTensorAdam:
+    """Bias-corrected ADAM over a named parameter dict, one tensor at a
+    time (updates in place)."""
+
+    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads: dict):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise nn.TrainingError(f"non-finite gradient in {name!r}")
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for name, p in self.params.items():
+            g = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / b1c
+            v_hat = self.v[name] / b2c
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -199,6 +199,100 @@ class TestStackedDecode:
             assert rel_err(grads[name], ref) <= 1e-12, name
 
 
+def flat_layout(named, buf):
+    """The (start, stop, name) spans of the named arrays in ``buf``; each
+    must be a C-contiguous view of it, and together they must tile it with
+    no gap and no overlap."""
+    spans = []
+    for name, arr in named.items():
+        assert np.shares_memory(arr, buf) and arr.base is buf and arr.flags.c_contiguous, name
+        lo = (arr.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // 8
+        spans.append((lo, lo + arr.size, name))
+    spans.sort()
+    assert spans[0][0] == 0 and spans[-1][1] == buf.size
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    return spans
+
+
+def assert_flat_views(net):
+    """Every layer tensor and gradient is the array ``params()`` and
+    ``grads()`` name, and both buffers have the same layout."""
+    for prefix, layer in net._layers.items():
+        for tensor in layer.tensors:
+            assert getattr(layer, tensor) is net.params()[f"{prefix}/{tensor}"]
+            assert getattr(layer, f"g_{tensor}") is net.grads()[f"{prefix}/{tensor}"]
+    assert flat_layout(net.params(), net.flat) == flat_layout(net.grads(), net.flat_grad)
+
+
+class TestFlatState:
+    def test_views_after_construction_zeroing_and_a_step(self):
+        net = KoopmanNet(MINI)
+        assert_flat_views(net)
+        assert net.flat.dtype == np.float64 and net.flat.shape == net.flat_grad.shape
+        net.flat_grad[:] = 1.0
+        net.zero_grads()
+        assert_flat_views(net)
+        assert not net.flat_grad.any()
+        net.flat_grad[:] = 1.0
+        for layer in net._layers.values():
+            layer.zero_grads()
+        assert_flat_views(net)
+        assert not net.flat_grad.any()
+        v_k, u, v_next = mini_batch(np.random.default_rng(21))
+        fp = net.forward(v_k, u)
+        net.backward(fp.v_next_hat - v_next, fp.v_k_hat - v_k, fp)
+        assert net.flat_grad.any()
+        before = net.flat.copy()
+        nn.Adam(net.flat).step(net.flat_grad, net.grads())
+        assert_flat_views(net)
+        assert not np.array_equal(net.flat, before)
+
+    def test_views_after_loading(self, tmp_path):
+        net = KoopmanNet(MINI)
+        other = KoopmanNet(KoopmanNetConfig(**{**MINI.to_dict(), "seed": 43}))
+        net.load_params(other.params())
+        assert_flat_views(net)
+        assert np.array_equal(net.flat, other.flat)
+        save_net(other, tmp_path / "ck.json")
+        back, _ = load_net(tmp_path / "ck.json")
+        assert_flat_views(back)
+        assert np.array_equal(back.flat, other.flat)
+
+    def test_views_after_training_restores_its_best_epoch(self):
+        rng = np.random.default_rng(22)
+        ds = tiny_dataset(rng, n_samples=12)
+        net, hist = train(MINI, ds, ds, TrainHyper(batch_size=4, max_epochs=6, patience=6,
+                                                   learning_rate=0.05))
+        assert_flat_views(net)
+        # the restored parameters are the best epoch's, an earlier one than
+        # the last: evaluating them again gives that epoch's MAE
+        best = min(hist, key=lambda st: st.val_mae)
+        assert best.epoch < hist[-1].epoch
+        again = deep_koopman._eval_metrics(net, *deep_koopman._normalized_arrays(ds, ds.scaler))
+        assert again[2] + again[3] == best.val_mae
+
+    def test_non_finite_gradient_names_its_tensor_and_changes_nothing(self):
+        net = KoopmanNet(MINI)
+        opt = nn.Adam(net.flat, beta1=0.95, beta2=0.95)
+        v_k, u, v_next = mini_batch(np.random.default_rng(23))
+        fp = net.forward(v_k, u)
+        net.backward(fp.v_next_hat - v_next, fp.v_k_hat - v_k, fp)
+        opt.step(net.flat_grad, net.grads())
+        state = (net.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        net.grads()["decoder_lstm/w_h"][1, 2] = np.nan
+        with pytest.raises(nn.TrainingError, match="'decoder_lstm/w_h'"):
+            opt.step(net.flat_grad, net.grads())
+        for kept, now in zip(state, (net.flat, opt.m, opt.v, opt.t)):
+            assert np.array_equal(kept, now)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_loss_raises(self, bad):
+        ds = tiny_dataset(np.random.default_rng(24))
+        ds.v_next[0, 0, 0] = bad
+        with pytest.raises(nn.TrainingError, match="loss diverged at epoch 0"):
+            train(MINI, ds, ds, TrainHyper(batch_size=4, max_epochs=2))
+
+
 class TestTrain:
     def test_memorizes_tiny_dataset(self):
         # overfit sanity run on 10 real samples, full-batch

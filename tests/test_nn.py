@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from koopmanmpc import nn
 from koopmanmpc.nn import (
@@ -225,7 +226,7 @@ class TestLstmLayer:
         hs, cache = layer.forward(seq)
         layer.zero_grads()
         d_seq = layer.backward(cache, d_hs=d_hs, d_h_last=d_h_last)
-        got = (layer.g_w_x, layer.g_w_h, layer.g_bias)
+        got = (layer.g_w_x.copy(), layer.g_w_h.copy(), layer.g_bias.copy())
 
         ref_hs, ref_cache = reference_lstm_forward(layer, seq)
         layer.zero_grads()
@@ -245,46 +246,100 @@ class TestLstmLayer:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        p = {"w": np.array([1.0, -2.0])}
+        p = np.array([1.0, -2.0])
         opt = Adam(p)
-        opt.step({"w": np.zeros(2)})
-        assert np.array_equal(p["w"], [1.0, -2.0])
+        opt.step(np.zeros(2))
+        assert np.array_equal(p, [1.0, -2.0])
 
     def test_first_step_hand_computed(self):
         # scalar g=1: m_hat = 1, v_hat = 1 -> delta = -lr / (1 + eps)
-        p = {"w": np.array([0.0])}
+        p = np.array([0.0])
         opt = Adam(p, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-        opt.step({"w": np.array([1.0])})
-        assert p["w"][0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
+        opt.step(np.array([1.0]))
+        assert p[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
 
     def test_antisymmetric_gradients_move_symmetrically(self):
-        p = {"w": np.zeros(2)}
+        p = np.zeros(2)
         opt = Adam(p)
-        opt.step({"w": np.array([1.0, -1.0])})
-        assert p["w"][0] == pytest.approx(-p["w"][1])
+        opt.step(np.array([1.0, -1.0]))
+        assert p[0] == pytest.approx(-p[1])
 
     def test_step_size_bounded(self):
         # provable per-coordinate bound: lr * max(1, (1-b1)/sqrt(1-b2))
         rng = np.random.default_rng(23)
-        p = {"w": np.zeros(4)}
+        p = np.zeros(4)
         lr, b1, b2 = 1e-2, 0.9, 0.999
         bound = lr * max(1.0, (1 - b1) / np.sqrt(1 - b2)) * (1 + 1e-12)
         opt = Adam(p, lr=lr, beta1=b1, beta2=b2)
-        prev = p["w"].copy()
+        prev = p.copy()
         for _ in range(200):
-            opt.step({"w": rng.normal(size=4) * 10 ** rng.uniform(-3, 3)})
-            assert np.all(np.abs(p["w"] - prev) <= bound)
-            prev = p["w"].copy()
+            opt.step(rng.normal(size=4) * 10 ** rng.uniform(-3, 3))
+            assert np.all(np.abs(p - prev) <= bound)
+            prev = p.copy()
 
     def test_non_finite_gradient_raises(self):
-        opt = Adam({"w": np.zeros(2)})
+        opt = Adam(np.zeros(2))
         with pytest.raises(TrainingError):
-            opt.step({"w": np.array([1.0, np.nan])})
+            opt.step(np.array([1.0, np.nan]))
 
     def test_alternate_momentum_pair_accepted(self):
-        opt = Adam({"w": np.zeros(1)}, beta1=0.95, beta2=0.95)
-        opt.step({"w": np.ones(1)})
-        assert np.isfinite(opt.params["w"]).all()
+        opt = Adam(np.zeros(1), beta1=0.95, beta2=0.95)
+        opt.step(np.ones(1))
+        assert np.isfinite(opt.param).all()
+
+    def test_non_flat_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            Adam(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("beta1, beta2", [(0.9, 0.999), (0.95, 0.95)])
+    def test_matches_per_tensor_reference_bit_for_bit(self, beta1, beta2):
+        from sequential_reference import PerTensorAdam
+
+        rng = np.random.default_rng(31)
+        layers = {"lstm": LstmLayer(3, 4, rng=rng), "fc": FcLayer(4, 2, rng=rng),
+                  "lin": FcLayer(2, 2, bias=False, rng=rng)}
+        flat, flat_grad = nn.flatten_layers(layers)
+        named = {k: v for prefix, layer in layers.items() for k, v in layer.grads(prefix).items()}
+        ref_params = {k: v.copy() for prefix, layer in layers.items()
+                      for k, v in layer.params(prefix).items()}
+        opt = Adam(flat, lr=1e-2, beta1=beta1, beta2=beta2)
+        ref = PerTensorAdam(ref_params, lr=1e-2, beta1=beta1, beta2=beta2)
+
+        def concat(d):
+            return np.concatenate([d[k].ravel() for k in named])
+
+        for _ in range(25):
+            # magnitudes spread over 1e-12 .. 1e6, both signs
+            flat_grad[:] = rng.choice([-1.0, 1.0], size=flat.size) * 10 ** rng.uniform(
+                -12, 6, size=flat.size)
+            opt.step(flat_grad, named)
+            ref.step({k: g.copy() for k, g in named.items()})
+            assert np.array_equal(flat, concat(ref.params))
+            assert np.array_equal(opt.m, concat(ref.m))
+            assert np.array_equal(opt.v, concat(ref.v))
+        assert opt.t == ref.t == 25
+
+
+def two_branch_sigmoid(x):
+    """The logistic function with both branches evaluated and one kept per
+    element: the form ``_sigmoid`` replaced."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestSigmoid:
+    def test_edge_values_bit_for_bit(self):
+        x = np.array([0.0, -0.0, 1e-310, -1e-310, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+                      1e308, -1e308, np.nan, -np.nan, np.inf, -np.inf])
+        assert np.array_equal(nn._sigmoid(x).view(np.int64), two_branch_sigmoid(x).view(np.int64))
+
+    @given(x=arrays(np.float64, array_shapes(max_dims=2, max_side=40),
+                    elements=st.floats(allow_nan=True, allow_infinity=True, width=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_branch_form_bit_for_bit(self, x):
+        with np.errstate(all="ignore"):
+            got, want = nn._sigmoid(x), two_branch_sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestMetrics:
