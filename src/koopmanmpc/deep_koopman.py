@@ -23,7 +23,7 @@ import numpy as np
 
 from koopmanmpc import nn
 from koopmanmpc.dataset import Dataset, Scaler
-from koopmanmpc.lifted import LiftedModel, finite_array
+from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, finite_array
 # re-exported: perfbench/workloads.py loads models as deep_koopman.load_lifted_model
 from koopmanmpc.lifted import load_lifted_model  # noqa: F401
 
@@ -411,22 +411,19 @@ class LiftedLinearModel(LiftedModel):
             **super().to_dict(),
             "config": self.config.to_dict(),
             "encoder": {
-                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                name: encode_array(arr)
                 for name, arr in sorted(_encoder_params(self.enc_lstm, self.enc_fc).items())
             },
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "LiftedLinearModel":
-        enc = {
-            name: np.array(rec["data"], dtype=float).reshape(rec["shape"])
-            for name, rec in doc["encoder"].items()
-        }
+        enc = {name: decode_array(f"tensor {name!r}", rec) for name, rec in doc["encoder"].items()}
         return LiftedLinearModel(
             config=KoopmanNetConfig.from_dict(doc["config"]),
             encoder_params=enc,
-            A=doc["A"],
-            B=doc["B"],
+            A=decode_array("matrix A", doc["A"]),
+            B=decode_array("matrix B", doc["B"]),
             scaler=Scaler.from_dict(doc["scaler"]),
         )
 

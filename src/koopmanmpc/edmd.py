@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from koopmanmpc.dataset import Dataset, Scaler
-from koopmanmpc.lifted import LiftedModel, finite_array
+from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, finite_array
 
 
 class SingularityError(np.linalg.LinAlgError):
@@ -101,7 +101,7 @@ class Dictionary:
             doc["degree"] = self.degree
         if self.kind == "rbf":
             doc["width"] = self.width
-            doc["centers"] = self.centers.tolist()
+            doc["centers"] = encode_array(self.centers)
         return doc
 
     @staticmethod
@@ -110,7 +110,7 @@ class Dictionary:
             kind=doc["kind"],
             input_dim=int(doc["input_dim"]),
             degree=int(doc.get("degree", 1)),
-            centers=np.array(doc["centers"], dtype=float) if "centers" in doc else None,
+            centers=decode_array("rbf centers", doc["centers"]) if "centers" in doc else None,
             width=float(doc.get("width", 1.0)),
         )
 
@@ -208,7 +208,7 @@ class EdmdModel(LiftedModel):
         return {
             **super().to_dict(),
             "dictionary": self.dictionary.to_dict(),
-            "C": self.C.tolist(),
+            "C": encode_array(self.C),
             "n": self.n,
             "h": self.h,
             "residuals": self.residuals,
@@ -218,9 +218,9 @@ class EdmdModel(LiftedModel):
     def from_dict(doc: dict) -> "EdmdModel":
         return EdmdModel(
             dictionary=Dictionary.from_dict(doc["dictionary"]),
-            A=doc["A"],
-            B=doc["B"],
-            C=doc["C"],
+            A=decode_array("matrix A", doc["A"]),
+            B=decode_array("matrix B", doc["B"]),
+            C=decode_array("matrix C", doc["C"]),
             scaler=Scaler.from_dict(doc["scaler"]),
             n=int(doc["n"]),
             h=int(doc["h"]),

@@ -3,11 +3,16 @@
 the shared keys ``kind``, ``A``, ``B`` and ``scaler`` plus those of the
 kind.  The kinds differ only in the lift: the network's frozen encoder
 (``deep_koopman``) or a feature dictionary (``edmd``).
+
+Every float array in a model file or a network checkpoint is one payload
+record, written by ``encode_array`` and read by ``decode_array``.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,39 @@ def finite_array(what: str, value) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} has non-finite entries")
     return arr
+
+
+def encode_array(arr) -> dict:
+    """``arr`` as the payload record ``{"shape", "dtype": "<f8", "b64"}``:
+    its float64 entries in C order as little-endian bytes, base64-encoded,
+    so the record holds every bit, ``-0.0`` and NaN payloads included."""
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "dtype": "<f8",
+            "b64": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def decode_array(what: str, rec) -> np.ndarray:
+    """The float array a record from ``encode_array`` holds; ``ValueError``
+    naming ``what`` if ``rec`` is not such a record, its ``dtype`` is not
+    ``"<f8"``, its base64 does not decode, or its byte count is not
+    ``8·prod(shape)``."""
+    if not (isinstance(rec, dict) and rec.keys() == {"shape", "dtype", "b64"}):
+        raise ValueError(f"{what} is not a {{shape, dtype, b64}} payload record "
+                         "(a file written in the nested-list form must be regenerated)")
+    shape = rec["shape"]
+    if not (isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"{what} has shape {shape!r}, expected a list of sizes")
+    if rec["dtype"] != "<f8":
+        raise ValueError(f"{what} has dtype {rec['dtype']!r}, expected '<f8'")
+    try:
+        raw = base64.b64decode(rec["b64"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"{what} has a payload that is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{what} has {len(raw)} payload bytes, shape {tuple(shape)} "
+                         f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 class LiftedModel:
@@ -57,7 +95,7 @@ class LiftedModel:
         return self.lift(np.full((self.n, self.h), v_ref))
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "A": self.A.tolist(), "B": self.B.tolist(),
+        return {"kind": self.kind, "A": encode_array(self.A), "B": encode_array(self.B),
                 "scaler": self.scaler.to_dict()}
 
 

@@ -73,13 +73,14 @@ def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _check_weight(mat: np.ndarray, name: str, dim: int):
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim} x {dim}")
-    if not np.all(np.isfinite(mat)):
+    # min and max propagate NaN and reach any infinity: no N x N temporary
+    if not (np.isfinite(mat.max()) and np.isfinite(mat.min())):
         raise ValueError(f"{name} must be finite")
-    if np.max(np.abs(mat - mat.T)) > 1e-10:
+    asym = np.subtract(mat, mat.T)
+    if np.abs(asym, out=asym).max() > 1e-10:
         raise ValueError(f"{name} must be symmetric")
-    off_diag = mat - np.diag(np.diag(mat))
-    if np.count_nonzero(off_diag) == 0:
-        min_eig = float(np.min(np.diag(mat)))
+    if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
+        min_eig = float(np.min(mat.diagonal()))
     else:
         min_eig = float(np.min(np.linalg.eigvalsh(mat)))
     if min_eig < -1e-10:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from koopmanmpc.lifted import decode_array, encode_array, finite_array
+
 
 class TrainingError(RuntimeError):
     """Optimization failure (non-finite gradients or loss)."""
@@ -318,24 +320,23 @@ def r2(y, y_hat) -> float:
 
 
 def save_checkpoint(params: dict, path, extra: dict | None = None) -> None:
-    """JSON checkpoint of named tensors, lossless for float64 and sorted
-    by tensor name for reproducible bytes."""
-    doc = {
-        "tensors": [
-            {"name": k, "shape": list(params[k].shape), "data": params[k].ravel().tolist()}
-            for k in sorted(params)
-        ],
-        "extra": extra or {},
-    }
+    """JSON checkpoint of named tensors, each an exact payload record
+    (``lifted.encode_array``), with sorted keys for reproducible bytes."""
+    doc = {"tensors": {k: encode_array(arr) for k, arr in params.items()}, "extra": extra or {}}
     # json.dumps runs the C encoder; json.dump always runs the Python one
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
+    """The named tensors and the extra fields of a checkpoint written by
+    ``save_checkpoint``; ``ValueError`` names a tensor that is not a
+    payload record or not finite."""
     with open(Path(path)) as f:
         doc = json.load(f)
-    params = {}
-    for rec in doc["tensors"]:
-        arr = np.array(rec["data"], dtype=float).reshape(rec["shape"])
-        params[rec["name"]] = arr
+    tensors = doc["tensors"]
+    if not isinstance(tensors, dict):
+        raise ValueError("checkpoint tensors are not an object of {shape, dtype, b64} payload "
+                         "records (a file written in the nested-list form must be regenerated)")
+    params = {name: finite_array(f"tensor {name!r}", decode_array(f"tensor {name!r}", rec))
+              for name, rec in tensors.items()}
     return params, doc.get("extra", {})

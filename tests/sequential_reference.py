@@ -1,7 +1,8 @@
 """Paths as they ran before their batched or flat rewrites, kept as the
 references those must reproduce bit for bit: the closed loop with MPC
 stepping one episode through its own loop, ``compare`` running one case
-after another, and ADAM updating one tensor after another."""
+after another, ADAM updating one tensor after another, and the MPC weight
+check building its N x N temporaries."""
 
 import numpy as np
 
@@ -152,3 +153,21 @@ class PerTensorAdam:
             m_hat = self.m[name] / b1c
             v_hat = self.v[name] / b2c
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def check_weight(mat: np.ndarray, name: str, dim: int):
+    """``mpc._check_weight`` as it was before it dropped its N x N
+    temporaries (``mat - mat.T`` and ``np.diag(np.diag(mat))``)."""
+    if mat.shape != (dim, dim):
+        raise ValueError(f"{name} must be {dim} x {dim}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
+    if np.max(np.abs(mat - mat.T)) > 1e-10:
+        raise ValueError(f"{name} must be symmetric")
+    off_diag = mat - np.diag(np.diag(mat))
+    if np.count_nonzero(off_diag) == 0:
+        min_eig = float(np.min(np.diag(mat)))
+    else:
+        min_eig = float(np.min(np.linalg.eigvalsh(mat)))
+    if min_eig < -1e-10:
+        raise ValueError(f"{name} must be positive semidefinite (min eig {min_eig:.2e})")

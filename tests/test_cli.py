@@ -9,6 +9,7 @@ import pytest
 from koopmanmpc import cli
 from koopmanmpc.deep_koopman import KoopmanNetConfig, TrainHyper
 from koopmanmpc.evaluation import VvcParams
+from koopmanmpc.lifted import decode_array, encode_array
 from koopmanmpc.plant import config_to_dict, default_config, load_config, save_config
 
 
@@ -282,7 +283,9 @@ class TestPipeline:
                        "--out", ws / "edmd") == 0
         path = ws / "edmd" / "lifted_model.json"
         doc = json.loads(path.read_text())
-        doc["A"][3][5] = float("nan")
+        a = decode_array("A", doc["A"])
+        a[3][5] = float("nan")
+        doc["A"] = encode_array(a)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         code = run_cli("compare", "--model", path, "--config", ws / "run.json",

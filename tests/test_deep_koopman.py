@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from koopmanmpc.deep_koopman import (
     save_net,
     train,
 )
-from koopmanmpc.lifted import load_lifted_model, save_lifted_model
+from koopmanmpc.lifted import decode_array, encode_array, load_lifted_model, save_lifted_model
 from koopmanmpc.plant import default_config
 
 
@@ -405,14 +406,17 @@ class TestSerialization:
             assert np.array_equal(back.params()[k], v)
         assert back_sc.to_dict() == sc.to_dict()
 
-    # sha256 of these artifacts as the pure-Python JSON encoder wrote them
+    # sha256 of these artifacts with every tensor a base64 float64 payload record
     GOLDEN = {
-        "checkpoint": "4beb93b10b2d392c24e7222c002f36197e595d1ac098fa9aa31c6a2b5c20121a",
-        "net_model": "9e11ff4e63e89f28389534ebe1fb49dc8bd41ffe0fd36f495b5da0ffcd43c6f5",
-        "edmd_model": "60ef2e99596f130e67416efa7bd9220d76725d5beec246f84e0f1cee14138578",
+        "checkpoint": "f4d8950e1208a9c1ca4204be02262615ef8dd93cf70b0a56e8ec52348580a673",
+        "net_model": "ccf7f9b15fec95570e39156aa9296a3c529db7f1178e01f0217323035590056b",
+        "edmd_model": "c84f6974835c1945bfa18fe45476fbc485150aecfe6e9bc47ef9681159ab1f59",
     }
 
-    def test_golden_artifact_bytes(self, tmp_path):
+    @staticmethod
+    def write_golden_artifacts(path):
+        """Write the three golden artifacts under ``path``; return the
+        in-memory tensors of each, keyed as ``file_tensors`` keys them."""
         net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16, lstm_hidden=8, seed=2022))
         sc = Scaler(v_ref=1.0, v_lo=-0.2, v_hi=0.1)
         rng = np.random.default_rng(2022)
@@ -420,20 +424,48 @@ class TestSerialization:
                      u_k=rng.uniform(0.0, 0.25, size=(20, 1)),
                      v_next=rng.uniform(0.9, 1.1, size=(20, 2, 2)))
         ds.scaler = dataset_mod.fit_scaler(ds)
-        save_net(net, tmp_path / "checkpoint", scaler=sc)
-        save_lifted_model(extract(net, sc), tmp_path / "net_model")
-        save_lifted_model(edmd.fit(ds, edmd.polynomial_dictionary(4, 2), ridge=1e-6),
-                          tmp_path / "edmd_model")
+        net_model = extract(net, sc)
+        edmd_model = edmd.fit(ds, edmd.polynomial_dictionary(4, 2), ridge=1e-6)
+        save_net(net, path / "checkpoint", scaler=sc)
+        save_lifted_model(net_model, path / "net_model")
+        save_lifted_model(edmd_model, path / "edmd_model")
+        encoder = {k: v for k, v in net.params().items() if k.startswith("encoder_")}
+        return {
+            "checkpoint": net.params(),
+            "net_model": {"A": net_model.A, "B": net_model.B, **encoder},
+            "edmd_model": {"A": edmd_model.A, "B": edmd_model.B, "C": edmd_model.C},
+        }
+
+    @staticmethod
+    def file_tensors(path) -> dict:
+        """Every payload record of a checkpoint or a lifted model, decoded."""
+        doc = json.loads(path.read_text())
+        records = doc["tensors"] if "tensors" in doc else {
+            **{k: doc[k] for k in ("A", "B", "C") if k in doc}, **doc.get("encoder", {})}
+        return {name: decode_array(name, rec) for name, rec in records.items()}
+
+    def test_golden_artifact_bytes(self, tmp_path):
+        self.write_golden_artifacts(tmp_path)
         for name, digest in self.GOLDEN.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_golden_tensors_match_the_nested_list_parse(self, tmp_path):
+        # the payloads hold the bits the nested-list form read back
+        for name, tensors in self.write_golden_artifacts(tmp_path).items():
+            decoded = self.file_tensors(tmp_path / name)
+            assert decoded.keys() == tensors.keys(), name
+            for key, arr in tensors.items():
+                listed = np.array(json.loads(json.dumps(arr.tolist())))
+                assert decoded[key].shape == listed.shape, (name, key)
+                assert decoded[key].tobytes() == listed.tobytes(), (name, key)
 
     @pytest.mark.parametrize(
         "tensor, edit",
         [
             ("encoder_lstm/w_h", lambda doc: doc["encoder"].pop("encoder_lstm/w_h")),
             ("encoder_fc/bias",
-             lambda doc: doc["encoder"].update({"encoder_fc/bias": {"shape": [1], "data": [0.5]}})),
-            (r"\bA\b", lambda doc: doc.update(A=np.zeros((10, 6)).tolist())),
+             lambda doc: doc["encoder"].update({"encoder_fc/bias": encode_array(np.array([0.5]))})),
+            (r"\bA\b", lambda doc: doc.update(A=encode_array(np.zeros((10, 6))))),
         ],
         ids=["missing_encoder_tensor", "broadcast_bias", "ten_row_A"],
     )
@@ -449,7 +481,15 @@ class TestSerialization:
             load_lifted_model(tmp_path / "bad.json")
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+FMAX = float(np.finfo(float).max)
+# every finite float64, drawing often the values a lossy encoding loses
+# first: signed zeros, subnormals and the largest magnitudes
+finite = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, FMAX, -FMAX]),
+                   st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+def assert_bits_equal(got, want, what):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
 
 
 def draw_scaler(data):
@@ -471,25 +511,30 @@ class TestLiftedModelRoundTrip:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_network_model(self, tmp_path_factory, data):
+        # the checkpoint of a network with drawn tensors, and its lifted model
         n, h, m = (data.draw(st.integers(1, 4)) for _ in range(3))
         cfg = KoopmanNetConfig(n=n, h=h, m=m, lifted_dim=n + data.draw(st.integers(1, 5)),
                                lstm_hidden=data.draw(st.integers(1, 4)), seed=0)
-        model = extract(KoopmanNet(cfg), draw_scaler(data))
-        shapes = {name: tuple(rec["shape"]) for name, rec in model.to_dict()["encoder"].items()}
-        tensors = {name: data.draw(arrays(float, shape, elements=finite))
-                   for name, shape in shapes.items()}
-        model = deep_koopman.LiftedLinearModel(
-            cfg, tensors, A=data.draw(arrays(float, model.A.shape, elements=finite)),
-            B=data.draw(arrays(float, model.B.shape, elements=finite)), scaler=model.scaler)
-        path = tmp_path_factory.mktemp("net") / "lifted_model.json"
-        save_lifted_model(model, path)
-        back = load_lifted_model(path)
-        assert np.array_equal(back.A, model.A) and np.array_equal(back.B, model.B)
+        net, scaler = KoopmanNet(cfg), draw_scaler(data)
+        net.load_params({name: data.draw(arrays(float, arr.shape, elements=finite))
+                         for name, arr in net.params().items()})
+        folder = tmp_path_factory.mktemp("net")
+        save_net(net, folder / "checkpoint.json", scaler=scaler)
+        back_net, back_scaler = load_net(folder / "checkpoint.json")
+        assert back_net.config == cfg and back_scaler == scaler
+        assert back_net.params().keys() == net.params().keys()
+        for name, arr in net.params().items():
+            assert_bits_equal(back_net.params()[name], arr, name)
+        model = extract(net, scaler)
+        save_lifted_model(model, folder / "lifted_model.json")
+        back = load_lifted_model(folder / "lifted_model.json")
+        assert_bits_equal(back.A, model.A, "A")
+        assert_bits_equal(back.B, model.B, "B")
         assert back.scaler == model.scaler and back.config == model.config
-        back_enc, enc = back.to_dict()["encoder"], model.to_dict()["encoder"]
-        assert back_enc.keys() == enc.keys()
-        for name in enc:
-            assert np.array_equal(back_enc[name]["data"], enc[name]["data"])
+        enc = deep_koopman._encoder_params(model.enc_lstm, model.enc_fc)
+        back_enc = deep_koopman._encoder_params(back.enc_lstm, back.enc_fc)
+        for name, arr in enc.items():
+            assert_bits_equal(back_enc[name], arr, name)
         assert_lifts_equal(back, model, n, h, data)
 
     @given(data=st.data(), kind=st.sampled_from(["identity", "polynomial", "rbf"]))
@@ -503,7 +548,7 @@ class TestLiftedModelRoundTrip:
             dictionary = edmd.polynomial_dictionary(d, data.draw(st.integers(1, 3)))
         else:
             centers = data.draw(arrays(float, (data.draw(st.integers(1, 4)), d),
-                                       elements=st.floats(-1e3, 1e3)))
+                                       elements=finite))
             dictionary = edmd.rbf_dictionary(d, centers, data.draw(st.floats(1e-3, 10.0)))
         nl = dictionary.n_features
         model = edmd.EdmdModel(
@@ -517,8 +562,8 @@ class TestLiftedModelRoundTrip:
         save_lifted_model(model, path)
         back = load_lifted_model(path)
         for name in ("A", "B", "C"):
-            assert np.array_equal(getattr(back, name), getattr(model, name)), name
+            assert_bits_equal(getattr(back, name), getattr(model, name), name)
         assert back.scaler == model.scaler and (back.n, back.h) == (n, h)
         if kind == "rbf":
-            assert np.array_equal(back.dictionary.centers, model.dictionary.centers)
+            assert_bits_equal(back.dictionary.centers, model.dictionary.centers, "centers")
         assert_lifts_equal(back, model, n, h, data)

@@ -17,6 +17,7 @@ from koopmanmpc.edmd import (
     rbf_centers_from_data,
     rbf_dictionary,
 )
+from koopmanmpc.lifted import decode_array, encode_array
 
 
 def gauss_solve(a, b):
@@ -231,10 +232,10 @@ class TestModelValidation:
     @pytest.mark.parametrize(
         "mismatch, edit",
         [
-            (r"\bC\b", lambda doc: doc.update(C=[row[:-1] for row in doc["C"]])),
+            (r"\bC\b", lambda doc: doc.update(C=encode_array(decode_array("C", doc["C"])[:, :-1]))),
             ("input dimension", lambda doc: doc["dictionary"].update(input_dim=2)),
-            ("3 features", lambda doc: doc.update(A=np.zeros((4, 4)).tolist(),
-                                                  B=np.zeros((4, 1)).tolist())),
+            ("3 features", lambda doc: doc.update(A=encode_array(np.zeros((4, 4))),
+                                                  B=encode_array(np.zeros((4, 1))))),
         ],
         ids=["short_C", "wrong_input_dim", "A_larger_than_dictionary"],
     )

@@ -154,6 +154,34 @@ class TestProblemValidation:
             MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
                        Q=diag["Q"], R=diag["R"], u_min=p.u_min, u_max=p.u_max)
 
+    @pytest.mark.parametrize("weight", [
+        np.eye(5),
+        np.diag([0.0, 2.0, 0.5, 1e-12, 3.0]),
+        np.diag([1.0, -0.5, 1.0, 1.0, 1.0]),
+        np.diag([1.0, -1e-11, 1.0, 1.0, 1.0]),
+        np.eye(5) + np.full((5, 5), 0.25),
+        np.eye(5) + 2.0 * (np.eye(5, k=1) + np.eye(5, k=-1)),
+        np.eye(5) + np.triu(np.full((5, 5), 1e-6), 1),
+        np.eye(5) + np.triu(np.full((5, 5), 1e-11), 1),
+        np.where(np.eye(5, dtype=bool), np.nan, 0.0),
+        np.where(np.eye(5, k=1, dtype=bool), -np.inf, np.eye(5)),
+        np.ones((5, 4)),
+        np.zeros((0, 0)),
+    ], ids=["identity", "non_negative_diagonal", "negative_diagonal", "tiny_negative_diagonal",
+            "psd_off_diagonal", "indefinite", "asymmetric", "asymmetric_within_tolerance",
+            "nan", "infinite_off_diagonal", "misshapen", "empty"])
+    def test_weight_check_decides_as_before(self, weight):
+        from sequential_reference import check_weight as reference
+
+        def outcome(check):
+            try:
+                check(weight, "Q", len(weight))
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(mpc._check_weight) == outcome(reference)
+
     def test_crossed_bounds_rejected(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, m=2)
