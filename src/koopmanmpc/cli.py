@@ -40,39 +40,28 @@ class ConfigError(ValueError):
 class RunConfig:
     plant: plant_mod.PlantConfig
     seed: int
-    n_loads: int
-    policies: tuple[str, ...]
-    train_ratio: float
+    dataset: dataset_mod.DatasetConfig
     net: deep_koopman.KoopmanNetConfig  # sized for the plant; train swaps in the data's (n, h, m)
     train: deep_koopman.TrainHyper
+    mpc: mpc_mod.MpcConfig
     vvc: evaluation.VvcParams
-    mpc: dict  # MpcPolicy keyword arguments: R, tol, max_iter
-    n_cases: int
-    monitored: list[int] | None
+    eval: evaluation.EvalConfig
 
 
-# The library dataclass fields each run-config section sets; their field
-# defaults are the section's defaults and their constructors its range checks.
-_NET_KEYS = ("lifted_dim", "lstm_hidden")
-_TRAIN_KEYS = ("batch_size", "learning_rate", "beta1", "beta2", "max_epochs", "patience")
-_VVC_KEYS = ("deadband", "gain")  # read from eval.vvc_deadband, eval.vvc_gain
-_MPC_DEFAULTS = {"r_weight": 0.0, "tol": mpc_mod.DEFAULT_TOL, "max_iter": mpc_mod.DEFAULT_MAX_ITER}
-_EVAL_DEFAULTS = {"n_cases": 100, "monitored": None}
-
-
-def _field_defaults(cls, names, prefix: str = "") -> dict:
-    """The defaults of the dataclass fields ``names``, keyed ``prefix + name``."""
-    return {prefix + f.name: f.default for f in fields(cls) if f.name in names}
-
-
-def _build(section: str, make, violations: list[str], **kwargs):
-    """``make(**kwargs)``, or None with its ``ValueError`` reported under
-    ``section``."""
-    try:
-        return make(**kwargs)
-    except ValueError as exc:
-        violations.append(f"{section}: {exc}")
-        return None
+# Each section of a run config and the library dataclasses that own its
+# keys: a key is ``prefix + field``, its default is the field's default and
+# the dataclass's constructor is its range check.
+_SCHEMA = {
+    "dataset": [(dataset_mod.DatasetConfig, "", ("n_loads", "policies", "train_ratio"))],
+    "koopman_net": [
+        (deep_koopman.KoopmanNetConfig, "", ("lifted_dim", "lstm_hidden")),
+        (deep_koopman.TrainHyper, "",
+         ("batch_size", "learning_rate", "beta1", "beta2", "max_epochs", "patience")),
+    ],
+    "mpc": [(mpc_mod.MpcConfig, "", ("r_weight", "tol", "max_iter"))],
+    "eval": [(evaluation.VvcParams, "vvc_", ("deadband", "gain")),
+             (evaluation.EvalConfig, "", ("n_cases", "monitored"))],
+}
 
 
 def _is_number(val, integer: bool) -> bool:
@@ -80,24 +69,44 @@ def _is_number(val, integer: bool) -> bool:
     return not isinstance(val, bool) and isinstance(val, int if integer else (int, float))
 
 
-def _section(doc: dict, name: str, defaults: dict, violations: list[str]) -> dict:
-    """The section merged over its defaults.  A field whose default is a
-    number must hold a number too, an integer where the default is one; a
-    field that does not is reported and read as its default, so the range
-    checks that follow see only numbers."""
+def _section(doc: dict, name: str, violations: list[str], extra: dict) -> dict:
+    """Section ``name`` of ``doc`` built into each of its dataclasses, keyed
+    by class; None where the constructor rejects its fields, with the
+    ``ValueError`` reported under ``name``.  ``extra`` maps a class to the
+    fields it takes from outside the section, or to None to leave it unbuilt.
+
+    A field whose default is a number must hold a number too, an integer
+    where the default is one; a field that does not is reported and read
+    as its default, so the constructors see only numbers.  A key that no
+    field matches is reported as unknown."""
     given = doc.get(name, {})
     if not isinstance(given, dict):
         violations.append(f"{name}: must be an object")
         given = {}
-    merged = {**defaults, **given}
-    for key, default in defaults.items():
-        if not _is_number(default, integer=False):
+    built, known = {}, set()
+    for cls, prefix, keys in _SCHEMA[name]:
+        known.update(prefix + key for key in keys)
+        kwargs = {}
+        for f in fields(cls):
+            if f.name not in keys:
+                continue
+            value = given.get(prefix + f.name, f.default)
+            integer = isinstance(f.default, int)
+            if _is_number(f.default, integer=False) and not _is_number(value, integer):
+                violations.append(f"{name}.{prefix}{f.name}: must be "
+                                  f"{'an integer' if integer else 'a number'}")
+                value = f.default
+            kwargs[f.name] = value
+        outside = extra.get(cls, {})
+        if outside is None:
             continue
-        integer = isinstance(default, int)
-        if not _is_number(merged[key], integer):
-            violations.append(f"{name}.{key}: must be {'an integer' if integer else 'a number'}")
-            merged[key] = defaults[key]
-    return merged
+        try:
+            built[cls] = cls(**kwargs, **outside)
+        except ValueError as exc:
+            violations.append(f"{name}: {exc}")
+            built[cls] = None
+    violations += [f"{name}.{key}: unknown key" for key in sorted(given.keys() - known)]
+    return built
 
 
 def load_run_config(path) -> RunConfig:
@@ -109,6 +118,8 @@ def load_run_config(path) -> RunConfig:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError([f"config unreadable: {exc}"]) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError([f"config: must be a JSON object (got {type(doc).__name__})"])
 
     plant_cfg = None
     plant_path = doc.get("plant")
@@ -127,65 +138,33 @@ def load_run_config(path) -> RunConfig:
     seed = doc.get("seed")
     if not _is_number(seed, integer=True):
         violations.append("seed: required integer (no implicit entropy)")
+    known = {"plant", "seed", *_SCHEMA}
+    violations += [f"{key}: unknown key" for key in sorted(doc.keys() - known)]
 
-    ds_doc = doc.get("dataset", {})
-    n_loads = ds_doc.get("n_loads", 2500)
-    if not (_is_number(n_loads, integer=True) and n_loads >= 1):
-        violations.append("dataset.n_loads: must be an integer >= 1")
-    policies = tuple(ds_doc.get("policies", list(dataset_mod.POLICIES)))
-    bad = set(policies) - set(dataset_mod.POLICIES)
-    if bad or not policies:
-        violations.append(f"dataset.policies: must be a nonempty subset of {list(dataset_mod.POLICIES)}")
-    train_ratio = ds_doc.get("train_ratio", 0.7)
-    if not (_is_number(train_ratio, integer=False) and 0.0 < train_ratio < 1.0):
-        violations.append("dataset.train_ratio: must lie in (0, 1)")
-
-    net_defaults = {**_field_defaults(deep_koopman.KoopmanNetConfig, _NET_KEYS),
-                    **_field_defaults(deep_koopman.TrainHyper, _TRAIN_KEYS)}
-    net_doc = _section(doc, "koopman_net", net_defaults, violations)
-    hyper = _build("koopman_net", deep_koopman.TrainHyper, violations,
-                   **{key: net_doc[key] for key in _TRAIN_KEYS})
-    net_cfg = None
+    net_size = None  # the network is sized for the plant, so it needs one
     if plant_cfg is not None and _is_number(seed, integer=True):
-        net_cfg = _build("koopman_net", deep_koopman.KoopmanNetConfig, violations,
-                         n=plant_cfg.model.n, h=plant_cfg.schedule.h, m=plant_cfg.model.m,
-                         seed=seed, **{key: net_doc[key] for key in _NET_KEYS})
-
-    mpc_doc = _section(doc, "mpc", _MPC_DEFAULTS, violations)
-    if not (mpc_doc["tol"] > 0 and mpc_doc["max_iter"] >= 1):
-        violations.append("mpc: tol must be positive and max_iter >= 1")
-    if not mpc_doc["r_weight"] >= 0:
-        violations.append("mpc.r_weight: must be nonnegative")
-    eval_defaults = {**_field_defaults(evaluation.VvcParams, _VVC_KEYS, prefix="vvc_"),
-                     **_EVAL_DEFAULTS}
-    eval_doc = _section(doc, "eval", eval_defaults, violations)
-    vvc = _build("eval", evaluation.VvcParams, violations,
-                 **{key: eval_doc[f"vvc_{key}"] for key in _VVC_KEYS})
-    if eval_doc["n_cases"] < 1:
-        violations.append("eval.n_cases: must be >= 1")
-    monitored = eval_doc["monitored"]
-    if not (monitored is None or (isinstance(monitored, list)
-                                  and all(_is_number(i, integer=True) for i in monitored))):
-        violations.append("eval.monitored: must be null or a list of bus indices")
-    elif plant_cfg is not None:
-        _build("eval.monitored", evaluation.monitored_buses, violations,
-               n=plant_cfg.model.n, monitored=monitored)
+        net_size = dict(n=plant_cfg.model.n, h=plant_cfg.schedule.h, m=plant_cfg.model.m, seed=seed)
+    built = {}
+    for name in _SCHEMA:
+        built.update(_section(doc, name, violations, {deep_koopman.KoopmanNetConfig: net_size}))
+    eval_cfg = built[evaluation.EvalConfig]
+    if eval_cfg is not None and plant_cfg is not None:
+        try:
+            evaluation.monitored_buses(plant_cfg.model.n, eval_cfg.monitored)
+        except ValueError as exc:
+            violations.append(f"eval.monitored: {exc}")
 
     if violations:
         raise ConfigError(violations)
     return RunConfig(
         plant=plant_cfg,
         seed=seed,
-        n_loads=n_loads,
-        policies=policies,
-        train_ratio=float(train_ratio),
-        net=net_cfg,
-        train=hyper,
-        vvc=vvc,
-        mpc={"R": mpc_doc["r_weight"] * np.eye(plant_cfg.model.m), "tol": mpc_doc["tol"],
-             "max_iter": mpc_doc["max_iter"]},
-        n_cases=eval_doc["n_cases"],
-        monitored=monitored,
+        dataset=built[dataset_mod.DatasetConfig],
+        net=built[deep_koopman.KoopmanNetConfig],
+        train=built[deep_koopman.TrainHyper],
+        mpc=built[mpc_mod.MpcConfig],
+        vvc=built[evaluation.VvcParams],
+        eval=eval_cfg,
     )
 
 
@@ -221,10 +200,10 @@ def cmd_gen_data(args) -> int:
     ds = dataset_mod.generate(
         cfg.plant.model,
         cfg.plant.schedule,
-        n_loads=cfg.n_loads,
+        n_loads=cfg.dataset.n_loads,
         seed=seed,
         fault=cfg.plant.fault,
-        policies=cfg.policies,
+        policies=cfg.dataset.policies,
     )
     out = _out_dir(args.out)
     dataset_mod.save(ds, out)
@@ -236,7 +215,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     ds = dataset_mod.load(args.data)
     n, h, m = ds.dims
-    train_ds, val_ds = dataset_mod.split(ds, cfg.train_ratio, seed=cfg.seed)
+    train_ds, val_ds = dataset_mod.split(ds, cfg.dataset.train_ratio, seed=cfg.seed)
     net_cfg = replace(cfg.net, n=n, h=h, m=m)
     net, history = deep_koopman.train(net_cfg, train_ds, val_ds, cfg.train)
     out = _out_dir(args.out)
@@ -274,7 +253,8 @@ def cmd_run_mpc(args) -> int:
     cfg = load_run_config(args.config)
     model = lifted.load_lifted_model(args.model)
     loop = mpc_mod.receding_horizon(
-        model, cfg.plant.model, cfg.plant.schedule, v_ref=1.0, fault=cfg.plant.fault, **cfg.mpc
+        model, cfg.plant.model, cfg.plant.schedule, v_ref=1.0, fault=cfg.plant.fault,
+        **cfg.mpc.policy_kwargs(cfg.plant.model.m),
     )
     out = _out_dir(args.out)
     loop.to_csv(out / "closed_loop.csv")
@@ -294,15 +274,15 @@ def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     model = lifted.load_lifted_model(args.model)
     seed = cfg.seed if args.seed is None else args.seed
-    n_cases = cfg.n_cases if args.cases is None else args.cases
+    n_cases = cfg.eval.n_cases if args.cases is None else args.cases
     report = evaluation.compare(
         model,
         cfg.plant,
         n_cases=n_cases,
         seed=seed,
-        monitored=cfg.monitored,
+        monitored=cfg.eval.monitored,
         vvc_params=cfg.vvc,
-        mpc_kwargs=cfg.mpc,
+        mpc_kwargs=cfg.mpc.policy_kwargs(cfg.plant.model.m),
     )
     out = _out_dir(args.out)
     report.to_csv(out / "comparison.csv")

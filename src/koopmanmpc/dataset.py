@@ -18,7 +18,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,15 +94,6 @@ class Scaler:
     def denormalize_u(self, u):
         return (np.asarray(u, dtype=float) + 1.0) * 0.5 * (self.u_hi - self.u_lo) + self.u_lo
 
-    def to_dict(self) -> dict:
-        return {
-            "v_ref": self.v_ref,
-            "v_lo": self.v_lo,
-            "v_hi": self.v_hi,
-            "u_lo": self.u_lo,
-            "u_hi": self.u_hi,
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "Scaler":
         return Scaler(
@@ -149,6 +141,33 @@ class Dataset:
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (S, n, h), (S, m), (S, n, h) over all samples."""
         return self.v_k, self.u_k, self.v_next
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """How much data to simulate and how to split it: ``n_loads`` load
+    cases, each run under every policy in ``policies``, and the share
+    ``train_ratio`` of the shuffled samples that goes to training.
+    ``ValueError`` names every field out of range."""
+
+    n_loads: int = 2500
+    policies: tuple[str, ...] = POLICIES
+    train_ratio: float = 0.7
+
+    def __post_init__(self):
+        bad = []
+        if not (isinstance(self.n_loads, numbers.Integral) and self.n_loads >= 1):
+            bad.append(f"n_loads must be an integer >= 1 (got {self.n_loads!r})")
+        if (isinstance(self.policies, (list, tuple)) and len(self.policies) > 0
+                and all(isinstance(p, str) and p in POLICIES for p in self.policies)):
+            object.__setattr__(self, "policies", tuple(self.policies))
+        else:
+            bad.append(f"policies must be a nonempty list of names from {list(POLICIES)} "
+                       f"(got {self.policies!r})")
+        if not 0.0 < self.train_ratio < 1.0:
+            bad.append(f"train_ratio must lie in (0, 1) (got {self.train_ratio!r})")
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +228,10 @@ def generate(
     sequences are built first and the episodes run as one batch.  Yields
     exactly ``n_loads * len(policies) * n_instants`` samples in (load,
     policy, instant) order, plus a scaler fitted on the full set.
+    ``ValueError`` (from :class:`DatasetConfig`) names a bad ``n_loads``
+    or ``policies``.
     """
-    if n_loads < 1:
-        raise ValueError("n_loads must be >= 1")
-    unknown = set(policies) - set(POLICIES)
-    if unknown:
-        raise ValueError(f"unknown policies: {sorted(unknown)}")
+    policies = DatasetConfig(n_loads=n_loads, policies=policies).policies
     if fault is None:
         fault = FaultSpec(affected=(1, 2, 3), depth=0.25)
 
@@ -269,9 +286,9 @@ def fit_scaler(ds: Dataset, v_ref: float = 1.0) -> Scaler:
 def split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint shuffled partition: first ``floor(ratio * N)`` samples into
     the training set.  Both halves keep the parent's scaler and meta and
-    must be nonempty."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("split ratio must lie in (0, 1)")
+    must be nonempty; a ``ratio`` outside (0, 1) is a ``ValueError`` from
+    :class:`DatasetConfig`."""
+    DatasetConfig(train_ratio=ratio)
     n_train = int(len(ds) * ratio)
     if not 0 < n_train < len(ds):
         raise ValueError(
@@ -317,7 +334,7 @@ def save(ds: Dataset, out_dir) -> None:
         "h": h,
         "m": m,
         "n_samples": len(ds),
-        "scaler": ds.scaler.to_dict() if ds.scaler else None,
+        "scaler": asdict(ds.scaler) if ds.scaler else None,
         "meta": ds.meta,
     }
     with open(out / MANIFEST_NAME, "w") as f:
@@ -383,12 +400,9 @@ def load(in_dir) -> Dataset:
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if (a.scaler is None) != (b.scaler is None):
-        return False
-    if a.scaler and a.scaler.to_dict() != b.scaler.to_dict():
-        return False
     return (
-        np.array_equal(a.v_k, b.v_k)
+        a.scaler == b.scaler
+        and np.array_equal(a.v_k, b.v_k)
         and np.array_equal(a.u_k, b.u_k)
         and np.array_equal(a.v_next, b.v_next)
         and a.meta == b.meta

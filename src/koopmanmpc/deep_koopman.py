@@ -17,7 +17,7 @@ through encoder and decoder), with equal weights.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -47,16 +47,6 @@ class KoopmanNetConfig:
             bad.append(f"lifted_dim must exceed n = {self.n} (got {self.lifted_dim!r})")
         if bad:
             raise ValueError("; ".join(bad))
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "h": self.h,
-            "m": self.m,
-            "lifted_dim": self.lifted_dim,
-            "lstm_hidden": self.lstm_hidden,
-            "seed": self.seed,
-        }
 
     @staticmethod
     def from_dict(doc: dict) -> "KoopmanNetConfig":
@@ -409,7 +399,7 @@ class LiftedLinearModel(LiftedModel):
     def to_dict(self) -> dict:
         return {
             **super().to_dict(),
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "encoder": {
                 name: encode_array(arr)
                 for name, arr in sorted(_encoder_params(self.enc_lstm, self.enc_fc).items())
@@ -447,9 +437,9 @@ def extract(net: KoopmanNet, scaler: Scaler) -> LiftedLinearModel:
 
 
 def save_net(net: KoopmanNet, path, scaler: Scaler | None = None) -> None:
-    extra = {"config": net.config.to_dict()}
+    extra = {"config": asdict(net.config)}
     if scaler is not None:
-        extra["scaler"] = scaler.to_dict()
+        extra["scaler"] = asdict(scaler)
     nn.save_checkpoint(net.params(), path, extra=extra)
 
 

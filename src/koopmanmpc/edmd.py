@@ -54,9 +54,11 @@ class Dictionary:
                 for d in range(2, self.degree + 1)
             ))
         if self.kind == "rbf":
-            if self.centers is None or not self.width > 0:
-                raise ValueError("rbf dictionary needs centers and a positive width")
-            centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+            if self.centers is None:
+                raise ValueError("rbf dictionary needs centers")
+            if not (self.width > 0 and np.isfinite(self.width)):
+                raise ValueError(f"rbf width must be finite and > 0 (got {self.width!r})")
+            centers = np.atleast_2d(finite_array("rbf centers", self.centers))
             if centers.shape[1] != self.input_dim:
                 raise ValueError("rbf centers must match the input dimension")
             object.__setattr__(self, "centers", centers)

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,11 +37,28 @@ class VvcParams:
     u_max: float = U_MAX
 
     def __post_init__(self):
-        bad = [f"{name} must be finite and >= 0 (got {value!r})"
-               for name, value in (("gain", self.gain), ("u_max", self.u_max))
-               if not (value >= 0 and np.isfinite(value))]
+        bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
+            ("deadband", np.isfinite(self.deadband), "finite"),
+            ("gain", self.gain >= 0 and np.isfinite(self.gain), "finite and >= 0"),
+            ("u_max", self.u_max >= 0 and np.isfinite(self.u_max), "finite and >= 0"),
+        ) if not ok]
         if bad:
             raise ValueError("; ".join(bad))
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The comparison's size and scope: ``n_cases`` random load cases, and
+    the ``monitored`` buses its performance index sums over (every bus for
+    None; :func:`monitored_buses` checks them against the plant).
+    ``ValueError`` names a bad ``n_cases``."""
+
+    n_cases: int = 100
+    monitored: list[int] | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.n_cases, numbers.Integral) and self.n_cases >= 1):
+            raise ValueError(f"n_cases must be an integer >= 1 (got {self.n_cases!r})")
 
 
 def vvc_policy(v_local, params: VvcParams):
@@ -57,6 +75,9 @@ def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):
 
 def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
     """The monitored bus indices (every bus for None), checked against n."""
+    if monitored is not None and not (isinstance(monitored, (list, tuple)) and all(
+            isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in monitored)):
+        raise ValueError(f"monitored must be null or a list of bus indices (got {monitored!r})")
     monitored = tuple(range(n)) if monitored is None else tuple(int(i) for i in monitored)
     if len(monitored) == 0:
         raise ValueError("monitored bus set must be nonempty")
@@ -145,10 +166,11 @@ def compare(
     depend on which other cases run with it.  A case whose QP solve does
     not converge or whose integration fails is recorded with its error
     and the rest keep running; any other error propagates, before the
-    rollout when it comes from the arguments.
+    rollout when it comes from the arguments: a bad ``n_cases`` from
+    :class:`EvalConfig`, bad ``monitored`` buses from
+    :func:`monitored_buses`.
     """
-    if n_cases < 1:
-        raise ValueError("n_cases must be >= 1")
+    EvalConfig(n_cases=n_cases)
     base = plant_config.model
     sched = plant_config.schedule
     monitored = monitored_buses(base.n, monitored)
@@ -206,8 +228,7 @@ def compare(
         seed=seed,
         meta={
             "n_cases": n_cases,
-            "vvc": {"deadband": vvc_params.deadband, "gain": vvc_params.gain,
-                    "u_max": vvc_params.u_max},
+            "vvc": asdict(vvc_params),
             "v_ref": v_ref,
         },
     )

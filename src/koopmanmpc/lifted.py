@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,7 @@ class LiftedModel:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "A": encode_array(self.A), "B": encode_array(self.B),
-                "scaler": self.scaler.to_dict()}
+                "scaler": asdict(self.scaler)}
 
 
 def save_lifted_model(model: LiftedModel, path) -> None:

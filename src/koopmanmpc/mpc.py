@@ -27,6 +27,7 @@ plant rollout.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,33 @@ from koopmanmpc.plant import step  # noqa: F401  (the benchmark's tracer finds p
 #: Defaults for the projected-gradient solver.
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
+
+
+@dataclass(frozen=True)
+class MpcConfig:
+    """The control weight and the solver's stopping rule: R =
+    ``r_weight`` · I, and projected gradient stops once its residual is
+    below ``tol`` or after ``max_iter`` iterations.  ``ValueError`` names
+    every field out of range."""
+
+    r_weight: float = 0.0
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+
+    def __post_init__(self):
+        bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
+            ("r_weight", np.isfinite(self.r_weight) and self.r_weight >= 0, "finite and >= 0"),
+            ("tol", np.isfinite(self.tol) and self.tol > 0, "finite and > 0"),
+            ("max_iter", isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1,
+             "an integer >= 1"),
+        ) if not ok]
+        if bad:
+            raise ValueError("; ".join(bad))
+
+    def policy_kwargs(self, m: int) -> dict:
+        """The ``MpcPolicy`` keyword arguments for a plant with m controls."""
+        return {"R": self.r_weight * np.eye(m), "tol": self.tol, "max_iter": self.max_iter}
+
 
 # Safety factor on the exact largest eigenvalue: keeps the fixed step
 # strictly below 1/L, so rounding in lambda_max cannot push it past 1/L.
@@ -215,7 +243,6 @@ class SolveInfo:
     row_converged: np.ndarray
     row_pg_norm: np.ndarray
     row_objective: np.ndarray
-    objective_trace: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -238,7 +265,6 @@ def solve_box_qp(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     scaler: Scaler | None = None,
-    trace: bool = False,
 ) -> ControlSequence:
     """Fixed-step projected gradient descent from the (projected) origin.
 
@@ -250,9 +276,9 @@ def solve_box_qp(
     The rows of a batch share the step and iterate together, and each
     row freezes at its own convergence, so its iterate and iteration
     count are those of its own solve; a row whose residual is not finite
-    stops there, unconverged.  ``trace=True`` records the objective at
-    every iterate.  Raises ``QpNonConvergence`` if any row is not below
-    ``tol`` when it stops; the exception's ``result`` still holds every row.
+    stops there, unconverged.  Raises ``QpNonConvergence`` if any row is
+    not below ``tol`` when it stops; the exception's ``result`` still holds
+    every row.
     """
     lam = _estimate_curvature(qp.hessian)
     step_bound = _STEP_SAFETY * 2.0 * lam
@@ -264,13 +290,6 @@ def solve_box_qp(
     pg_norm = np.zeros(len(u))
     # the rows still iterating, compacted: their indices, iterates, linear terms
     active, u_act, lin_act = np.arange(len(u)), u.copy(), linear
-
-    def current():
-        full = u.copy()
-        full[active] = u_act
-        return qp.objective(full.reshape(qp.linear.shape))
-
-    objectives = [current()] if trace else []
     for it in range(max_iter + 1):
         grad = 2.0 * (_matvec(qp.hessian, u_act) + lin_act)
         pg = u_act - np.clip(u_act - grad, qp.lower, qp.upper)
@@ -285,8 +304,6 @@ def solve_box_qp(
                 break
             active, u_act, lin_act, grad = active[~out], u_act[~out], lin_act[~out], grad[~out]
         u_act = np.clip(u_act - alpha * grad, qp.lower, qp.upper)
-        if trace:
-            objectives.append(current())
     converged = pg_norm < tol
     u_flat = u.reshape(qp.linear.shape)
     row_objective = np.atleast_1d(qp.objective(u_flat))
@@ -300,7 +317,6 @@ def solve_box_qp(
         row_converged=converged,
         row_pg_norm=pg_norm,
         row_objective=row_objective,
-        objective_trace=tuple(objectives),
     )
     u_mat = u_flat.reshape(qp.linear.shape[:-1] + (qp.horizon, qp.n_controls))
     u_pu = scaler.denormalize_u(u_mat) if scaler is not None else None
@@ -334,7 +350,8 @@ class MpcPolicy:
     last record carries the error and it gets zero control from then on.
     An episode whose window is not finite (its integration failed) is
     skipped and gets zero control.  A policy object serves one rollout:
-    instant 0 resets it.
+    instant 0 resets it.  ``tol`` and ``max_iter`` are checked by
+    :class:`MpcConfig`, which raises ``ValueError`` naming a bad one.
     """
 
     def __init__(
@@ -350,6 +367,7 @@ class MpcPolicy:
         tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ):
+        MpcConfig(tol=tol, max_iter=max_iter)
         n_lift, m = model.lifted_dim, model.m
         model_shape, plant_shape = (model.n, model.h, m), (plant.n, sched.h, plant.m)
         if model_shape != plant_shape:

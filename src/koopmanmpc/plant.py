@@ -325,15 +325,12 @@ def step(
 
 
 def apply_fault(state: PlantState, affected: Sequence[int], depth: float) -> PlantState:
-    """Sag the affected buses by ``depth`` p.u., floored at 0.05 p.u."""
-    affected = tuple(int(i) for i in affected)
-    if len(affected) == 0:
-        raise ValueError("fault must affect at least one bus")
-    if not 0.0 < depth < 1.0:
-        raise ValueError("fault depth must lie in (0, 1)")
+    """Sag the affected buses by ``depth`` p.u., floored at 0.05 p.u.; the
+    arguments are checked as a :class:`FaultSpec`."""
+    fault = FaultSpec(affected=tuple(affected), depth=depth)
     v = np.array(state.v, dtype=float)
-    for i in affected:
-        v[..., i] = np.maximum(v[..., i] - depth, FAULT_FLOOR)
+    for i in fault.affected:
+        v[..., i] = np.maximum(v[..., i] - fault.depth, FAULT_FLOOR)
     return PlantState(v=v, t=state.t)
 
 

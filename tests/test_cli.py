@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from koopmanmpc import cli
+from koopmanmpc.dataset import DatasetConfig
 from koopmanmpc.deep_koopman import KoopmanNetConfig, TrainHyper
-from koopmanmpc.evaluation import VvcParams
+from koopmanmpc.evaluation import EvalConfig, VvcParams
 from koopmanmpc.lifted import decode_array, encode_array
+from koopmanmpc.mpc import MpcConfig
 from koopmanmpc.plant import config_to_dict, default_config, load_config, save_config
 
 
@@ -81,16 +83,35 @@ class TestConfigValidation:
         ("koopman_net", "patience", -3),
         ("eval", "vvc_gain", -1),
         ("eval", "vvc_gain", float("inf")),  # written as Infinity, which json reads
+        ("eval", "vvc_deadband", float("nan")),
+        ("dataset", "policies", 5),
+        ("mpc", "tol", float("inf")),
+        ("mpc", "tol", 0),
+        ("mpc", "tol", float("nan")),
+        ("mpc", "r_weight", float("inf")),
+        ("mpc", "r_weight", -1),
+        ("mpc", "max_iter", 0),
+        pytest.param("mpc", "tolerance", 1e-3, id="unknown_key"),
+        pytest.param("dataset", None, [1], id="section_not_an_object"),
+        pytest.param(None, None, [1], id="config_not_an_object"),
     ])
     def test_library_range_checks_exit_2(self, workspace, capsys, section, key, value):
+        # key None replaces the whole section, section None the whole config
         run = json.loads((workspace / "run.json").read_text())
-        run[section][key] = value
+        if section is None:
+            run = value
+        elif key is None:
+            run[section] = value
+        else:
+            run[section][key] = value
         (workspace / "run.json").write_text(json.dumps(run))
         code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
         assert code == 2
         fields = json.loads(capsys.readouterr().err.strip())["fields"]
-        field = key.removeprefix("vvc_")
-        assert any(f.startswith(section + ":") and field in f for f in fields), fields
+        assert len(fields) == 1, fields
+        field = key.removeprefix("vvc_") if key else section or "config"
+        assert fields[0].startswith((f"{section or 'config'}:", f"{section}.{key}:")), fields
+        assert field in fields[0], fields
         assert not (workspace / "o").exists()
 
     def test_every_violated_field_of_a_section_listed(self, workspace, capsys):
@@ -105,8 +126,11 @@ class TestConfigValidation:
     def test_defaults_are_the_library_dataclasses(self, workspace):
         (workspace / "min.json").write_text(json.dumps({"plant": "plant.json", "seed": 3}))
         cfg = cli.load_run_config(workspace / "min.json")
+        assert cfg.dataset == DatasetConfig()
         assert cfg.train == TrainHyper()
+        assert cfg.mpc == MpcConfig()
         assert cfg.vvc == VvcParams()
+        assert cfg.eval == EvalConfig()
         assert cfg.net == KoopmanNetConfig(n=6, h=4, m=3, seed=3)
 
     def test_unreadable_config(self, tmp_path, capsys):
@@ -303,7 +327,7 @@ class TestShippedConfigs:
     def test_default_run_config_loads(self):
         root = Path(__file__).resolve().parents[1] / "configs"
         cfg = cli.load_run_config(root / "run_default.json")
-        assert cfg.n_loads == 2500
+        assert cfg.dataset.n_loads == 2500
         assert config_to_dict(cfg.plant) == config_to_dict(default_config())
 
     def test_mirror_run_config_loads(self):

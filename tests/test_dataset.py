@@ -118,6 +118,17 @@ class TestGenerate:
         assert len(ds) == 5
         assert np.all(ds.u_k == 0.0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("n_loads", dict(n_loads=0)),
+        ("policies", dict(policies=())),
+        ("policies", dict(policies=("zero", "bogus"))),
+    ])
+    def test_bad_arguments_rejected_at_the_call(self, field, kwargs):
+        cfg = default_config()
+        args = {"n_loads": 1, "seed": 0, "fault": cfg.fault, **kwargs}
+        with pytest.raises(ValueError, match=field):
+            generate(cfg.model, cfg.schedule, **args)
+
     def test_same_seed_identical_files(self, tmp_path):
         for sub in ("a", "b"):
             save(small_dataset(n_loads=2, seed=99), tmp_path / sub)

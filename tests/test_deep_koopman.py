@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestConfig:
             KoopmanNetConfig(n=8, h=4, m=3, lifted_dim=8)
 
     def test_round_trip(self):
-        doc = MINI.to_dict()
+        doc = asdict(MINI)
         assert KoopmanNetConfig.from_dict(doc) == MINI
 
 
@@ -250,7 +251,7 @@ class TestFlatState:
 
     def test_views_after_loading(self, tmp_path):
         net = KoopmanNet(MINI)
-        other = KoopmanNet(KoopmanNetConfig(**{**MINI.to_dict(), "seed": 43}))
+        other = KoopmanNet(KoopmanNetConfig(**{**asdict(MINI), "seed": 43}))
         net.load_params(other.params())
         assert_flat_views(net)
         assert np.array_equal(net.flat, other.flat)
@@ -404,7 +405,7 @@ class TestSerialization:
         back, back_sc = load_net(tmp_path / "ck.json")
         for k, v in net.params().items():
             assert np.array_equal(back.params()[k], v)
-        assert back_sc.to_dict() == sc.to_dict()
+        assert back_sc == sc
 
     # sha256 of these artifacts with every tensor a base64 float64 payload record
     GOLDEN = {

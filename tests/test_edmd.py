@@ -236,8 +236,16 @@ class TestModelValidation:
             ("input dimension", lambda doc: doc["dictionary"].update(input_dim=2)),
             ("3 features", lambda doc: doc.update(A=encode_array(np.zeros((4, 4))),
                                                   B=encode_array(np.zeros((4, 1))))),
+            # one rbf center keeps the 3 features of the degree-2 dictionary it replaces
+            ("rbf centers", lambda doc: doc.update(dictionary={
+                "kind": "rbf", "input_dim": 1, "width": 0.5,
+                "centers": encode_array(np.array([[np.nan]]))})),
+            ("rbf width", lambda doc: doc.update(dictionary={
+                "kind": "rbf", "input_dim": 1, "width": float("inf"),
+                "centers": encode_array(np.zeros((1, 1)))})),
         ],
-        ids=["short_C", "wrong_input_dim", "A_larger_than_dictionary"],
+        ids=["short_C", "wrong_input_dim", "A_larger_than_dictionary", "rbf_nan_center",
+             "rbf_infinite_width"],
     )
     def test_inconsistent_model_rejected(self, mismatch, edit):
         doc = fit(linear_system_dataset(), polynomial_dictionary(1, 2), ridge=1e-10).to_dict()

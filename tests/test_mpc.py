@@ -268,9 +268,14 @@ class TestSolveBoxQp:
         rng = np.random.default_rng(8)
         for _ in range(5):
             qp = spd_qp(rng, 6, eig_lo=0.05, eig_hi=5.0)
-            seq = solve_box_qp(qp, trace=True)
-            trace = np.array(seq.info.objective_trace)
-            assert np.all(np.diff(trace) <= 1e-12)
+            objectives = []
+            for max_iter in range(solve_box_qp(qp).info.iterations + 1):
+                try:  # the iterate after max_iter steps
+                    seq = solve_box_qp(qp, max_iter=max_iter)
+                except QpNonConvergence as exc:
+                    seq = exc.result
+                objectives.append(qp.objective(seq.u.ravel()))
+            assert np.all(np.diff(objectives) <= 1e-12)
 
     def test_feasibility_exact(self):
         rng = np.random.default_rng(9)
@@ -475,6 +480,18 @@ class TestRecedingHorizon:
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
         with pytest.raises(ValueError, match=r"\(6, 4, 3\).*\(12, 4, 5\)"):
             receding_horizon(model, mirror.model, mirror.schedule, fault=mirror.fault)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("tol", dict(tol=float("inf"))),
+        ("tol", dict(tol=0.0)),
+        ("tol", dict(tol=float("nan"))),
+        ("max_iter", dict(max_iter=0)),
+        ("max_iter", dict(max_iter=2.5)),
+    ])
+    def test_bad_solver_settings_rejected_at_the_call(self, small_models, field, kwargs):
+        cfg = default_config()
+        with pytest.raises(ValueError, match=field):
+            mpc.MpcPolicy(small_models["net"], cfg.model, cfg.schedule, **kwargs)
 
 
 def problem_batch(rng, n_rows, **kwargs):
