@@ -11,7 +11,8 @@ artifacts under ``--out``:
 
 Every run is deterministic given its config and flags; all randomness
 flows from explicit seeds.  Failures print one machine-readable JSON line
-to stderr and exit nonzero (2 for config validation, 1 otherwise).
+to stderr and exit nonzero (2 for config validation, a flag value
+included, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -188,6 +189,16 @@ def parse_dictionary_spec(spec: str, input_dim: int, data: np.ndarray | None, se
     raise ConfigError([f"dict: cannot parse dictionary spec {spec!r}"])
 
 
+def _flag(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on the value of flag ``--name``, through
+    the library check that owns it: its ``ValueError`` is a
+    ``ConfigError`` naming ``name``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError([f"{name}: {exc}"]) from exc
+
+
 def _out_dir(arg) -> Path:
     out = Path(arg)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,6 +243,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fit_edmd(args) -> int:
+    ridge = _flag("ridge", edmd.check_ridge, args.ridge)
     ds = dataset_mod.load(args.data)
     n, h, m = ds.dims
     seed = int(ds.meta.get("master_seed", 0))
@@ -239,7 +251,7 @@ def cmd_fit_edmd(args) -> int:
     if args.dict.startswith("rbf"):
         flat = ds.scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
     dictionary = parse_dictionary_spec(args.dict, n * h, flat, seed)
-    model = edmd.fit(ds, dictionary, ridge=args.ridge)
+    model = edmd.fit(ds, dictionary, ridge=ridge)
     out = _out_dir(args.out)
     lifted.save_lifted_model(model, out / "lifted_model.json")
     print(
@@ -272,15 +284,18 @@ def cmd_run_mpc(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
+    eval_cfg = cfg.eval
+    if args.cases is not None:
+        eval_cfg = _flag("cases", replace, eval_cfg, n_cases=args.cases)
     model = lifted.load_lifted_model(args.model)
     seed = cfg.seed if args.seed is None else args.seed
-    n_cases = cfg.eval.n_cases if args.cases is None else args.cases
+    n_cases = eval_cfg.n_cases
     report = evaluation.compare(
         model,
         cfg.plant,
         n_cases=n_cases,
         seed=seed,
-        monitored=cfg.eval.monitored,
+        monitored=eval_cfg.monitored,
         vvc_params=cfg.vvc,
         mpc_kwargs=cfg.mpc.policy_kwargs(cfg.plant.model.m),
     )

@@ -341,11 +341,11 @@ def save(ds: Dataset, out_dir) -> None:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     flat = [ds.v_k.reshape(len(ds), n * h), ds.u_k, ds.v_next.reshape(len(ds), n * h)]
+    # the bytes of csv.writer's default dialect, as no cell needs quoting;
+    # one row at a time, so no copy of the whole table is held as text
     with open(out / SAMPLES_NAME, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_csv_header(n, h, m))
-        for row in np.hstack(flat):
-            writer.writerow(map(repr, row.tolist()))
+        f.write(",".join(_csv_header(n, h, m)) + "\r\n")
+        f.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in np.hstack(flat))
 
 
 def load(in_dir) -> Dataset:

@@ -230,6 +230,13 @@ class EdmdModel(LiftedModel):
         )
 
 
+def check_ridge(ridge: float) -> float:
+    """``ridge`` itself if it is finite and >= 0; else ``ValueError``."""
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and >= 0 (got {ridge!r})")
+    return ridge
+
+
 def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     """Least-squares fit of [A B] and of the projection C.
 
@@ -240,8 +247,7 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     dynamics are linear in the dictionary span.  With m = 0 the control
     block is empty and only A (and C) are fit.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    check_ridge(ridge)
     if len(ds) == 0:
         raise ValueError("cannot fit on an empty dataset")
     scaler = ds.scaler

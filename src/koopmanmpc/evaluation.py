@@ -19,6 +19,7 @@ from koopmanmpc.plant import (
     PlantConfig,
     Trajectory,
     U_MAX,
+    clip,
     run_episode,
 )
 
@@ -63,7 +64,7 @@ class EvalConfig:
 
 def vvc_policy(v_local, params: VvcParams):
     """Control from local voltage only, elementwise over ``v_local``."""
-    return np.clip(params.gain * np.maximum(0.0, params.deadband - v_local), 0.0, params.u_max)
+    return clip(params.gain * np.maximum(0.0, params.deadband - v_local), 0.0, params.u_max)
 
 
 def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from koopmanmpc.dataset import Scaler
-from koopmanmpc.plant import FaultSpec, PlantModel, Schedule, Trajectory, U_MAX, run_episode
+from koopmanmpc.plant import FaultSpec, PlantModel, Schedule, Trajectory, U_MAX, clip, run_episode
 from koopmanmpc.plant import step  # noqa: F401  (the benchmark's tracer finds plant.step here)
 
 #: Defaults for the projected-gradient solver.
@@ -285,14 +285,14 @@ def solve_box_qp(
     alpha = 1.0 / max(step_bound, 1e-300)
 
     linear = qp.linear.reshape(-1, qp.linear.shape[-1])
-    u = np.clip(np.zeros_like(linear), qp.lower, qp.upper)  # every row's final iterate
+    u = clip(np.zeros_like(linear), qp.lower, qp.upper)  # every row's final iterate
     iterations = np.full(len(u), max_iter)
     pg_norm = np.zeros(len(u))
     # the rows still iterating, compacted: their indices, iterates, linear terms
     active, u_act, lin_act = np.arange(len(u)), u.copy(), linear
     for it in range(max_iter + 1):
         grad = 2.0 * (_matvec(qp.hessian, u_act) + lin_act)
-        pg = u_act - np.clip(u_act - grad, qp.lower, qp.upper)
+        pg = u_act - clip(u_act - grad, qp.lower, qp.upper)
         norm = np.maximum.reduce(np.abs(pg), axis=-1, initial=0.0)
         done = norm < tol
         stop = done | ~np.isfinite(norm)
@@ -303,7 +303,7 @@ def solve_box_qp(
             if out.all():
                 break
             active, u_act, lin_act, grad = active[~out], u_act[~out], lin_act[~out], grad[~out]
-        u_act = np.clip(u_act - alpha * grad, qp.lower, qp.upper)
+        u_act = clip(u_act - alpha * grad, qp.lower, qp.upper)
     converged = pg_norm < tol
     u_flat = u.reshape(qp.linear.shape)
     row_objective = np.atleast_1d(qp.objective(u_flat))
@@ -423,7 +423,7 @@ class MpcPolicy:
                     )
                     self.aborted[e] = True
                     continue
-                u[e] = np.clip(seq.u_pu[j, 0], self.u_min_pu, self.u_max_pu)
+                u[e] = clip(seq.u_pu[j, 0], self.u_min_pu, self.u_max_pu)
                 self.diagnostics[e].append(
                     {
                         "instant": k,

@@ -52,6 +52,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+try:  # numpy's clip ufunc, without the Python wrappers of np.clip
+    from numpy._core.umath import clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip
+
 # Per-step ceiling on every control channel, in p.u. of reactive support.
 U_MAX = 0.25
 
@@ -173,8 +178,14 @@ class PlantModel:
         v_eq = self.equilibrium(self.lam)
         if np.any(v_eq <= 0) or np.any(v_eq > 1):
             raise ValueError("equilibrium voltages must lie in (0, 1]")
-        # the integrator reads the equilibrium at every substep
+        # vector_field reads these at every stage: the equilibrium, and a, b,
+        # c and v_max at its shape, so that on a state of that shape no op
+        # broadcasts a vector or converts a Python float; W^T stays the
+        # transposed view, so the coupling matmul sees the same layout
         object.__setattr__(self, "_v_eq", _readonly(v_eq))
+        coefs = (self.a, self.b, self.c, self.v_max)
+        coefs = tuple(_readonly(np.broadcast_to(x, v_eq.shape)) for x in coefs)
+        object.__setattr__(self, "_field", (self._v_eq, *coefs, self.w.T))
 
     def equilibrium(self, lam=None) -> np.ndarray:
         """Uncontrolled fixed point ``v* = 1 - 0.3 * lam * d``: ``(n,)`` for
@@ -264,13 +275,16 @@ controls ``(E, m)`` in [0, U_MAX]; ``(n, h)`` -> ``(m,)`` for a single
 episode.  ``W[..., -1]`` is the sample at the control instant."""
 
 
-def vector_field(plant: PlantModel, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Time derivative of the voltages at state ``v`` under control ``u``:
-    ``(E, n)`` under ``(E, m)``, or ``(n,)`` under ``(m,)``."""
-    e = v - plant.equilibrium()
-    recover = plant.a * (-e) + plant.b * (-e) ** 3
-    couple = plant.c * (e @ plant.w.T - e)
-    inject = (u @ plant.gamma.T) * (plant.v_max - v)
+def vector_field(plant: PlantModel, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Time derivative of the voltages at state ``v`` under the per-bus
+    injection ``q = u @ plant.gamma.T`` of a control ``u``: ``(E, n)`` or
+    ``(n,)``, the shape of ``v``."""
+    v_eq, a, b, c, v_max, w_t = plant._field
+    e = v - v_eq
+    neg_e = -e
+    recover = a * neg_e + b * neg_e ** 3
+    couple = c * (e @ w_t - e)
+    inject = q * (v_max - v)
     return recover + couple + inject
 
 
@@ -310,17 +324,25 @@ def step(
 
     n_sub = n_substeps(dt) if substeps is None else int(substeps)
     h = dt / n_sub
+    # u is held over the call, so its injection is too; every constant of
+    # the substep is built once, at the state's shape
+    q = u @ plant.gamma.T
+    half_h, full_h, sixth_h, two, v_min, v_max = (
+        np.full(v.shape, x) for x in (0.5 * h, h, h / 6.0, 2.0, 0.0, plant.v_max)
+    )
     for _ in range(n_sub):
-        k1 = vector_field(plant, v, u)
-        k2 = vector_field(plant, v + 0.5 * h * k1, u)
-        k3 = vector_field(plant, v + 0.5 * h * k2, u)
-        k4 = vector_field(plant, v + h * k3, u)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(v)):
+        k1 = vector_field(plant, v, q)
+        k2 = vector_field(plant, v + half_h * k1, q)
+        k3 = vector_field(plant, v + half_h * k2, q)
+        k4 = vector_field(plant, v + full_h * k3, q)
+        v = v + sixth_h * (k1 + two * k2 + two * k3 + k4)
+        # a finite sum means every entry is finite; an infinite one can
+        # also be an overflow of finite entries, which the exact test sorts
+        if not np.isfinite(np.add.reduce(v, axis=None)):
             # fail only the episodes that went non-finite, before the clamp
             # can turn an infinity into v_max; NaN rows stay NaN from here on
             v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
-        v = np.clip(v, 0.0, plant.v_max)
+        v = clip(v, v_min, v_max)
     return PlantState(v=v, t=state.t + dt)
 
 

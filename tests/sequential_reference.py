@@ -1,8 +1,9 @@
 """Paths as they ran before their batched or flat rewrites, kept as the
 references those must reproduce bit for bit: the closed loop with MPC
 stepping one episode through its own loop, ``compare`` running one case
-after another, ADAM updating one tensor after another, and the MPC weight
-check building its N x N temporaries."""
+after another, ADAM updating one tensor after another, the MPC weight
+check building its N x N temporaries, and the plant's RK4 step with its
+broadcasts, ``np.clip`` and one control matmul per stage."""
 
 import numpy as np
 
@@ -10,10 +11,12 @@ from koopmanmpc import evaluation, mpc, nn
 from koopmanmpc.dataset import rollout_seed
 from koopmanmpc.plant import (
     IntegrationError,
+    PlantState,
     Schedule,
     Trajectory,
     U_MAX,
     faulted_initial_state,
+    n_substeps,
     run_episode,
     step,
 )
@@ -171,3 +174,32 @@ def check_weight(mat: np.ndarray, name: str, dim: int):
         min_eig = float(np.min(np.linalg.eigvalsh(mat)))
     if min_eig < -1e-10:
         raise ValueError(f"{name} must be positive semidefinite (min eig {min_eig:.2e})")
+
+
+def plant_vector_field(plant, v, u):
+    """The plant's vector field under the control ``u`` itself."""
+    e = v - plant.equilibrium()
+    recover = plant.a * (-e) + plant.b * (-e) ** 3
+    couple = plant.c * (e @ plant.w.T - e)
+    inject = (u @ plant.gamma.T) * (plant.v_max - v)
+    return recover + couple + inject
+
+
+def plant_step(plant, state, u, dt, substeps=None):
+    """RK4 with Python-float coefficients, the control matmul in every
+    stage, a full finiteness test and ``np.clip`` at every substep (the
+    argument checks, which ``step`` keeps as they were, are left out)."""
+    u = np.array(u, dtype=float)
+    v = state.v
+    n_sub = n_substeps(dt) if substeps is None else int(substeps)
+    h = dt / n_sub
+    for _ in range(n_sub):
+        k1 = plant_vector_field(plant, v, u)
+        k2 = plant_vector_field(plant, v + 0.5 * h * k1, u)
+        k3 = plant_vector_field(plant, v + 0.5 * h * k2, u)
+        k4 = plant_vector_field(plant, v + h * k3, u)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(v)):
+            v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
+        v = np.clip(v, 0.0, plant.v_max)
+    return PlantState(v=v, t=state.t + dt)

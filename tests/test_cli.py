@@ -293,6 +293,28 @@ class TestPipeline:
         assert err["error"] == "config validation failed"
         assert err["fields"][0].startswith("dict:") and spec in err["fields"][0]
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("compare", "--cases", 0), ("compare", "--cases", -2),
+        ("fit-edmd", "--ridge", -1), ("fit-edmd", "--ridge", "nan"), ("fit-edmd", "--ridge", "inf"),
+    ])
+    def test_bad_flag_values_exit_2(self, workspace, capsys, command, flag, value):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "identity",
+                       "--out", ws / "edmd") == 0
+        capsys.readouterr()
+        if command == "compare":
+            argv = ("--model", ws / "edmd" / "lifted_model.json", "--config", ws / "run.json")
+        else:
+            argv = ("--data", ws / "data")
+        code = run_cli(command, *argv, flag, value, "--out", ws / "bad")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config validation failed"
+        name = flag.lstrip("-")
+        assert len(err["fields"]) == 1 and err["fields"][0].startswith(f"{name}:")
+        assert not (ws / "bad").exists()
+
     def test_missing_data_dir_fails_cleanly(self, workspace, capsys):
         code = run_cli("train", "--data", workspace / "nope", "--config",
                        workspace / "run.json", "--out", workspace / "m")

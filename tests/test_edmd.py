@@ -152,6 +152,11 @@ class TestFit:
             norms.append(np.linalg.norm(model.A) + np.linalg.norm(model.B))
         assert norms[0] > norms[1] > norms[2]
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_bad_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            fit(linear_system_dataset(), identity_dictionary(1), ridge=ridge)
+
     def test_projection_reconstructs_exactly(self):
         ds = linear_system_dataset()
         model = fit(ds, polynomial_dictionary(1, 2), ridge=0.0)

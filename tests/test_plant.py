@@ -87,8 +87,8 @@ class TestStep:
     def test_ceiling_saturation_kills_control_term(self):
         model = default_config().model
         v = np.full(6, model.v_max)
-        f_zero = vector_field(model, v, np.zeros(3))
-        f_full = vector_field(model, v, np.full(3, U_MAX))
+        f_zero = vector_field(model, v, np.zeros(3) @ model.gamma.T)
+        f_full = vector_field(model, v, np.full(3, U_MAX) @ model.gamma.T)
         assert np.array_equal(f_zero, f_full)
 
     def test_linear_ode_matches_closed_form(self):
@@ -106,7 +106,8 @@ class TestStep:
             u1 = rng.uniform(0, U_MAX, size=3)
             bump = rng.uniform(0, U_MAX - u1.max(), size=1)
             u2 = np.minimum(u1 + bump, U_MAX)
-            assert np.all(vector_field(model, v, u2) >= vector_field(model, v, u1))
+            q1, q2 = u1 @ model.gamma.T, u2 @ model.gamma.T
+            assert np.all(vector_field(model, v, q2) >= vector_field(model, v, q1))
 
     def test_rk4_convergence_halving(self):
         cfg = default_config()
@@ -134,6 +135,107 @@ class TestStep:
         model = default_config().model
         out = step(model, PlantState(v=np.full(6, 0.05)), np.full(3, U_MAX), dt=5.0)
         assert np.all(out.v >= 0.0) and np.all(out.v <= model.v_max)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_step_matches_reference(model, v, u, dt=0.75, substeps=None, n_steps=4):
+    """``step`` against the frozen pre-rewrite one, bit for bit, over a few
+    chained calls; returns the last state."""
+    from sequential_reference import plant_step
+
+    state = PlantState(v=v)
+    for _ in range(n_steps):
+        new = step(model, state, u, dt, substeps=substeps)
+        ref = plant_step(model, state, u, dt, substeps=substeps)
+        assert same_bits(new.v, ref.v) and new.t == ref.t
+        state = new
+    return state
+
+
+@pytest.mark.parametrize("builder", [default_config, mirror_config])
+class TestStepMatchesReference:
+    def draw(self, model, rng, episodes):
+        """Random voltages in [0, v_max] and controls in [0, U_MAX]."""
+        v = rng.uniform(0.0, model.v_max, size=episodes + (model.n,))
+        u = rng.uniform(0.0, U_MAX, size=episodes + (model.m,))
+        return v, u
+
+    def test_single_episode(self, builder):
+        model = builder().model
+        rng = np.random.default_rng(1)
+        for lam in (0.9, 1.0, 1.1):
+            for _ in range(5):
+                assert_step_matches_reference(model.with_load(lam), *self.draw(model, rng, ()))
+
+    @pytest.mark.parametrize("episodes", [3, 12, 300])
+    def test_batch_with_per_episode_loads(self, builder, episodes):
+        rng = np.random.default_rng(episodes)
+        model = builder().model.with_load(rng.uniform(0.9, 1.1, size=episodes))
+        assert_step_matches_reference(model, *self.draw(model, rng, (episodes,)))
+
+    def test_scalar_load_stepping_a_batch(self, builder):
+        model = builder().model.with_load(1.05)
+        assert_step_matches_reference(model, *self.draw(model, np.random.default_rng(2), (12,)))
+
+    def test_rows_at_equilibrium_ceiling_and_zero(self, builder):
+        model = builder().model.with_load(np.array([0.95, 1.0, 1.05, 1.1]))
+        v = np.stack([model.equilibrium()[0], np.full(model.n, model.v_max),
+                      np.zeros(model.n), model.equilibrium()[3]])
+        u = np.array([np.zeros(model.m), np.full(model.m, U_MAX),
+                      np.full(model.m, U_MAX), np.zeros(model.m)])
+        out = assert_step_matches_reference(model, v, u, n_steps=1)
+        # e is exactly zero there, so -e is -0.0; the equilibrium stays put
+        assert same_bits(out.v[0], model.equilibrium()[0])
+
+    def test_substeps_override(self, builder):
+        model = builder().model
+        v, u = self.draw(model, np.random.default_rng(3), (3,))
+        for substeps in (1, 2, 7, 31):
+            assert_step_matches_reference(model, v, u, substeps=substeps, n_steps=2)
+
+    def test_only_the_non_finite_rows_fail(self, builder):
+        # row 1 has failed before (a NaN state) and row 2 gets a NaN control;
+        # row 3 is finite but so far off that its cube overflows to -inf
+        model = builder().model.with_load(np.linspace(0.9, 1.1, 5))
+        v, u = self.draw(model, np.random.default_rng(4), (5,))
+        v[1] = np.nan
+        u[2, 0] = np.nan
+        v[3] = 1e200
+        with np.errstate(all="ignore"):
+            out = assert_step_matches_reference(model, v, u, n_steps=1)
+        assert np.isnan(out.v).all(axis=1).tolist() == [False, True, True, True, False]
+        assert np.isfinite(out.v[[0, 4]]).all()
+
+
+def test_finite_rows_whose_sum_overflows_are_kept():
+    """Eight uncoupled buses far below equilibrium: one explicit substep
+    takes every voltage to about -2.26e307, finite, but their sum
+    overflows.  The rows are finite, so they are clamped, not failed."""
+    n = 8
+    model = PlantModel(n=n, m=1, a=np.ones(n), b=np.ones(n), c=0.0, w=np.zeros((n, n)),
+                       gamma=np.zeros((n, 1)), v_max=1.1, d=np.zeros(n), lam=1.0)
+    v, q = np.full(n, -8666.6), np.zeros(n)
+    with np.errstate(over="ignore"):
+        k1 = vector_field(model, v, q)
+        k2 = vector_field(model, v + 0.5 * k1, q)
+        k3 = vector_field(model, v + 0.5 * k2, q)
+        k4 = vector_field(model, v + k3, q)
+        v_next = v + (1.0 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.isfinite(v_next).all() and np.isinf(v_next.sum())
+        out = assert_step_matches_reference(model, v, np.zeros(1), dt=1.0, substeps=1,
+                                            n_steps=1)
+    assert same_bits(out.v, np.zeros(n))
+
+
+def test_clip_ufunc_is_np_clip_bit_for_bit():
+    x = np.array([-0.0, 0.0, -1.0, 0.5, 1.1, 2.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+    for lo, hi in ((0.0, 1.1), (np.zeros(x.shape), np.full(x.shape, 1.1)), (-0.0, 0.0)):
+        assert same_bits(plant.clip(x, lo, hi), np.clip(x, lo, hi))
+    # -0.0 is inside [0, 1] and comes back as it went in
+    assert same_bits(plant.clip(np.array([-0.0]), 0.0, 1.0), np.array([-0.0]))
 
 
 class TestFault:
