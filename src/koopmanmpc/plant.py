@@ -178,12 +178,14 @@ class PlantModel:
         v_eq = self.equilibrium(self.lam)
         if np.any(v_eq <= 0) or np.any(v_eq > 1):
             raise ValueError("equilibrium voltages must lie in (0, 1]")
-        # vector_field reads these at every stage: the equilibrium, and a, b,
-        # c and v_max at its shape, so that on a state of that shape no op
-        # broadcasts a vector or converts a Python float; W^T stays the
-        # transposed view, so the coupling matmul sees the same layout
+        # vector_field reads these at every stage: the equilibrium, and a + c,
+        # b, c and v_max at its shape, so that on a state of that shape no op
+        # broadcasts a vector or converts a Python float.  The coupling
+        # matmul runs on W^T itself and c scales its result: for the ring
+        # lattice every product is then exact, so a row's bits do not depend
+        # on the BLAS summation order or on the batch it is stepped in
         object.__setattr__(self, "_v_eq", _readonly(v_eq))
-        coefs = (self.a, self.b, self.c, self.v_max)
+        coefs = (self.a + self.c, self.b, self.c, self.v_max)
         coefs = tuple(_readonly(np.broadcast_to(x, v_eq.shape)) for x in coefs)
         object.__setattr__(self, "_field", (self._v_eq, *coefs, self.w.T))
 
@@ -278,14 +280,26 @@ episode.  ``W[..., -1]`` is the sample at the control instant."""
 def vector_field(plant: PlantModel, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Time derivative of the voltages at state ``v`` under the per-bus
     injection ``q = u @ plant.gamma.T`` of a control ``u``: ``(E, n)`` or
-    ``(n,)``, the shape of ``v``."""
-    v_eq, a, b, c, v_max, w_t = plant._field
-    e = v - v_eq
-    neg_e = -e
-    recover = a * neg_e + b * neg_e ** 3
-    couple = c * (e @ w_t - e)
-    inject = q * (v_max - v)
-    return recover + couple + inject
+    ``(n,)``, the shape of ``v``.
+
+    With ``x = v* - v`` it evaluates, in this order,
+    ``x * ((a + c) + (b * x) * x) - c * (x @ W^T) + q * (v_max - v)``: the
+    cube is a product of multiplications, so its bits are the same on
+    every IEEE-754 host and the restoring term is exactly odd in ``x``.
+    """
+    v_eq, a_c, b, c, v_max, w_t = plant._field
+    x = v_eq - v
+    f = b * x
+    f *= x
+    f += a_c
+    f *= x
+    g = x @ w_t
+    g *= c
+    f -= g
+    np.subtract(v_max, v, out=g)
+    g *= q
+    f += g
+    return f
 
 
 def n_substeps(dt: float) -> int:
@@ -327,22 +341,29 @@ def step(
     # u is held over the call, so its injection is too; every constant of
     # the substep is built once, at the state's shape
     q = u @ plant.gamma.T
-    half_h, full_h, sixth_h, two, v_min, v_max = (
-        np.full(v.shape, x) for x in (0.5 * h, h, h / 6.0, 2.0, 0.0, plant.v_max)
+    half_h, full_h, sixth_h, v_min, v_max = (
+        np.full(v.shape, x) for x in (0.5 * h, h, h / 6.0, 0.0, plant.v_max)
     )
     for _ in range(n_sub):
         k1 = vector_field(plant, v, q)
         k2 = vector_field(plant, v + half_h * k1, q)
         k3 = vector_field(plant, v + half_h * k2, q)
         k4 = vector_field(plant, v + full_h * k3, q)
-        v = v + sixth_h * (k1 + two * k2 + two * k3 + k4)
+        # v + (h/6) ((k1 + k4) + 2 (k2 + k3)), in the fresh arrays k1 and k2
+        k2 += k3
+        k2 += k2
+        k1 += k4
+        k1 += k2
+        k1 *= sixth_h
+        k1 += v
+        v = k1
         # a finite sum means every entry is finite; an infinite one can
         # also be an overflow of finite entries, which the exact test sorts
         if not np.isfinite(np.add.reduce(v, axis=None)):
             # fail only the episodes that went non-finite, before the clamp
             # can turn an infinity into v_max; NaN rows stay NaN from here on
             v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
-        v = clip(v, v_min, v_max)
+        v = clip(v, v_min, v_max, out=v)
     return PlantState(v=v, t=state.t + dt)
 
 

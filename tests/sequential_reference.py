@@ -2,8 +2,10 @@
 references those must reproduce bit for bit: the closed loop with MPC
 stepping one episode through its own loop, ``compare`` running one case
 after another, ADAM updating one tensor after another, the MPC weight
-check building its N x N temporaries, and the plant's RK4 step with its
-broadcasts, ``np.clip`` and one control matmul per stage."""
+check building its N x N temporaries.  The plant's RK4 step is kept as
+it ran before its cube became a product (``** 3``, broadcasts, ``np.clip``
+and one control matmul per stage); ``step`` must match it within 2 ulp,
+not bit for bit, since the arithmetic itself changed."""
 
 import numpy as np
 
@@ -177,7 +179,8 @@ def check_weight(mat: np.ndarray, name: str, dim: int):
 
 
 def plant_vector_field(plant, v, u):
-    """The plant's vector field under the control ``u`` itself."""
+    """The plant's vector field under the control ``u`` itself, with its
+    cube as numpy's ``** 3``."""
     e = v - plant.equilibrium()
     recover = plant.a * (-e) + plant.b * (-e) ** 3
     couple = plant.c * (e @ plant.w.T - e)
