@@ -17,7 +17,7 @@ from koopmanmpc.plant import default_config
 cfg = default_config()
 N_LOADS = 40
 
-ds = dataset.generate(cfg.model, cfg.schedule, n_loads=N_LOADS, seed=7, fault=cfg.fault)
+ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=N_LOADS), seed=7)
 n, h, m = ds.dims
 print(f"{N_LOADS} load cases x 3 policies x {cfg.schedule.n_instants} instants "
       f"= {len(ds)} samples of shape ({n} x {h}, {m})")

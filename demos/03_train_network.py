@@ -10,7 +10,7 @@ from koopmanmpc import dataset, deep_koopman, nn
 from koopmanmpc.plant import default_config
 
 cfg = default_config()
-ds = dataset.generate(cfg.model, cfg.schedule, n_loads=100, seed=11, fault=cfg.fault)
+ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=100), seed=11)
 train_ds, test_ds = dataset.split(ds, 0.7, seed=11)
 print(f"{len(train_ds)} training / {len(test_ds)} held-out samples")
 

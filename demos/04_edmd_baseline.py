@@ -28,7 +28,7 @@ print(f"  dynamics residual rms = {lin.residuals['dynamics_rms']:.2e}")
 
 print("\n== polynomial dictionary on plant data vs the learned network ==")
 cfg = default_config()
-ds = dataset.generate(cfg.model, cfg.schedule, n_loads=100, seed=11, fault=cfg.fault)
+ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=100), seed=11)
 train_ds, test_ds = dataset.split(ds, 0.7, seed=11)
 sc = ds.scaler
 

@@ -11,7 +11,7 @@ from koopmanmpc import dataset, deep_koopman, evaluation, mpc
 from koopmanmpc.plant import default_config, run_episode, zero_policy
 
 cfg = default_config()
-ds = dataset.generate(cfg.model, cfg.schedule, n_loads=100, seed=11, fault=cfg.fault)
+ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=100), seed=11)
 train_ds, test_ds = dataset.split(ds, 0.7, seed=11)
 net_cfg = deep_koopman.KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=64,
                                         lstm_hidden=32, seed=11)
@@ -19,7 +19,7 @@ net, _ = deep_koopman.train(net_cfg, train_ds, test_ds,
                             deep_koopman.TrainHyper(max_epochs=120, patience=20))
 model = deep_koopman.extract(net, ds.scaler)
 
-loop = mpc.receding_horizon(model, cfg.model, cfg.schedule, v_ref=1.0, fault=cfg.fault)
+loop = mpc.receding_horizon(model, cfg)
 baseline = run_episode(cfg.model, cfg.schedule, cfg.fault, zero_policy(cfg.model))
 
 print("per-instant solves (horizon shrinks as the budget is spent):")

@@ -4,11 +4,13 @@ baseline and the uncontrolled system across random load levels.
 About 15 s of CPU, most of it training.  Run:  python demos/06_controller_comparison.py
 """
 
+from dataclasses import replace
+
 from koopmanmpc import dataset, deep_koopman, evaluation
 from koopmanmpc.plant import default_config
 
 cfg = default_config()
-ds = dataset.generate(cfg.model, cfg.schedule, n_loads=100, seed=11, fault=cfg.fault)
+ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=100), seed=11)
 train_ds, test_ds = dataset.split(ds, 0.7, seed=11)
 net_cfg = deep_koopman.KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=64,
                                         lstm_hidden=32, seed=11)
@@ -17,7 +19,7 @@ net, _ = deep_koopman.train(net_cfg, train_ds, test_ds,
 model = deep_koopman.extract(net, ds.scaler)
 
 N_CASES = 30
-report = evaluation.compare(model, cfg, n_cases=N_CASES, seed=11)
+report = evaluation.compare(model, cfg, evaluation.EvalConfig(n_cases=N_CASES), seed=11)
 
 print(f"{N_CASES} random load cases in [0.9, 1.1], fixed fault {cfg.fault.affected}:")
 print("  case   load    J_no-ctrl   J_vvc    J_mpc")
@@ -39,6 +41,5 @@ print("\ntotal applied mpc control at three load levels:")
 from koopmanmpc import mpc as mpc_mod
 
 for lam in (0.9, 1.0, 1.1):
-    loop = mpc_mod.receding_horizon(model, cfg.model.with_load(lam), cfg.schedule,
-                                    v_ref=1.0, fault=cfg.fault)
+    loop = mpc_mod.receding_horizon(model, replace(cfg, model=cfg.model.with_load(lam)))
     print(f"  lam={lam:.2f}: total applied control {loop.applied_controls.sum():.3f} p.u.")

@@ -208,14 +208,7 @@ def _out_dir(arg) -> Path:
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    ds = dataset_mod.generate(
-        cfg.plant.model,
-        cfg.plant.schedule,
-        n_loads=cfg.dataset.n_loads,
-        seed=seed,
-        fault=cfg.plant.fault,
-        policies=cfg.dataset.policies,
-    )
+    ds = dataset_mod.generate(cfg.plant, cfg.dataset, seed)
     out = _out_dir(args.out)
     dataset_mod.save(ds, out)
     print(f"wrote {len(ds)} samples to {out}")
@@ -264,10 +257,7 @@ def cmd_fit_edmd(args) -> int:
 def cmd_run_mpc(args) -> int:
     cfg = load_run_config(args.config)
     model = lifted.load_lifted_model(args.model)
-    loop = mpc_mod.receding_horizon(
-        model, cfg.plant.model, cfg.plant.schedule, v_ref=1.0, fault=cfg.plant.fault,
-        **cfg.mpc.policy_kwargs(cfg.plant.model.m),
-    )
+    loop = mpc_mod.receding_horizon(model, cfg.plant, cfg.mpc)
     out = _out_dir(args.out)
     loop.to_csv(out / "closed_loop.csv")
     loop.diagnostics_to_json(out / "qp_diagnostics.json")
@@ -290,15 +280,7 @@ def cmd_compare(args) -> int:
     model = lifted.load_lifted_model(args.model)
     seed = cfg.seed if args.seed is None else args.seed
     n_cases = eval_cfg.n_cases
-    report = evaluation.compare(
-        model,
-        cfg.plant,
-        n_cases=n_cases,
-        seed=seed,
-        monitored=eval_cfg.monitored,
-        vvc_params=cfg.vvc,
-        mpc_kwargs=cfg.mpc.policy_kwargs(cfg.plant.model.m),
-    )
+    report = evaluation.compare(model, cfg.plant, eval_cfg, seed, vvc=cfg.vvc, mpc=cfg.mpc)
     out = _out_dir(args.out)
     report.to_csv(out / "comparison.csv")
     report.to_json(out / "summary.json")

@@ -25,14 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from koopmanmpc import plant as plant_mod
-from koopmanmpc.plant import (
-    FaultSpec,
-    PlantModel,
-    Schedule,
-    Trajectory,
-    U_MAX,
-    run_episode,
-)
+from koopmanmpc.plant import Trajectory, U_MAX, V_REF, run_episode
 
 LOAD_RANGE = (0.9, 1.1)
 
@@ -209,31 +202,23 @@ def plant_digest(cfg: plant_mod.PlantConfig) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def generate(
-    plant: PlantModel,
-    sched: Schedule,
-    n_loads: int,
-    seed: int,
-    fault: FaultSpec | None = None,
-    policies: tuple[str, ...] = POLICIES,
-) -> Dataset:
-    """Simulate ``n_loads`` random load cases under each control policy
-    and window the episodes into training triples.
+def generate(plant_config: plant_mod.PlantConfig, data_config: DatasetConfig,
+             seed: int) -> Dataset:
+    """Simulate ``data_config.n_loads`` random load cases of the plant
+    under each policy of ``data_config.policies`` and window the episodes
+    into training triples.
 
-    Per case the load factor is drawn uniformly from [0.9, 1.1]; the
-    fault defaults to sagging buses 1..3 by 0.25 p.u.  Each (case,
-    policy) rollout draws its random controls from its own stream, seeded
-    via :func:`rollout_seed`, so the samples do not depend on how the
+    Per case the load factor is drawn uniformly from [0.9, 1.1]; every
+    episode starts from the plant config's fault.  Each (case, policy)
+    rollout draws its random controls from its own stream, seeded via
+    :func:`rollout_seed`, so the samples do not depend on how the
     rollouts are run.  Every policy is open loop, so all control
     sequences are built first and the episodes run as one batch.  Yields
     exactly ``n_loads * len(policies) * n_instants`` samples in (load,
     policy, instant) order, plus a scaler fitted on the full set.
-    ``ValueError`` (from :class:`DatasetConfig`) names a bad ``n_loads``
-    or ``policies``.
     """
-    policies = DatasetConfig(n_loads=n_loads, policies=policies).policies
-    if fault is None:
-        fault = FaultSpec(affected=(1, 2, 3), depth=0.25)
+    plant, sched, fault = plant_config.model, plant_config.schedule, plant_config.fault
+    n_loads, policies = data_config.n_loads, data_config.policies
 
     n, m, h, n_inst = plant.n, plant.m, sched.h, sched.n_instants
     controls = np.zeros((n_loads, len(policies), n_inst, m))
@@ -262,25 +247,23 @@ def generate(
             "policies": list(policies),
             "load_range": list(LOAD_RANGE),
             "fault": {"affected": list(fault.affected), "depth": fault.depth},
-            "plant_digest": plant_digest(
-                plant_mod.PlantConfig(model=plant, schedule=sched, fault=fault)
-            ),
+            "plant_digest": plant_digest(plant_config),
         },
     )
     ds.scaler = fit_scaler(ds)
     return ds
 
 
-def fit_scaler(ds: Dataset, v_ref: float = 1.0) -> Scaler:
-    """Min-max scaler over all shifted voltages in the dataset; control
-    bounds are fixed at [0, U_MAX] rather than fitted."""
+def fit_scaler(ds: Dataset) -> Scaler:
+    """Min-max scaler over all voltages of the dataset shifted by
+    ``V_REF``; control bounds are fixed at [0, U_MAX] rather than fitted."""
     if len(ds) == 0:
         raise ValueError("cannot fit a scaler on an empty dataset")
-    shifted = np.concatenate([ds.v_k.ravel(), ds.v_next.ravel()]) - v_ref
+    shifted = np.concatenate([ds.v_k.ravel(), ds.v_next.ravel()]) - V_REF
     lo, hi = float(shifted.min()), float(shifted.max())
     if hi <= lo:
         raise ScalerError("all voltages identical; normalization range degenerate")
-    return Scaler(v_ref=v_ref, v_lo=lo, v_hi=hi)
+    return Scaler(v_ref=V_REF, v_lo=lo, v_hi=hi)
 
 
 def split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -276,7 +276,6 @@ def train(
     train_ds: Dataset,
     val_ds: Dataset,
     hyper: TrainHyper = TrainHyper(),
-    scaler: Scaler | None = None,
 ) -> tuple[KoopmanNet, list[EpochStats]]:
     """Mini-batch ADAM training with early stopping on validation MAE.
 
@@ -285,7 +284,7 @@ def train(
     shuffle both derive from it.  The returned network carries the
     parameters of the best validation epoch.
     """
-    scaler = scaler or train_ds.scaler
+    scaler = train_ds.scaler
     if scaler is None:
         raise ValueError("training requires a fitted scaler on the dataset")
     if len(train_ds) == 0 or len(val_ds) == 0:

@@ -1,6 +1,12 @@
 """Closed-loop evaluation: rule-based volt-var baseline, the absolute
 voltage-deviation performance index, and the multi-case comparison
-harness (no-control vs VVC vs lifted-space MPC)."""
+harness (no-control vs VVC vs lifted-space MPC).
+
+``compare`` takes the validated config objects the run config is built
+into (``PlantConfig``, ``EvalConfig``, ``VvcParams``, ``MpcConfig``) and
+checks nothing they already checked; only the monitored buses are
+checked here, against the plant, before any rollout.  Every voltage is
+measured against ``plant.V_REF``."""
 
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from koopmanmpc.plant import (
     PlantConfig,
     Trajectory,
     U_MAX,
+    V_REF,
     clip,
     run_episode,
 )
@@ -87,14 +94,14 @@ def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
     return monitored
 
 
-def performance_index(traj: Trajectory, v_ref: float = 1.0, monitored=None) -> float:
-    """Sum over every sample and every monitored bus of |v - v_ref|.
+def performance_index(traj: Trajectory, monitored=None) -> float:
+    """Sum over every sample and every monitored bus of |v - V_REF|.
 
     Zero exactly when the monitored voltages track the reference at every
     sample; additive over trajectories that share no sample.
     """
     monitored = monitored_buses(traj.voltages.shape[1], monitored)
-    dev = np.abs(traj.voltages[:, monitored] - v_ref)
+    dev = np.abs(traj.voltages[:, monitored] - V_REF)
     return float(dev.sum())
 
 
@@ -149,16 +156,15 @@ class ComparisonReport:
 def compare(
     model,
     plant_config: PlantConfig,
-    n_cases: int,
+    eval_config: EvalConfig,
     seed: int,
-    v_ref: float = 1.0,
-    monitored=None,
-    vvc_params: VvcParams = VvcParams(),
-    mpc_kwargs: dict | None = None,
+    vvc: VvcParams = VvcParams(),
+    mpc: mpc_mod.MpcConfig = mpc_mod.MpcConfig(),
 ) -> ComparisonReport:
-    """Run the three controllers on ``n_cases`` random load factors drawn
-    uniformly from [0.9, 1.1] (fixed fault from the plant config) and
-    report the fraction of cases where the lifted-space MPC beats VVC.
+    """Run the three controllers on ``eval_config.n_cases`` random load
+    factors drawn uniformly from [0.9, 1.1] (fixed fault from the plant
+    config) and report the fraction of cases where the lifted-space MPC
+    beats VVC.
 
     Every case and every controller runs in one plant rollout of
     ``3 * n_cases`` episodes: the no-control rows, then the VVC rows, then
@@ -167,16 +173,16 @@ def compare(
     depend on which other cases run with it.  A case whose QP solve does
     not converge or whose integration fails is recorded with its error
     and the rest keep running; any other error propagates, before the
-    rollout when it comes from the arguments: a bad ``n_cases`` from
-    :class:`EvalConfig`, bad ``monitored`` buses from
-    :func:`monitored_buses`.
+    rollout when it comes from the arguments: ``eval_config.monitored``
+    buses the plant lacks (:func:`monitored_buses`) or a model the plant
+    does not fit (:class:`~koopmanmpc.mpc.MpcPolicy`).
     """
-    EvalConfig(n_cases=n_cases)
+    n_cases = eval_config.n_cases
     base = plant_config.model
     sched = plant_config.schedule
-    monitored = monitored_buses(base.n, monitored)
-    vvc = vvc_episode_policy(base.control_buses(), vvc_params)
-    mpc = mpc_mod.MpcPolicy(model, base, sched, v_ref=v_ref, **(mpc_kwargs or {}))
+    monitored = monitored_buses(base.n, eval_config.monitored)
+    vvc_law = vvc_episode_policy(base.control_buses(), vvc)
+    mpc_law = mpc_mod.MpcPolicy(model, plant_config, mpc)
 
     lams = np.array([
         np.random.default_rng(rollout_seed(seed, idx, _CASE_CHANNEL)).uniform(0.9, 1.1)
@@ -186,8 +192,8 @@ def compare(
 
     def policy(k: int, window: np.ndarray) -> np.ndarray:
         u = np.zeros(window.shape[:-2] + (base.m,))  # no-control rows stay at zero
-        u[vvc_rows] = vvc(k, window[vvc_rows])
-        u[mpc_rows] = mpc(k, window[mpc_rows])
+        u[vvc_rows] = vvc_law(k, window[vvc_rows])
+        u[mpc_rows] = mpc_law(k, window[mpc_rows])
         return u
 
     traj = run_episode(base.with_load(np.tile(lams, 3)), sched, plant_config.fault, policy)
@@ -201,7 +207,7 @@ def compare(
         if failed[rows[0]] or failed[rows[1]]:
             error = IntegrationError(NON_FINITE)
         else:
-            error = mpc.failure(idx)
+            error = mpc_law.failure(idx)
             if error is None and failed[rows[2]]:
                 error = IntegrationError(NON_FINITE)
         if error is not None:  # flag the case, keep going
@@ -213,7 +219,7 @@ def compare(
                 )
             )
             continue
-        j_no, j_vvc, j_mpc = (performance_index(traj.episode(e), v_ref, monitored) for e in rows)
+        j_no, j_vvc, j_mpc = (performance_index(traj.episode(e), monitored) for e in rows)
         wins += int(j_mpc < j_vvc)
         records.append(
             CaseRecord(
@@ -229,7 +235,7 @@ def compare(
         seed=seed,
         meta={
             "n_cases": n_cases,
-            "vvc": asdict(vvc_params),
-            "v_ref": v_ref,
+            "vvc": asdict(vvc),
+            "v_ref": V_REF,
         },
     )

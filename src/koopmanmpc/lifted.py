@@ -91,9 +91,9 @@ class LiftedModel:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def lift_reference(self, v_ref: float = 1.0) -> np.ndarray:
-        """Lifted image of a constant ``v_ref`` history."""
-        return self.lift(np.full((self.n, self.h), v_ref))
+    def lift_reference(self, v: float) -> np.ndarray:
+        """Lifted image of the history that holds every bus at ``v`` p.u."""
+        return self.lift(np.full((self.n, self.h), v))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "A": encode_array(self.A), "B": encode_array(self.B),

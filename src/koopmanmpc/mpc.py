@@ -22,6 +22,12 @@ row, which gives every row the bits of its own single-problem solve
 whatever else shares the batch.  ``MpcPolicy`` runs the controller as a
 feedback policy over a batch of episodes, so a whole comparison is one
 plant rollout.
+
+The controller is one fixed design: ``Q = I``, ``R = r_weight · I``,
+controls bounded to ``[0, U_MAX]`` p.u. and the constant ``V_REF``
+history as the lifted reference.  ``MpcPolicy`` and ``receding_horizon``
+take the plant as a ``PlantConfig`` and the weight and stopping rule as
+an ``MpcConfig``, whose constructor is their one range check.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from koopmanmpc.dataset import Scaler
-from koopmanmpc.plant import FaultSpec, PlantModel, Schedule, Trajectory, U_MAX, clip, run_episode
+from koopmanmpc.plant import PlantConfig, Schedule, Trajectory, U_MAX, V_REF, clip, run_episode
 from koopmanmpc.plant import step  # noqa: F401  (the benchmark's tracer finds plant.step here)
 
 #: Defaults for the projected-gradient solver.
@@ -61,10 +67,6 @@ class MpcConfig:
         ) if not ok]
         if bad:
             raise ValueError("; ".join(bad))
-
-    def policy_kwargs(self, m: int) -> dict:
-        """The ``MpcPolicy`` keyword arguments for a plant with m controls."""
-        return {"R": self.r_weight * np.eye(m), "tol": self.tol, "max_iter": self.max_iter}
 
 
 # Safety factor on the exact largest eigenvalue: keeps the fixed step
@@ -340,34 +342,26 @@ class MpcPolicy:
     episodes or ``(n, h)`` for one.  Every episode's window is lifted, the
     remaining budget ``n_instants - k`` is the horizon, one condensation
     and one projected-gradient solve serve all C episodes, and the first
-    move of each solution, clipped to the p.u. bounds, is returned.  The
-    lifted reference is fixed: the constant ``v_ref`` history, lifted
-    once.  A model whose ``(n, h, m)`` differs from the plant's
-    ``(n, sched.h, m)`` is rejected with ``ValueError``.
+    move of each solution, clipped to ``[0, U_MAX]``, is returned.
+
+    The problem is the controller's one design: the state weight is
+    ``Q = I``, the control weight ``R = config.r_weight * I``, the bounds
+    are ``[0, U_MAX]`` p.u. (``U_MAX`` as it reads when the policy is
+    built), and the lifted reference is the constant ``V_REF`` history,
+    lifted once.  The solver stops at ``config.tol`` or after
+    ``config.max_iter`` iterations.  A model whose ``(n, h, m)`` differs
+    from the plant config's is rejected with ``ValueError``.
 
     Per episode the policy keeps ``diagnostics[e]``, one record per
     instant.  An episode whose solve does not converge is aborted: its
     last record carries the error and it gets zero control from then on.
     An episode whose window is not finite (its integration failed) is
     skipped and gets zero control.  A policy object serves one rollout:
-    instant 0 resets it.  ``tol`` and ``max_iter`` are checked by
-    :class:`MpcConfig`, which raises ``ValueError`` naming a bad one.
+    instant 0 resets it.
     """
 
-    def __init__(
-        self,
-        model,
-        plant: PlantModel,
-        sched: Schedule,
-        v_ref: float = 1.0,
-        Q: np.ndarray | None = None,
-        R: np.ndarray | None = None,
-        u_min_pu: float = 0.0,
-        u_max_pu: float = U_MAX,
-        tol: float = DEFAULT_TOL,
-        max_iter: int = DEFAULT_MAX_ITER,
-    ):
-        MpcConfig(tol=tol, max_iter=max_iter)
+    def __init__(self, model, plant_config: PlantConfig, config: MpcConfig = MpcConfig()):
+        plant, sched = plant_config.model, plant_config.schedule
         n_lift, m = model.lifted_dim, model.m
         model_shape, plant_shape = (model.n, model.h, m), (plant.n, sched.h, plant.m)
         if model_shape != plant_shape:
@@ -375,14 +369,14 @@ class MpcPolicy:
                 f"model (n, h, m) = {model_shape} does not match plant (n, h, m) = {plant_shape}"
             )
         self.model = model
+        self.config = config
         self.n_instants = sched.n_instants
-        self.Q = np.eye(n_lift) if Q is None else np.asarray(Q, dtype=float)
-        self.R = np.zeros((m, m)) if R is None else np.asarray(R, dtype=float)
-        self.u_lo = np.full(m, float(model.scaler.normalize_u(u_min_pu)))
-        self.u_hi = np.full(m, float(model.scaler.normalize_u(u_max_pu)))
-        self.u_min_pu, self.u_max_pu = u_min_pu, u_max_pu
-        self.tol, self.max_iter = tol, max_iter
-        self.z_ref = model.lift_reference(v_ref)
+        self.Q = np.eye(n_lift)
+        self.R = config.r_weight * np.eye(m)
+        self.u_max = U_MAX
+        self.u_lo = np.full(m, float(model.scaler.normalize_u(0.0)))
+        self.u_hi = np.full(m, float(model.scaler.normalize_u(self.u_max)))
+        self.z_ref = model.lift_reference(V_REF)
         self.diagnostics: list[list[dict]] = []
         self.aborted = np.zeros(0, dtype=bool)
 
@@ -407,8 +401,8 @@ class MpcPolicy:
                 u_max=self.u_hi,
             )
             try:
-                seq = solve_box_qp(condense(problem), tol=self.tol, max_iter=self.max_iter,
-                                   scaler=self.model.scaler)
+                seq = solve_box_qp(condense(problem), tol=self.config.tol,
+                                   max_iter=self.config.max_iter, scaler=self.model.scaler)
             except QpNonConvergence as exc:
                 seq = exc.result
             info = seq.info
@@ -417,13 +411,13 @@ class MpcPolicy:
                     pg_norm = float(info.row_pg_norm[j])
                     self.diagnostics[e].append(
                         {"instant": k, "horizon": horizon, "converged": False,
-                         "error": _residual_message(pg_norm, self.tol,
+                         "error": _residual_message(pg_norm, self.config.tol,
                                                     int(info.row_iterations[j])),
                          "pg_norm": pg_norm}
                     )
                     self.aborted[e] = True
                     continue
-                u[e] = clip(seq.u_pu[j, 0], self.u_min_pu, self.u_max_pu)
+                u[e] = clip(seq.u_pu[j, 0], 0.0, self.u_max)
                 self.diagnostics[e].append(
                     {
                         "instant": k,
@@ -482,27 +476,20 @@ class ClosedLoopResult:
             f.write("\n")
 
 
-def receding_horizon(
-    model,
-    plant: PlantModel,
-    sched: Schedule,
-    v_ref: float = 1.0,
-    fault: FaultSpec | None = None,
-    **policy_kwargs,
-) -> ClosedLoopResult:
-    """Shrinking-horizon MPC against one plant episode.
+def receding_horizon(model, plant_config: PlantConfig,
+                     config: MpcConfig = MpcConfig()) -> ClosedLoopResult:
+    """Shrinking-horizon MPC against one episode of the plant config.
 
-    The fault hits at t = 0 and the first interval is uncontrolled while
-    the first measurement window fills; then ``MpcPolicy`` (which takes
-    ``policy_kwargs``: Q, R, the p.u. bounds, tol and max_iter) chooses
-    each interval's control.  When a solve fails the loop stops there:
-    the record ends at that instant and ``aborted`` is set.  Raises
-    ``IntegrationError`` if the plant's voltages turn non-finite before.
+    Its fault hits at t = 0 and the first interval is uncontrolled while
+    the first measurement window fills; then ``MpcPolicy(model,
+    plant_config, config)`` chooses each interval's control.  When a
+    solve fails the loop stops there: the record ends at that instant and
+    ``aborted`` is set.  Raises ``IntegrationError`` if the plant's
+    voltages turn non-finite before.
     """
-    if fault is None:
-        raise ValueError("receding_horizon requires the experiment fault")
-    policy = MpcPolicy(model, plant, sched, v_ref=v_ref, **policy_kwargs)
-    traj = run_episode(plant, sched, fault, policy)
+    sched = plant_config.schedule
+    policy = MpcPolicy(model, plant_config, config)
+    traj = run_episode(plant_config.model, sched, plant_config.fault, policy)
     diagnostics = policy.diagnostics[0]
     aborted = bool(policy.aborted[0])
     if aborted:  # keep the intervals before the failed solve

@@ -60,6 +60,10 @@ except ImportError:  # numpy 1.x
 # Per-step ceiling on every control channel, in p.u. of reactive support.
 U_MAX = 0.25
 
+# The voltage every bus is regulated to, in p.u.: the MPC's tracking
+# target, the performance index's reference and the scaler's shift.
+V_REF = 1.0
+
 # RK4 integration: internal substeps never longer than this, and never
 # fewer than 4 per call.  Keeps the one-control-interval halving error
 # around 1e-9 for the default parameters.
@@ -94,6 +98,9 @@ class Schedule:
     n_instants: int
 
     def __post_init__(self):
+        bad = [name for name, x in (("Ts", self.ts), ("Tc", self.tc)) if not np.isfinite(x)]
+        if bad:
+            raise ValueError(f"schedule parameters must be finite: {', '.join(bad)}")
         if self.ts <= 0 or self.tc <= 0:
             raise ValueError("ts and tc must be positive")
         h = self.tc / self.ts
@@ -155,11 +162,21 @@ class PlantModel:
             raise ValueError("lam must be a scalar or a vector of per-episode load factors")
         object.__setattr__(self, "lam", float(lam) if lam.ndim == 0 else _readonly(lam))
         n, m = self.n, self.m
+        # NaN passes every comparison below; named as in the plant config.
+        # A vector of per-episode load factors may hold a non-finite one:
+        # that episode fails alone, as any episode whose voltages do
+        params = {"a": self.a, "b": self.b, "c": self.c, "v_max": self.v_max, "d": self.d,
+                  "W": self.w, "gamma": self.gamma}
+        if lam.ndim == 0:
+            params["lambda"] = self.lam
+        bad = [name for name, x in params.items() if not np.all(np.isfinite(x))]
+        if bad:
+            raise ValueError(f"plant parameters must be finite: {', '.join(bad)}")
         if self.a.shape != (n,) or self.b.shape != (n,) or self.d.shape != (n,):
             raise ValueError("a, b, d must be n-vectors")
         if self.w.shape != (n, n) or self.gamma.shape != (n, m):
             raise ValueError("w must be n x n and gamma n x m")
-        if not np.all(np.isfinite(self.a)) or not np.all(self.a > 0):
+        if not np.all(self.a > 0):
             raise ValueError("recovery rates a must be positive")
         if np.any(self.b < 0) or self.c < 0 or np.any(self.gamma < 0):
             raise ValueError("b, c and gamma must be nonnegative")

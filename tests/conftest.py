@@ -11,7 +11,7 @@ def small_models():
     """An untrained network model and an identity-dictionary EDMD model for
     the default plant, with a scaler that spans the faulted voltages."""
     cfg = default_config()
-    ds = dataset.generate(cfg.model, cfg.schedule, n_loads=6, seed=3, fault=cfg.fault)
+    ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=6), seed=3)
     net = deep_koopman.KoopmanNet(deep_koopman.KoopmanNetConfig(
         n=6, h=4, m=3, lifted_dim=16, lstm_hidden=4, seed=5))
     return {
@@ -26,7 +26,7 @@ def bench_models():
     epochs on 30 load cases (seed 20240, default architecture) and an
     EDMD ``poly:2`` fit on the same data."""
     cfg = default_config()
-    ds = dataset.generate(cfg.model, cfg.schedule, n_loads=30, seed=20240, fault=cfg.fault)
+    ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=30), seed=20240)
     train_ds, val_ds = dataset.split(ds, 0.7, seed=20240)
     net_cfg = deep_koopman.KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=64, lstm_hidden=32,
                                             seed=20240)

@@ -88,6 +88,13 @@ def receding_horizon(model, plant, sched, v_ref=1.0, fault=None, Q=None, R=None,
     )
 
 
+def performance_index(traj, v_ref, monitored):
+    """``evaluation.performance_index`` against a reference voltage of
+    the caller's."""
+    monitored = evaluation.monitored_buses(traj.voltages.shape[1], monitored)
+    return float(np.abs(traj.voltages[:, monitored] - v_ref).sum())
+
+
 def case_load(seed, idx):
     """The load factor ``compare`` draws for case ``idx``."""
     rng = np.random.default_rng(rollout_seed(seed, idx, evaluation._CASE_CHANNEL))
@@ -118,9 +125,8 @@ def compare(model, plant_config, n_cases, seed, v_ref=1.0, monitored=None,
                 raise mpc.QpNonConvergence(
                     f"closed loop aborted at instant {last['instant']}: {last['error']}",
                     residual=last["pg_norm"])
-            j_no, j_vvc = (evaluation.performance_index(both.episode(e), v_ref, monitored)
-                           for e in (0, 1))
-            j_mpc = evaluation.performance_index(loop.trajectory, v_ref, monitored)
+            j_no, j_vvc = (performance_index(both.episode(e), v_ref, monitored) for e in (0, 1))
+            j_mpc = performance_index(loop.trajectory, v_ref, monitored)
         except (mpc.QpNonConvergence, IntegrationError) as exc:
             records.append(evaluation.CaseRecord(
                 index=idx, load_factor=lam, ok=False, j_no_control=float("nan"),

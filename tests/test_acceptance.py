@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,7 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 def pipeline():
     cfg = plant.default_config()
     t0 = time.monotonic()
-    ds = dataset.generate(cfg.model, cfg.schedule, n_loads=2500, seed=MASTER_SEED,
-                          fault=cfg.fault)
+    ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=2500), seed=MASTER_SEED)
     gen_s = time.monotonic() - t0
     train_ds, test_ds = dataset.split(ds, 0.7, seed=MASTER_SEED)
     net_cfg = deep_koopman.KoopmanNetConfig(
@@ -68,8 +68,7 @@ def closed_loops(pipeline):
     out = {}
     for lam in (0.90, 0.95, 1.00, 1.05, 1.10):
         p = cfg.model.with_load(lam)
-        loop = mpc.receding_horizon(pipeline["model"], p, cfg.schedule,
-                                    v_ref=1.0, fault=cfg.fault)
+        loop = mpc.receding_horizon(pipeline["model"], replace(cfg, model=p))
         baseline = plant.run_episode(p, cfg.schedule, cfg.fault, plant.zero_policy(p))
         out[lam] = (loop, baseline)
     return out
@@ -319,7 +318,7 @@ def test_criterion_6_closed_loop_efficacy(closed_loops):
 
 def test_criterion_7_win_fraction(pipeline):
     reportdoc = evaluation.compare(pipeline["model"], pipeline["config"],
-                                   n_cases=100, seed=MASTER_SEED)
+                                   evaluation.EvalConfig(n_cases=100), seed=MASTER_SEED)
     n_ok = sum(r.ok for r in reportdoc.records)
     ok = reportdoc.win_fraction >= 0.7 and n_ok == 100
     report(7, "comparison win fraction", ok,

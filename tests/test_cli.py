@@ -133,6 +133,17 @@ class TestConfigValidation:
         assert cfg.eval == EvalConfig()
         assert cfg.net == KoopmanNetConfig(n=6, h=4, m=3, seed=3)
 
+    def test_non_finite_plant_parameter_exits_2(self, workspace, capsys):
+        # json writes NaN and reads it back; the plant must still reject it
+        doc = config_to_dict(default_config())
+        doc["lambda"] = float("nan")
+        (workspace / "plant.json").write_text(json.dumps(doc))
+        code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
+        assert code == 2
+        fields = json.loads(capsys.readouterr().err.strip())["fields"]
+        assert fields == ["plant: invalid plant config (plant parameters must be finite: lambda)"]
+        assert not (workspace / "o").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{not json")
         code = run_cli("gen-data", "--config", tmp_path / "broken.json", "--out", tmp_path / "o")

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from koopmanmpc import dataset
 from koopmanmpc.dataset import (
     Dataset,
+    DatasetConfig,
     DatasetFormatError,
     Scaler,
     ScalerError,
@@ -34,7 +35,7 @@ from koopmanmpc.plant import (
 
 def small_dataset(n_loads=2, seed=7):
     cfg = default_config()
-    return generate(cfg.model, cfg.schedule, n_loads=n_loads, seed=seed, fault=cfg.fault)
+    return generate(cfg, DatasetConfig(n_loads=n_loads), seed=seed)
 
 
 def empty_dataset(n, h, m, **kwargs):
@@ -113,8 +114,7 @@ class TestGenerate:
 
     def test_debug_zero_policy_only(self):
         cfg = default_config()
-        ds = generate(cfg.model, cfg.schedule, n_loads=1, seed=0, fault=cfg.fault,
-                      policies=("zero",))
+        ds = generate(cfg, DatasetConfig(n_loads=1, policies=("zero",)), seed=0)
         assert len(ds) == 5
         assert np.all(ds.u_k == 0.0)
 
@@ -124,10 +124,10 @@ class TestGenerate:
         ("policies", dict(policies=("zero", "bogus"))),
     ])
     def test_bad_arguments_rejected_at_the_call(self, field, kwargs):
-        cfg = default_config()
-        args = {"n_loads": 1, "seed": 0, "fault": cfg.fault, **kwargs}
+        # generate takes its sizes as a DatasetConfig, whose constructor
+        # is their one check
         with pytest.raises(ValueError, match=field):
-            generate(cfg.model, cfg.schedule, **args)
+            DatasetConfig(**{"n_loads": 1, **kwargs})
 
     def test_same_seed_identical_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -155,7 +155,7 @@ class TestGenerate:
         # sha256 of samples.csv from the batched generator, whose plant
         # evaluates the cube as a product (the same bits on any IEEE-754 host)
         cfg = builder()
-        save(generate(cfg.model, cfg.schedule, n_loads=3, seed=2022, fault=cfg.fault), tmp_path)
+        save(generate(cfg, DatasetConfig(n_loads=3), seed=2022), tmp_path)
         assert hashlib.sha256((tmp_path / dataset.SAMPLES_NAME).read_bytes()).hexdigest() == digest
 
     def test_rollout_seed_mix_is_stable(self):

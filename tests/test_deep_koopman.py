@@ -299,8 +299,7 @@ class TestTrain:
     def test_memorizes_tiny_dataset(self):
         # overfit sanity run on 10 real samples, full-batch
         cfg = default_config()
-        full = dataset_mod.generate(cfg.model, cfg.schedule, n_loads=1, seed=3,
-                                    fault=cfg.fault)
+        full = dataset_mod.generate(cfg, dataset_mod.DatasetConfig(n_loads=1), seed=3)
         ds = Dataset(v_k=full.v_k[:10], u_k=full.u_k[:10], v_next=full.v_next[:10],
                      scaler=full.scaler)
         net_cfg = KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16, lstm_hidden=8, seed=42)

@@ -1,27 +1,31 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmanmpc import evaluation
-from koopmanmpc.dataset import Scaler
+from koopmanmpc import evaluation, mpc
+from koopmanmpc.dataset import DatasetConfig, Scaler, generate
 from koopmanmpc.deep_koopman import KoopmanNet, KoopmanNetConfig, extract
+from koopmanmpc.edmd import fit, identity_dictionary
 from koopmanmpc.evaluation import (
     ComparisonReport,
+    EvalConfig,
     VvcParams,
     compare,
     performance_index,
     vvc_policy,
 )
-from koopmanmpc.mpc import MpcPolicy
+from koopmanmpc.mpc import MpcConfig, MpcPolicy, receding_horizon
 from koopmanmpc.plant import (
     PlantModel,
     Schedule,
     Trajectory,
     U_MAX,
     default_config,
+    mirror_config,
     run_episode,
     zero_policy,
 )
@@ -68,18 +72,18 @@ class TestVvcPolicy:
 class TestPerformanceIndex:
     def test_zero_at_reference(self):
         traj = make_traj(np.ones((10, 3)))
-        assert performance_index(traj, v_ref=1.0) == 0.0
+        assert performance_index(traj) == 0.0
 
     def test_hand_computed_sum(self):
         # one bus, ten samples, constant deviation 0.1 -> J = 1.0
         traj = make_traj(np.full((10, 1), 0.9))
-        assert performance_index(traj, v_ref=1.0) == pytest.approx(1.0)
+        assert performance_index(traj) == pytest.approx(1.0)
 
     def test_unmonitored_bus_ignored(self):
         v = np.ones((10, 2))
         v[:, 1] = 0.5
         traj = make_traj(v)
-        assert performance_index(traj, v_ref=1.0, monitored=(0,)) == 0.0
+        assert performance_index(traj, monitored=(0,)) == 0.0
 
     def test_empty_monitored_rejected(self):
         traj = make_traj(np.ones((4, 2)))
@@ -101,15 +105,15 @@ def untrained_model(seed=0):
 
 
 class TestCompare:
-    def test_zero_budget_makes_all_controllers_equal(self):
+    def test_zero_budget_makes_all_controllers_equal(self, monkeypatch):
         cfg = default_config()
+        monkeypatch.setattr(mpc, "U_MAX", 0.0)  # the MPC's bound, read when its policy is built
         report = compare(
             untrained_model(),
             cfg,
-            n_cases=3,
+            EvalConfig(n_cases=3),
             seed=5,
-            vvc_params=VvcParams(gain=0.0, u_max=0.0),
-            mpc_kwargs={"u_max_pu": 0.0},
+            vvc=VvcParams(gain=0.0, u_max=0.0),
         )
         for rec in report.records:
             assert rec.ok
@@ -118,9 +122,8 @@ class TestCompare:
 
     def test_same_seed_identical_report(self):
         cfg = default_config()
-        kwargs = dict(n_cases=2, seed=9)
-        a = compare(untrained_model(), cfg, **kwargs)
-        b = compare(untrained_model(), cfg, **kwargs)
+        a = compare(untrained_model(), cfg, EvalConfig(n_cases=2), seed=9)
+        b = compare(untrained_model(), cfg, EvalConfig(n_cases=2), seed=9)
         assert a.records == b.records
         assert a.win_fraction == b.win_fraction
 
@@ -129,9 +132,9 @@ class TestCompare:
         report = compare(
             untrained_model(),
             cfg,
-            n_cases=2,
+            EvalConfig(n_cases=2),
             seed=1,
-            mpc_kwargs={"tol": 1e-14, "max_iter": 1},  # force solver failure
+            mpc=MpcConfig(tol=1e-14, max_iter=1),  # force solver failure
         )
         assert all(not r.ok for r in report.records)
         assert all(r.error for r in report.records)
@@ -142,12 +145,13 @@ class TestCompare:
 
     def test_programming_error_is_not_a_failed_case(self):
         with pytest.raises(ValueError):
-            compare(untrained_model(), default_config(), n_cases=1, seed=1, monitored=(99,))
+            compare(untrained_model(), default_config(), EvalConfig(n_cases=1, monitored=[99]),
+                    seed=1)
 
     def test_batched_baselines_match_single_episodes(self):
         cfg = default_config()
         params = VvcParams(deadband=0.99)
-        report = compare(untrained_model(), cfg, n_cases=2, seed=4, vvc_params=params)
+        report = compare(untrained_model(), cfg, EvalConfig(n_cases=2), seed=4, vvc=params)
         vvc = evaluation.vvc_episode_policy(cfg.model.control_buses(), params)
         for r in report.records:
             plant = cfg.model.with_load(r.load_factor)
@@ -159,7 +163,7 @@ class TestCompare:
 
     def test_report_files(self, tmp_path):
         cfg = default_config()
-        report = compare(untrained_model(), cfg, n_cases=2, seed=3)
+        report = compare(untrained_model(), cfg, EvalConfig(n_cases=2), seed=3)
         report.to_csv(tmp_path / "cmp.csv")
         report.to_json(tmp_path / "sum.json")
         lines = (tmp_path / "cmp.csv").read_text().splitlines()
@@ -169,10 +173,10 @@ class TestCompare:
         doc = json.loads((tmp_path / "sum.json").read_text())
         assert doc["n_cases"] == 2 and "win_fraction" in doc
 
-    def test_load_factors_span_range(self):
+    def test_load_factors_span_range(self, monkeypatch):
         cfg = default_config()
-        report = compare(untrained_model(), cfg, n_cases=40, seed=2,
-                         mpc_kwargs={"u_max_pu": 0.0})
+        monkeypatch.setattr(mpc, "U_MAX", 0.0)  # the MPC's bound, read when its policy is built
+        report = compare(untrained_model(), cfg, EvalConfig(n_cases=40), seed=2)
         lams = np.array([r.load_factor for r in report.records])
         assert lams.min() >= 0.9 and lams.max() <= 1.1
         assert lams.std() > 0.02
@@ -220,7 +224,7 @@ class TestOneRollout:
         from sequential_reference import compare as reference
 
         cfg = default_config()
-        report = compare(bench_models[kind], cfg, n_cases=8, seed=20240)
+        report = compare(bench_models[kind], cfg, EvalConfig(n_cases=8), seed=20240)
         records, win_fraction = reference(bench_models[kind], cfg, n_cases=8, seed=20240)
         assert report.records == records
         assert report.win_fraction == win_fraction
@@ -232,7 +236,7 @@ class TestOneRollout:
 
         cfg = default_config()
         lams = np.array([case_load(7, idx) for idx in range(4)])
-        policy = MpcPolicy(bench_models[kind], cfg.model, cfg.schedule)
+        policy = MpcPolicy(bench_models[kind], cfg)
         run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault, policy)
         got = [[d["iterations"] for d in rows] for rows in policy.diagnostics]
         assert got == case_iterations(bench_models[kind], cfg, n_cases=4, seed=7)
@@ -240,8 +244,8 @@ class TestOneRollout:
     @pytest.mark.parametrize("kind", ["net", "edmd"])
     def test_record_does_not_depend_on_the_batch(self, small_models, kind):
         cfg = default_config()
-        three = compare(small_models[kind], cfg, n_cases=3, seed=11)
-        ten = compare(small_models[kind], cfg, n_cases=10, seed=11)
+        three = compare(small_models[kind], cfg, EvalConfig(n_cases=3), seed=11)
+        ten = compare(small_models[kind], cfg, EvalConfig(n_cases=10), seed=11)
         assert three.records == ten.records[:3]
 
     def test_one_non_converging_case_leaves_the_others(self, small_models):
@@ -254,9 +258,9 @@ class TestOneRollout:
         worst = [max(c) for c in case_iterations(model, cfg, n_cases=6, seed=3)]
         max_iter = min(worst)
         assert max_iter < max(worst)
-        kwargs = dict(n_cases=6, seed=3, mpc_kwargs={"max_iter": max_iter})
-        report = compare(model, cfg, **kwargs)
-        records, win_fraction = reference(model, cfg, **kwargs)
+        report = compare(model, cfg, EvalConfig(n_cases=6), seed=3, mpc=MpcConfig(max_iter=max_iter))
+        records, win_fraction = reference(model, cfg, n_cases=6, seed=3,
+                                          mpc_kwargs={"max_iter": max_iter})
         assert list(map(repr, report.records)) == list(map(repr, records))  # nan J on failures
         assert report.win_fraction == win_fraction
         assert [r.ok for r in records] == [w <= max_iter for w in worst]
@@ -280,7 +284,7 @@ class TestOneRollout:
         model = bench_models["edmd"]
         sick = replace(cfg, model=NanLoad(**{f: getattr(cfg.model, f) for f in (
             "n", "m", "a", "b", "c", "w", "gamma", "v_max", "d", "lam")}))
-        report = compare(model, sick, n_cases=4, seed=5)
+        report = compare(model, sick, EvalConfig(n_cases=4), seed=5)
         records, _ = reference(model, cfg, n_cases=4, seed=5)
         assert [r.ok for r in report.records] == [True, False, True, True]
         assert report.records[1].error == "IntegrationError: integration produced non-finite voltages"
@@ -292,5 +296,42 @@ class TestOneRollout:
         calls = []
         monkeypatch.setattr(evaluation, "run_episode", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="monitored"):
-            compare(untrained_model(), default_config(), n_cases=2, seed=1, monitored=(99,))
+            compare(untrained_model(), default_config(), EvalConfig(n_cases=2, monitored=[99]),
+                    seed=1)
         assert calls == []
+
+
+class TestMirrorPlant:
+    """The closed loop on the twelve-bus plant, whose five controls sit on
+    buses 0, 1, 3, 4, 11 and whose fault is on buses 9-11."""
+
+    def test_closed_loop_and_compare(self, monkeypatch):
+        cfg = mirror_config()
+        ds = generate(cfg, DatasetConfig(n_loads=4), seed=8)
+        model = fit(ds, identity_dictionary(cfg.model.n * cfg.schedule.h), ridge=1e-6)
+
+        loop = receding_horizon(model, cfg)
+        assert not loop.aborted
+        assert loop.applied_controls.shape == (cfg.schedule.n_instants, 5)
+        assert np.all((loop.applied_controls >= 0.0) & (loop.applied_controls <= U_MAX))
+
+        rollouts = []
+
+        def recorded(*args):
+            rollouts.append(run_episode(*args))
+            return rollouts[-1]
+
+        monkeypatch.setattr(evaluation, "run_episode", recorded)
+        report = compare(model, cfg, EvalConfig(n_cases=3), seed=13)
+        assert [r.ok for r in report.records] == [True, True, True]
+        (batch,) = rollouts
+        assert np.all((batch.controls >= 0.0) & (batch.controls <= U_MAX))
+
+        # the MPC row of case 1 (rows: 3 no-control, 3 VVC, 3 MPC) is the
+        # single-episode closed loop at that case's load, bit for bit
+        case = report.records[1]
+        single = receding_horizon(model, replace(cfg, model=cfg.model.with_load(case.load_factor)))
+        row = batch.episode(2 * 3 + 1)
+        assert np.array_equal(row.voltages, single.trajectory.voltages)
+        assert np.array_equal(row.controls, single.trajectory.controls)
+        assert case.j_mpc == performance_index(single.trajectory)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from koopmanmpc.dataset import Scaler
 from koopmanmpc.deep_koopman import KoopmanNet, KoopmanNetConfig, extract
 from koopmanmpc.mpc import (
     CondensedQp,
+    MpcConfig,
     MpcProblem,
     QpNonConvergence,
     _estimate_curvature,
@@ -417,13 +419,13 @@ class TestRecedingHorizon:
             z = a @ z + b @ u
         assert np.max(np.abs(np.vstack(applied) - plan)) < 1e-5
 
-    def test_zero_control_budget_equals_no_control_rollout(self):
+    def test_zero_control_budget_equals_no_control_rollout(self, monkeypatch):
         cfg = default_config()
         net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16,
                                           lstm_hidden=4, seed=0))
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
-        loop = receding_horizon(model, cfg.model, cfg.schedule, v_ref=1.0,
-                                fault=cfg.fault, u_max_pu=0.0)
+        monkeypatch.setattr(mpc, "U_MAX", 0.0)  # the policy's bound, read when it is built
+        loop = receding_horizon(model, cfg)
         baseline = run_episode(cfg.model, cfg.schedule, cfg.fault,
                                zero_policy(cfg.model))
         assert np.array_equal(loop.trajectory.voltages, baseline.voltages)
@@ -434,7 +436,7 @@ class TestRecedingHorizon:
         net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16,
                                           lstm_hidden=4, seed=1))
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
-        loop = receding_horizon(model, cfg.model, cfg.schedule, fault=cfg.fault)
+        loop = receding_horizon(model, cfg)
         assert cfg.schedule.tc == 3.0 and cfg.schedule.n_instants == 5
         # one uncontrolled interval plus five controlled ones
         assert loop.trajectory.voltages.shape == ((5 + 1) * 4 + 1, 6)
@@ -450,8 +452,7 @@ class TestRecedingHorizon:
         net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16,
                                           lstm_hidden=4, seed=2))
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
-        loop = receding_horizon(model, cfg.model, cfg.schedule, fault=cfg.fault,
-                                tol=1e-14, max_iter=1)
+        loop = receding_horizon(model, cfg, MpcConfig(tol=1e-14, max_iter=1))
         assert loop.aborted
         assert loop.diagnostics and loop.diagnostics[-1]["converged"] is False
 
@@ -460,7 +461,7 @@ class TestRecedingHorizon:
         net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16,
                                           lstm_hidden=4, seed=3))
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
-        loop = receding_horizon(model, cfg.model, cfg.schedule, fault=cfg.fault)
+        loop = receding_horizon(model, cfg)
         loop.to_csv(tmp_path / "cl.csv")
         loop.diagnostics_to_json(tmp_path / "qp.json")
         lines = (tmp_path / "cl.csv").read_text().splitlines()
@@ -479,7 +480,7 @@ class TestRecedingHorizon:
                                           lstm_hidden=4, seed=4))
         model = extract(net, Scaler(v_ref=1.0, v_lo=-0.3, v_hi=0.1))
         with pytest.raises(ValueError, match=r"\(6, 4, 3\).*\(12, 4, 5\)"):
-            receding_horizon(model, mirror.model, mirror.schedule, fault=mirror.fault)
+            receding_horizon(model, mirror)
 
     @pytest.mark.parametrize("field, kwargs", [
         ("tol", dict(tol=float("inf"))),
@@ -488,10 +489,11 @@ class TestRecedingHorizon:
         ("max_iter", dict(max_iter=0)),
         ("max_iter", dict(max_iter=2.5)),
     ])
-    def test_bad_solver_settings_rejected_at_the_call(self, small_models, field, kwargs):
-        cfg = default_config()
+    def test_bad_solver_settings_rejected_at_the_call(self, field, kwargs):
+        # the policy takes its solver settings as an MpcConfig, whose
+        # constructor is their one check
         with pytest.raises(ValueError, match=field):
-            mpc.MpcPolicy(small_models["net"], cfg.model, cfg.schedule, **kwargs)
+            MpcConfig(**kwargs)
 
 
 def problem_batch(rng, n_rows, **kwargs):
@@ -576,9 +578,10 @@ class TestPolicyMatchesSequentialLoop:
 
         cfg = default_config()
         plant = cfg.model.with_load(lam)
-        kwargs = dict(v_ref=1.0, fault=cfg.fault, R=1e-3 * np.eye(3))
-        got = receding_horizon(small_models[kind], plant, cfg.schedule, **kwargs)
-        ref = reference(small_models[kind], plant, cfg.schedule, **kwargs)
+        got = receding_horizon(small_models[kind], replace(cfg, model=plant),
+                               MpcConfig(r_weight=1e-3))
+        ref = reference(small_models[kind], plant, cfg.schedule, v_ref=1.0, fault=cfg.fault,
+                        R=1e-3 * np.eye(3))
         assert np.array_equal(got.trajectory.times, ref.trajectory.times)
         assert np.array_equal(got.trajectory.voltages, ref.trajectory.voltages)
         assert np.array_equal(got.trajectory.controls, ref.trajectory.controls)
@@ -591,9 +594,9 @@ class TestPolicyMatchesSequentialLoop:
         from sequential_reference import receding_horizon as reference
 
         cfg = default_config()
-        kwargs = dict(fault=cfg.fault, tol=1e-14, max_iter=3)
-        got = receding_horizon(small_models[kind], cfg.model, cfg.schedule, **kwargs)
-        ref = reference(small_models[kind], cfg.model, cfg.schedule, **kwargs)
+        got = receding_horizon(small_models[kind], cfg, MpcConfig(tol=1e-14, max_iter=3))
+        ref = reference(small_models[kind], cfg.model, cfg.schedule, fault=cfg.fault,
+                        tol=1e-14, max_iter=3)
         assert got.aborted and ref.aborted
         assert got.diagnostics == ref.diagnostics
         assert np.array_equal(got.trajectory.voltages, ref.trajectory.voltages)
@@ -604,11 +607,11 @@ class TestPolicyMatchesSequentialLoop:
     def test_batch_of_episodes_equals_one_episode_each(self, small_models, kind):
         cfg = default_config()
         lams = np.array([0.92, 1.08, 1.0, 0.97])
-        policy = mpc.MpcPolicy(small_models[kind], cfg.model, cfg.schedule)
+        policy = mpc.MpcPolicy(small_models[kind], cfg)
         batch = run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault, policy)
         for e, lam in enumerate(lams):
-            single = receding_horizon(small_models[kind], cfg.model.with_load(lam), cfg.schedule,
-                                      fault=cfg.fault)
+            single = receding_horizon(small_models[kind],
+                                      replace(cfg, model=cfg.model.with_load(lam)))
             assert np.array_equal(batch.voltages[e], single.trajectory.voltages)
             assert policy.diagnostics[e] == single.diagnostics
 

@@ -517,6 +517,23 @@ class TestConfigIO:
             built = builder()
             assert plant.config_to_dict(on_disk) == plant.config_to_dict(built)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "c", "v_max", "d", "W", "gamma", "lambda",
+                                       "Ts", "Tc"])
+    def test_non_finite_parameter_rejected_by_name(self, field, value):
+        # NaN passes every range check, so each field is checked for it first
+        doc = plant.config_to_dict(default_config())
+        if field in ("Ts", "Tc"):
+            doc["schedule"][field] = value
+        elif field in ("W", "gamma"):
+            doc[field][1][0] = value
+        elif field in ("a", "b", "d"):
+            doc[field][2] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=rf"must be finite: {field}$"):
+            plant.config_from_dict(doc)
+
     def test_missing_key_rejected(self, tmp_path):
         import json
 
