@@ -192,8 +192,10 @@ def rollout_seed(master_seed: int, load_index: int, policy_index: int) -> int:
 _LOAD_CHANNEL = 0xFF  # pseudo policy index reserved for the load-factor draw
 
 
-def _case_load_factor(master_seed: int, load_index: int) -> float:
-    rng = np.random.default_rng(rollout_seed(master_seed, load_index, _LOAD_CHANNEL))
+def load_factor(master_seed: int, load_index: int, channel: int) -> float:
+    """Load factor of case ``load_index``, uniform over ``LOAD_RANGE``; the
+    pseudo policy index ``channel`` keeps each caller's stream apart."""
+    rng = np.random.default_rng(rollout_seed(master_seed, load_index, channel))
     return float(rng.uniform(*LOAD_RANGE))
 
 
@@ -231,7 +233,7 @@ def generate(plant_config: plant_mod.PlantConfig, data_config: DatasetConfig,
                 controls[load_idx, pol_idx] = rng.uniform(0.0, U_MAX, size=(n_inst, m))
     n_episodes = n_loads * len(policies)
     controls = controls.reshape(n_episodes, n_inst, m)
-    lams = [_case_load_factor(seed, load_idx) for load_idx in range(n_loads)]
+    lams = [load_factor(seed, load_idx, _LOAD_CHANNEL) for load_idx in range(n_loads)]
     batch = plant.with_load(np.repeat(lams, len(policies)))
     traj = run_episode(batch, sched, fault, lambda k, window: controls[:, k]).check_finite()
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from koopmanmpc import mpc as mpc_mod
-from koopmanmpc.dataset import rollout_seed
+from koopmanmpc.dataset import load_factor
 from koopmanmpc.plant import (
     NON_FINITE,
     IntegrationError,
@@ -162,8 +162,8 @@ def compare(
     mpc: mpc_mod.MpcConfig = mpc_mod.MpcConfig(),
 ) -> ComparisonReport:
     """Run the three controllers on ``eval_config.n_cases`` random load
-    factors drawn uniformly from [0.9, 1.1] (fixed fault from the plant
-    config) and report the fraction of cases where the lifted-space MPC
+    factors drawn uniformly from ``dataset.LOAD_RANGE`` (fixed fault from
+    the plant config) and report the fraction of cases where the lifted-space MPC
     beats VVC.
 
     Every case and every controller runs in one plant rollout of
@@ -184,10 +184,7 @@ def compare(
     vvc_law = vvc_episode_policy(base.control_buses(), vvc)
     mpc_law = mpc_mod.MpcPolicy(model, plant_config, mpc)
 
-    lams = np.array([
-        np.random.default_rng(rollout_seed(seed, idx, _CASE_CHANNEL)).uniform(0.9, 1.1)
-        for idx in range(n_cases)
-    ])
+    lams = np.array([load_factor(seed, idx, _CASE_CHANNEL) for idx in range(n_cases)])
     vvc_rows, mpc_rows = slice(n_cases, 2 * n_cases), slice(2 * n_cases, None)
 
     def policy(k: int, window: np.ndarray) -> np.ndarray:

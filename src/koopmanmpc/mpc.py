@@ -2,17 +2,16 @@
 
 At each control instant the finite-horizon tracking objective
 
-    sum_{i=0}^{Nk-1} (z_{k+i+1} - z_ref)^T Q (z_{k+i+1} - z_ref)
-                     + u_{k+i}^T R u_{k+i}
+    sum_{i=0}^{Nk-1} |z_{k+i+1} - z_ref|^2 + u_{k+i}^T R u_{k+i}
 
 subject to z_{k+i+1} = A z_{k+i} + B u_{k+i} and box bounds on u is
 condensed into a quadratic in the stacked control sequence by eliminating
 the predicted states (prediction blocks A^i B by recursion, never a power
-of A or a Kronecker product of Q: O(H N^2 m) per instant), solved with
+of A: O(H N^2 m) per instant; no N x N weight is formed), solved with
 fixed-step projected gradient descent sized by the exact largest
 eigenvalue of the Hessian, and the first move is applied to the plant.
-All solver arithmetic runs in normalized units; controls are denormalized
-to p.u. before they touch the plant.
+All solver arithmetic runs in normalized units; ``MpcPolicy``
+denormalizes the first move to p.u. before it touches the plant.
 
 Batches: a problem may carry C initial lifted states ``z0`` of shape
 ``(C, N)`` that share everything else.  The Hessian and its largest
@@ -23,7 +22,7 @@ whatever else shares the batch.  ``MpcPolicy`` runs the controller as a
 feedback policy over a batch of episodes, so a whole comparison is one
 plant rollout.
 
-The controller is one fixed design: ``Q = I``, ``R = r_weight · I``,
+The controller is one fixed design: unit state weight, ``R = r_weight · I``,
 controls bounded to ``[0, U_MAX]`` p.u. and the constant ``V_REF``
 history as the lifted reference.  ``MpcPolicy`` and ``receding_horizon``
 take the plant as a ``PlantConfig`` and the weight and stopping rule as
@@ -38,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from koopmanmpc.dataset import Scaler
 from koopmanmpc.plant import PlantConfig, Schedule, Trajectory, U_MAX, V_REF, clip, run_episode
 from koopmanmpc.plant import step  # noqa: F401  (the benchmark's tracer finds plant.step here)
 
@@ -103,14 +101,13 @@ def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _check_weight(mat: np.ndarray, name: str, dim: int):
     if mat.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim} x {dim}")
-    # min and max propagate NaN and reach any infinity: no N x N temporary
-    if not (np.isfinite(mat.max()) and np.isfinite(mat.min())):
+    if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} must be finite")
-    asym = np.subtract(mat, mat.T)
-    if np.abs(asym, out=asym).max() > 1e-10:
+    if np.max(np.abs(mat - mat.T)) > 1e-10:
         raise ValueError(f"{name} must be symmetric")
-    if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
-        min_eig = float(np.min(mat.diagonal()))
+    off_diag = mat - np.diag(np.diag(mat))
+    if np.count_nonzero(off_diag) == 0:
+        min_eig = float(np.min(np.diag(mat)))
     else:
         min_eig = float(np.min(np.linalg.eigvalsh(mat)))
     if min_eig < -1e-10:
@@ -119,15 +116,14 @@ def _check_weight(mat: np.ndarray, name: str, dim: int):
 
 @dataclass(frozen=True)
 class MpcProblem:
-    """One instant's lifted tracking problem over the remaining horizon;
-    ``z0`` is ``(N,)``, or ``(C, N)`` for C problems sharing the rest."""
+    """One instant's lifted tracking problem (unit state weight) over the
+    remaining horizon; ``z0`` is ``(N,)``, or ``(C, N)`` for C sharing the rest."""
 
     A: np.ndarray
     B: np.ndarray
     z0: np.ndarray
     z_ref: np.ndarray
     horizon: int
-    Q: np.ndarray
     R: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
@@ -147,7 +143,6 @@ class MpcProblem:
             raise ValueError("bounds must be m-vectors")
         if np.any(self.u_min > self.u_max):
             raise ValueError("u_min must not exceed u_max")
-        _check_weight(self.Q, "Q", n_lift)
         _check_weight(self.R, "R", m)
 
 
@@ -183,11 +178,11 @@ def condense(problem: MpcProblem) -> CondensedQp:
     ``z_{i+1} = A^{i+1} z0 + sum_{j<=i} G_{i-j} u_j`` with the prediction
     blocks ``G_0 = B``, ``G_{k+1} = A G_k``.  The blocks and the free
     response ``A^{i+1} z0`` come from that recursion (matrix-times-block
-    and matvec), so no power of A is ever formed; the block-diagonal state
-    weight is applied one block row at a time, never as a Kronecker
-    product.  The cost is O(H N^2 m) for the recursion and Q products
-    plus O(H^3 N m^2) for the Hessian GEMM, and the quadratic's value
-    equals the original objective for every feasible control sequence.
+    and matvec), so no power of A is ever formed; the unit state weight
+    needs no product, so with S the stacked blocks the Hessian is S^T S +
+    blkdiag(R).  The cost is O(H N^2 m) for the recursion plus O(H^3 N m^2)
+    for the Hessian GEMM, and the quadratic's value equals the original
+    objective for every feasible control sequence.
     A batch of z0 shares the blocks and the Hessian; only the free
     responses, ``linear`` and ``const`` are per row.
     """
@@ -198,24 +193,21 @@ def condense(problem: MpcProblem) -> CondensedQp:
         blocks.append(problem.A @ blocks[-1])
         free.append(_matvec(problem.A, free[-1]))
     d_mat = np.stack(free, axis=-2) - problem.z_ref  # (..., nk, N): free-response tracking error
-    q_blocks = [problem.Q @ g for g in blocks]  # Q G_k, k = 0..nk-1
 
     # block row i of the prediction matrix is [G_i ... G_0 0 ... 0]
     s_big = np.zeros((nk, n_lift, nk, m))
-    q_s = np.zeros((nk, n_lift, nk, m))
     for i in range(nk):
         for j in range(i + 1):
             s_big[i, :, j] = blocks[i - j]
-            q_s[i, :, j] = q_blocks[i - j]
     s_big = s_big.reshape(nk * n_lift, nk * m)
-    q_s = q_s.reshape(nk * n_lift, nk * m)
 
-    hessian = s_big.T @ q_s
+    # distinct operands keep this a GEMM; X.T @ X would go to SYRK, whose last bits differ
+    hessian = s_big.T @ s_big.copy()
     for j in range(nk):
         hessian[j * m : (j + 1) * m, j * m : (j + 1) * m] += problem.R
     hessian = 0.5 * (hessian + hessian.T)
-    linear = _matvec(q_s.T, d_mat.reshape(d_mat.shape[:-2] + (-1,)))
-    const = np.sum((d_mat @ problem.Q) * d_mat, axis=(-2, -1))
+    linear = _matvec(s_big.T, d_mat.reshape(d_mat.shape[:-2] + (-1,)))
+    const = np.sum(d_mat * d_mat, axis=(-2, -1))
     return CondensedQp(
         hessian=hessian,
         linear=linear,
@@ -240,7 +232,6 @@ class SolveInfo:
     converged: bool
     pg_norm: float
     objective: float
-    step_bound: float
     row_iterations: np.ndarray
     row_converged: np.ndarray
     row_pg_norm: np.ndarray
@@ -249,10 +240,9 @@ class SolveInfo:
 
 @dataclass(frozen=True)
 class ControlSequence:
-    """Stacked solution in normalized units plus its p.u. image."""
+    """Stacked solution in normalized units and its diagnostics."""
 
-    u: np.ndarray  # (horizon, m), or (C, horizon, m) for a batch; normalized
-    u_pu: np.ndarray | None
+    u: np.ndarray  # (horizon, m), or (C, horizon, m) for a batch
     info: SolveInfo
 
 
@@ -266,7 +256,6 @@ def solve_box_qp(
     qp: CondensedQp,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    scaler: Scaler | None = None,
 ) -> ControlSequence:
     """Fixed-step projected gradient descent from the (projected) origin.
 
@@ -283,8 +272,7 @@ def solve_box_qp(
     every row.
     """
     lam = _estimate_curvature(qp.hessian)
-    step_bound = _STEP_SAFETY * 2.0 * lam
-    alpha = 1.0 / max(step_bound, 1e-300)
+    alpha = 1.0 / max(_STEP_SAFETY * 2.0 * lam, 1e-300)
 
     linear = qp.linear.reshape(-1, qp.linear.shape[-1])
     u = clip(np.zeros_like(linear), qp.lower, qp.upper)  # every row's final iterate
@@ -314,15 +302,13 @@ def solve_box_qp(
         converged=bool(np.all(converged)),
         pg_norm=float(pg_norm.max()),
         objective=float(row_objective.sum()),
-        step_bound=step_bound,
         row_iterations=iterations,
         row_converged=converged,
         row_pg_norm=pg_norm,
         row_objective=row_objective,
     )
     u_mat = u_flat.reshape(qp.linear.shape[:-1] + (qp.horizon, qp.n_controls))
-    u_pu = scaler.denormalize_u(u_mat) if scaler is not None else None
-    result = ControlSequence(u=u_mat, u_pu=u_pu, info=info)
+    result = ControlSequence(u=u_mat, info=info)
     if not info.converged:
         stopped = int(iterations[~converged].max())
         raise QpNonConvergence(_residual_message(info.pg_norm, tol, stopped),
@@ -342,10 +328,10 @@ class MpcPolicy:
     episodes or ``(n, h)`` for one.  Every episode's window is lifted, the
     remaining budget ``n_instants - k`` is the horizon, one condensation
     and one projected-gradient solve serve all C episodes, and the first
-    move of each solution, clipped to ``[0, U_MAX]``, is returned.
+    move of each solution, in p.u. clipped to ``[0, U_MAX]``, is returned.
 
-    The problem is the controller's one design: the state weight is
-    ``Q = I``, the control weight ``R = config.r_weight * I``, the bounds
+    The problem is the controller's one design: unit state weight, the
+    control weight ``R = config.r_weight * I``, the bounds
     are ``[0, U_MAX]`` p.u. (``U_MAX`` as it reads when the policy is
     built), and the lifted reference is the constant ``V_REF`` history,
     lifted once.  The solver stops at ``config.tol`` or after
@@ -362,7 +348,7 @@ class MpcPolicy:
 
     def __init__(self, model, plant_config: PlantConfig, config: MpcConfig = MpcConfig()):
         plant, sched = plant_config.model, plant_config.schedule
-        n_lift, m = model.lifted_dim, model.m
+        m = model.m
         model_shape, plant_shape = (model.n, model.h, m), (plant.n, sched.h, plant.m)
         if model_shape != plant_shape:
             raise ValueError(
@@ -371,7 +357,6 @@ class MpcPolicy:
         self.model = model
         self.config = config
         self.n_instants = sched.n_instants
-        self.Q = np.eye(n_lift)
         self.R = config.r_weight * np.eye(m)
         self.u_max = U_MAX
         self.u_lo = np.full(m, float(model.scaler.normalize_u(0.0)))
@@ -395,14 +380,13 @@ class MpcPolicy:
                 z0=self.model.lift(windows[live]),
                 z_ref=self.z_ref,
                 horizon=horizon,
-                Q=self.Q,
                 R=self.R,
                 u_min=self.u_lo,
                 u_max=self.u_hi,
             )
             try:
                 seq = solve_box_qp(condense(problem), tol=self.config.tol,
-                                   max_iter=self.config.max_iter, scaler=self.model.scaler)
+                                   max_iter=self.config.max_iter)
             except QpNonConvergence as exc:
                 seq = exc.result
             info = seq.info
@@ -417,7 +401,7 @@ class MpcPolicy:
                     )
                     self.aborted[e] = True
                     continue
-                u[e] = clip(seq.u_pu[j, 0], 0.0, self.u_max)
+                u[e] = clip(self.model.scaler.denormalize_u(seq.u[j, 0]), 0.0, self.u_max)
                 self.diagnostics[e].append(
                     {
                         "instant": k,

@@ -47,6 +47,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -117,17 +118,23 @@ class Schedule:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Instantaneous post-clearing voltage sag on a set of buses."""
+    """Instantaneous post-clearing voltage sag on a set of distinct buses."""
 
     affected: tuple[int, ...]
     depth: float
 
     def __post_init__(self):
-        if len(self.affected) == 0:
+        affected = list(self.affected)
+        if len(affected) == 0:
             raise ValueError("fault must affect at least one bus")
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and i >= 0
+                   for i in affected):
+            raise ValueError(f"fault buses must be non-negative integers (got {affected!r})")
+        if len(set(affected)) != len(affected):
+            raise ValueError(f"fault buses must be distinct (got {affected!r})")
         if not 0.0 < self.depth < 1.0:
             raise ValueError("fault depth must lie in (0, 1)")
-        object.__setattr__(self, "affected", tuple(int(i) for i in self.affected))
+        object.__setattr__(self, "affected", tuple(int(i) for i in affected))
 
 
 @dataclass(frozen=True)
@@ -475,11 +482,16 @@ def full_policy(plant: PlantModel) -> ControlPolicy:
 
 @dataclass(frozen=True)
 class PlantConfig:
-    """A plant together with its schedule and experiment fault."""
+    """A plant together with its schedule and experiment fault on its buses."""
 
     model: PlantModel
     schedule: Schedule
     fault: FaultSpec
+
+    def __post_init__(self):
+        if max(self.fault.affected) >= self.model.n:
+            raise ValueError(f"fault buses must be below n = {self.model.n} "
+                             f"(got {list(self.fault.affected)!r})")
 
 
 def ring_lattice(n: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Paths as they ran before their batched or flat rewrites, kept as the
 references those must reproduce bit for bit: the closed loop with MPC
 stepping one episode through its own loop, ``compare`` running one case
-after another, ADAM updating one tensor after another, the MPC weight
-check building its N x N temporaries.  The plant's RK4 step is kept as
+after another, ADAM updating one tensor after another, the condensation
+with a general state weight ``Q``.  The plant's RK4 step is kept as
 it ran before its cube became a product (``** 3``, broadcasts, ``np.clip``
 and one control matmul per stage); ``step`` must match it within 2 ulp,
 not bit for bit, since the arithmetic itself changed."""
@@ -22,6 +22,45 @@ from koopmanmpc.plant import (
     run_episode,
     step,
 )
+
+
+def condense(problem, Q):
+    """``mpc.condense`` with the state weight ``Q`` applied one block row
+    at a time, as it ran before the weight became the identity."""
+    nk, n_lift, m = problem.horizon, problem.A.shape[0], problem.B.shape[1]
+    blocks = [problem.B]
+    free = [mpc._matvec(problem.A, problem.z0)]
+    for _ in range(nk - 1):
+        blocks.append(problem.A @ blocks[-1])
+        free.append(mpc._matvec(problem.A, free[-1]))
+    d_mat = np.stack(free, axis=-2) - problem.z_ref  # (..., nk, N): free-response tracking error
+    q_blocks = [Q @ g for g in blocks]  # Q G_k, k = 0..nk-1
+
+    # block row i of the prediction matrix is [G_i ... G_0 0 ... 0]
+    s_big = np.zeros((nk, n_lift, nk, m))
+    q_s = np.zeros((nk, n_lift, nk, m))
+    for i in range(nk):
+        for j in range(i + 1):
+            s_big[i, :, j] = blocks[i - j]
+            q_s[i, :, j] = q_blocks[i - j]
+    s_big = s_big.reshape(nk * n_lift, nk * m)
+    q_s = q_s.reshape(nk * n_lift, nk * m)
+
+    hessian = s_big.T @ q_s
+    for j in range(nk):
+        hessian[j * m : (j + 1) * m, j * m : (j + 1) * m] += problem.R
+    hessian = 0.5 * (hessian + hessian.T)
+    linear = mpc._matvec(q_s.T, d_mat.reshape(d_mat.shape[:-2] + (-1,)))
+    const = np.sum((d_mat @ Q) * d_mat, axis=(-2, -1))
+    return mpc.CondensedQp(
+        hessian=hessian,
+        linear=linear,
+        const=float(const) if const.ndim == 0 else const,
+        lower=np.tile(problem.u_min, nk),
+        upper=np.tile(problem.u_max, nk),
+        horizon=nk,
+        n_controls=m,
+    )
 
 
 def receding_horizon(model, plant, sched, v_ref=1.0, fault=None, Q=None, R=None,
@@ -57,16 +96,16 @@ def receding_horizon(model, plant, sched, v_ref=1.0, fault=None, Q=None, R=None,
     for k in range(sched.n_instants):
         window = np.vstack(samples[-h:]).T
         problem = mpc.MpcProblem(A=model.A, B=model.B, z0=model.lift(window), z_ref=z_ref,
-                                 horizon=sched.n_instants - k, Q=Q, R=R, u_min=u_lo, u_max=u_hi)
-        qp = mpc.condense(problem)
+                                 horizon=sched.n_instants - k, R=R, u_min=u_lo, u_max=u_hi)
+        qp = condense(problem, Q)
         try:
-            seq = mpc.solve_box_qp(qp, tol=tol, max_iter=max_iter, scaler=scaler)
+            seq = mpc.solve_box_qp(qp, tol=tol, max_iter=max_iter)
         except mpc.QpNonConvergence as exc:
             diagnostics.append({"instant": k, "horizon": problem.horizon, "converged": False,
                                 "error": str(exc), "pg_norm": exc.residual})
             aborted = True
             break
-        u_pu = np.clip(seq.u_pu[0], u_min_pu, u_max_pu)
+        u_pu = np.clip(scaler.denormalize_u(seq.u[0]), u_min_pu, u_max_pu)
         diagnostics.append({"instant": k, "horizon": problem.horizon, "converged": True,
                             "iterations": seq.info.iterations, "pg_norm": seq.info.pg_norm,
                             "objective": seq.info.objective, "u_pu": u_pu.tolist()})
@@ -164,24 +203,6 @@ class PerTensorAdam:
             m_hat = self.m[name] / b1c
             v_hat = self.v[name] / b2c
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def check_weight(mat: np.ndarray, name: str, dim: int):
-    """``mpc._check_weight`` as it was before it dropped its N x N
-    temporaries (``mat - mat.T`` and ``np.diag(np.diag(mat))``)."""
-    if mat.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim} x {dim}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} must be finite")
-    if np.max(np.abs(mat - mat.T)) > 1e-10:
-        raise ValueError(f"{name} must be symmetric")
-    off_diag = mat - np.diag(np.diag(mat))
-    if np.count_nonzero(off_diag) == 0:
-        min_eig = float(np.min(np.diag(mat)))
-    else:
-        min_eig = float(np.min(np.linalg.eigvalsh(mat)))
-    if min_eig < -1e-10:
-        raise ValueError(f"{name} must be positive semidefinite (min eig {min_eig:.2e})")
 
 
 def plant_vector_field(plant, v, u):

@@ -167,7 +167,7 @@ def _random_mpc_problem(rng, n_lift, m, horizon):
     return mpc.MpcProblem(
         A=a, B=rng.normal(size=(n_lift, m)),
         z0=rng.normal(size=n_lift), z_ref=rng.normal(size=n_lift),
-        horizon=horizon, Q=np.eye(n_lift),
+        horizon=horizon,
         R=r_root @ r_root.T + 0.05 * np.eye(m),
         u_min=np.full(m, -1.0), u_max=np.full(m, 1.0),
     )
@@ -231,7 +231,7 @@ def test_criterion_4_condensation_equivalence():
             for i in range(horizon):
                 z = problem.A @ z + problem.B @ u[i]
                 dz = z - problem.z_ref
-                direct += float(dz @ problem.Q @ dz + u[i] @ problem.R @ u[i])
+                direct += float(dz @ dz + u[i] @ problem.R @ u[i])
             worst = max(worst, abs(qp.objective(u.ravel()) - direct))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and elapsed < 10.0

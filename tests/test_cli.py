@@ -3,7 +3,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from koopmanmpc import cli
@@ -142,6 +141,16 @@ class TestConfigValidation:
         assert code == 2
         fields = json.loads(capsys.readouterr().err.strip())["fields"]
         assert fields == ["plant: invalid plant config (plant parameters must be finite: lambda)"]
+        assert not (workspace / "o").exists()
+
+    def test_fault_bus_beyond_the_plant_exits_2(self, workspace, capsys):
+        doc = config_to_dict(default_config())
+        doc["fault"]["affected"] = [99]
+        (workspace / "plant.json").write_text(json.dumps(doc))
+        code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
+        assert code == 2
+        fields = json.loads(capsys.readouterr().err.strip())["fields"]
+        assert fields == ["plant: invalid plant config (fault buses must be below n = 6 (got [99]))"]
         assert not (workspace / "o").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):

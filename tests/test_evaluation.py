@@ -11,7 +11,6 @@ from koopmanmpc.dataset import DatasetConfig, Scaler, generate
 from koopmanmpc.deep_koopman import KoopmanNet, KoopmanNetConfig, extract
 from koopmanmpc.edmd import fit, identity_dictionary
 from koopmanmpc.evaluation import (
-    ComparisonReport,
     EvalConfig,
     VvcParams,
     compare,

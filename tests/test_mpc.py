@@ -31,13 +31,13 @@ def direct_objective(problem: MpcProblem, u_seq: np.ndarray) -> float:
     for i in range(problem.horizon):
         z = problem.A @ z + problem.B @ u_seq[i]
         dz = z - problem.z_ref
-        total += float(dz @ problem.Q @ dz + u_seq[i] @ problem.R @ u_seq[i])
+        total += float(dz @ dz + u_seq[i] @ problem.R @ u_seq[i])
     return total
 
 
 def reference_condense(problem: MpcProblem) -> CondensedQp:
     """The A-power / Kronecker-product condensation that ``condense``
-    replaced: forms A^1..A^H and multiplies by kron(I, Q)."""
+    replaced: forms A^1..A^H and adds kron(I, R)."""
     nk, n_lift, m = problem.horizon, problem.A.shape[0], problem.B.shape[1]
     powers = [np.eye(n_lift)]
     for _ in range(nk):
@@ -50,11 +50,10 @@ def reference_condense(problem: MpcProblem) -> CondensedQp:
         for j in range(i + 1):
             s_big[i * n_lift : (i + 1) * n_lift, j * m : (j + 1) * m] = powers[i - j] @ problem.B
 
-    q_s = np.kron(np.eye(nk), problem.Q) @ s_big
-    hessian = s_big.T @ q_s + np.kron(np.eye(nk), problem.R)
+    hessian = s_big.T @ s_big + np.kron(np.eye(nk), problem.R)
     hessian = 0.5 * (hessian + hessian.T)
-    linear = q_s.T @ d_vec
-    const = float(d_vec @ np.kron(np.eye(nk), problem.Q) @ d_vec)
+    linear = s_big.T @ d_vec
+    const = float(d_vec @ d_vec)
     return CondensedQp(
         hessian=hessian, linear=linear, const=const,
         lower=np.tile(problem.u_min, nk), upper=np.tile(problem.u_max, nk),
@@ -98,7 +97,6 @@ def random_problem(rng, n_lift=None, m=None, horizon=None, stable=True):
     a = rng.normal(size=(n_lift, n_lift))
     if stable:
         a = 0.9 * a / max(np.abs(np.linalg.eigvals(a)).max(), 1e-9)
-    q_root = rng.normal(size=(n_lift, n_lift))
     r_root = rng.normal(size=(m, m))
     return MpcProblem(
         A=a,
@@ -106,7 +104,6 @@ def random_problem(rng, n_lift=None, m=None, horizon=None, stable=True):
         z0=rng.normal(size=n_lift),
         z_ref=rng.normal(size=n_lift),
         horizon=horizon,
-        Q=q_root @ q_root.T + 0.1 * np.eye(n_lift),
         R=r_root @ r_root.T + 0.01 * np.eye(m),
         u_min=np.full(m, -1.0),
         u_max=np.full(m, 1.0),
@@ -132,64 +129,61 @@ def spd_qp(rng, dim, eig_lo=0.5, eig_hi=2.0, lower=-1.0, upper=1.0):
 class TestProblemValidation:
     def test_asymmetric_weight_rejected(self):
         rng = np.random.default_rng(0)
-        p = random_problem(rng)
-        bad_q = p.Q.copy()
-        bad_q[0, 1] += 1e-6
+        p = random_problem(rng, m=2)
+        bad_r = p.R.copy()
+        bad_r[0, 1] += 1e-6
         with pytest.raises(ValueError):
             MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
-                       Q=bad_q, R=p.R, u_min=p.u_min, u_max=p.u_max)
+                       R=bad_r, u_min=p.u_min, u_max=p.u_max)
 
     def test_indefinite_weight_rejected(self):
         rng = np.random.default_rng(1)
-        p = random_problem(rng, n_lift=3, m=1)
+        p = random_problem(rng, n_lift=3, m=3)
         with pytest.raises(ValueError):
             MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
-                       Q=np.diag([1.0, -0.5, 1.0]), R=p.R, u_min=p.u_min, u_max=p.u_max)
+                       R=np.diag([1.0, -0.5, 1.0]), u_min=p.u_min, u_max=p.u_max)
 
-    @pytest.mark.parametrize("weight", ["Q", "R"])
+    @pytest.mark.parametrize("weight", ["R"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, weight, value):
         p = random_problem(np.random.default_rng(3), n_lift=4, m=2)
-        diag = {"Q": np.eye(4), "R": np.eye(2)}  # the diagonal fast path
-        diag[weight][1, 1] = value
+        bad = np.eye(2)
+        bad[1, 1] = value
         with pytest.raises(ValueError, match=f"{weight} must be finite"):
             MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
-                       Q=diag["Q"], R=diag["R"], u_min=p.u_min, u_max=p.u_max)
+                       R=bad, u_min=p.u_min, u_max=p.u_max)
 
-    @pytest.mark.parametrize("weight", [
-        np.eye(5),
-        np.diag([0.0, 2.0, 0.5, 1e-12, 3.0]),
-        np.diag([1.0, -0.5, 1.0, 1.0, 1.0]),
-        np.diag([1.0, -1e-11, 1.0, 1.0, 1.0]),
-        np.eye(5) + np.full((5, 5), 0.25),
-        np.eye(5) + 2.0 * (np.eye(5, k=1) + np.eye(5, k=-1)),
-        np.eye(5) + np.triu(np.full((5, 5), 1e-6), 1),
-        np.eye(5) + np.triu(np.full((5, 5), 1e-11), 1),
-        np.where(np.eye(5, dtype=bool), np.nan, 0.0),
-        np.where(np.eye(5, k=1, dtype=bool), -np.inf, np.eye(5)),
-        np.ones((5, 4)),
-        np.zeros((0, 0)),
+    @pytest.mark.parametrize("weight, expected", [
+        (np.eye(5), None),
+        (np.diag([0.0, 2.0, 0.5, 1e-12, 3.0]), None),
+        (np.diag([1.0, -0.5, 1.0, 1.0, 1.0]), "R must be positive semidefinite (min eig -5.00e-01)"),
+        (np.diag([1.0, -1e-11, 1.0, 1.0, 1.0]), None),
+        (np.eye(5) + np.full((5, 5), 0.25), None),
+        (np.eye(5) + 2.0 * (np.eye(5, k=1) + np.eye(5, k=-1)),
+         "R must be positive semidefinite (min eig -2.46e+00)"),
+        (np.eye(5) + np.triu(np.full((5, 5), 1e-6), 1), "R must be symmetric"),
+        (np.eye(5) + np.triu(np.full((5, 5), 1e-11), 1), None),
+        (np.where(np.eye(5, dtype=bool), np.nan, 0.0), "R must be finite"),
+        (np.where(np.eye(5, k=1, dtype=bool), -np.inf, np.eye(5)), "R must be finite"),
+        (np.ones((5, 4)), "R must be 5 x 5"),
+        (np.zeros((0, 0)), "zero-size array to reduction operation maximum which has no identity"),
     ], ids=["identity", "non_negative_diagonal", "negative_diagonal", "tiny_negative_diagonal",
             "psd_off_diagonal", "indefinite", "asymmetric", "asymmetric_within_tolerance",
             "nan", "infinite_off_diagonal", "misshapen", "empty"])
-    def test_weight_check_decides_as_before(self, weight):
-        from sequential_reference import check_weight as reference
-
-        def outcome(check):
-            try:
-                check(weight, "Q", len(weight))
-            except ValueError as exc:
-                return str(exc)
-            return None
-
-        assert outcome(mpc._check_weight) == outcome(reference)
+    def test_weight_check_decides_as_before(self, weight, expected):
+        try:
+            mpc._check_weight(weight, "R", len(weight))
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
     def test_crossed_bounds_rejected(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, m=2)
         with pytest.raises(ValueError):
             MpcProblem(A=p.A, B=p.B, z0=p.z0, z_ref=p.z_ref, horizon=p.horizon,
-                       Q=p.Q, R=p.R, u_min=np.array([0.5, 0.0]), u_max=np.array([0.0, 1.0]))
+                       R=p.R, u_min=np.array([0.5, 0.0]), u_max=np.array([0.0, 1.0]))
 
 
 class TestCondense:
@@ -197,8 +191,8 @@ class TestCondense:
         rng = np.random.default_rng(3)
         p = random_problem(rng, horizon=1)
         qp = condense(p)
-        expect_h = p.B.T @ p.Q @ p.B + p.R
-        expect_g = p.B.T @ p.Q @ (p.A @ p.z0 - p.z_ref)
+        expect_h = p.B.T @ p.B + p.R
+        expect_g = p.B.T @ (p.A @ p.z0 - p.z_ref)
         assert np.allclose(qp.hessian, expect_h, atol=1e-12)
         assert np.allclose(qp.linear, expect_g, atol=1e-12)
 
@@ -211,7 +205,6 @@ class TestCondense:
             z0=rng.normal(size=n_lift),
             z_ref=rng.normal(size=n_lift),
             horizon=nk,
-            Q=np.eye(n_lift),
             R=np.zeros((m, m)),
             u_min=np.full(m, -1.0),
             u_max=np.full(m, 1.0),
@@ -318,14 +311,6 @@ class TestSolveBoxQp:
             solve_box_qp(qp, tol=1e-14, max_iter=1)
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
-    def test_scaler_produces_pu_image(self):
-        qp = CondensedQp(hessian=np.eye(2), linear=np.zeros(2), const=0.0,
-                         lower=np.full(2, -1.0), upper=np.full(2, 1.0),
-                         horizon=1, n_controls=2)
-        sc = Scaler(v_ref=1.0, v_lo=-0.1, v_hi=0.1)
-        seq = solve_box_qp(qp, scaler=sc)
-        assert np.allclose(seq.u_pu, sc.denormalize_u(seq.u))
-
 
 class TestCondenseMatchesReference:
     @given(
@@ -346,7 +331,6 @@ class TestCondenseMatchesReference:
             z0=rng.normal(size=n_lift),
             z_ref=rng.normal(size=n_lift),
             horizon=horizon,
-            Q=random_psd(rng, n_lift),
             R=random_psd(rng, m),
             u_min=np.full(m, -1.0),
             u_max=np.full(m, 1.0),
@@ -367,6 +351,36 @@ class TestCondenseMatchesReference:
             assert solved[0] is None
         else:
             assert np.max(np.abs(solved[0] - solved[1])) <= 1e-9
+
+
+class TestCondenseIsTheWeightedOneAtIdentity:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_lift=st.integers(1, 40),
+        m=st.integers(1, 5),
+        horizon=st.integers(1, 6),
+        n_rows=st.integers(0, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_for_bit(self, seed, n_lift, m, horizon, n_rows):
+        from sequential_reference import condense as weighted
+
+        rng = np.random.default_rng(seed)
+        r_root = rng.normal(size=(m, m))
+        p = MpcProblem(
+            A=rng.normal(size=(n_lift, n_lift)),
+            B=rng.normal(size=(n_lift, m)),
+            z0=rng.normal(size=(n_rows, n_lift) if n_rows else n_lift),  # 0: one problem
+            z_ref=rng.normal(size=n_lift),
+            horizon=horizon,
+            R=r_root @ r_root.T,
+            u_min=np.full(m, -1.0),
+            u_max=np.full(m, 1.0),
+        )
+        got, ref = condense(p), weighted(p, np.eye(n_lift))
+        assert np.array_equal(got.hessian, ref.hessian)
+        assert np.array_equal(got.linear, ref.linear)
+        assert np.array_equal(got.const, ref.const) and type(got.const) is type(ref.const)
 
 
 class TestCurvature:
@@ -397,12 +411,11 @@ class TestRecedingHorizon:
         b = rng.normal(size=(n_lift, m))
         z0 = rng.normal(size=n_lift)
         z_ref = rng.normal(size=n_lift)
-        q = np.eye(n_lift)
         r = 1e-4 * np.eye(m)  # strict convexity: the optimum is unique
         bounds = dict(u_min=np.full(m, -1.0), u_max=np.full(m, 1.0))
 
         plan = solve_box_qp(
-            condense(MpcProblem(A=a, B=b, z0=z0, z_ref=z_ref, horizon=nk, Q=q, R=r, **bounds)),
+            condense(MpcProblem(A=a, B=b, z0=z0, z_ref=z_ref, horizon=nk, R=r, **bounds)),
             tol=1e-12,
         ).u
 
@@ -410,8 +423,7 @@ class TestRecedingHorizon:
         applied = []
         for k in range(nk):
             seq = solve_box_qp(
-                condense(MpcProblem(A=a, B=b, z0=z, z_ref=z_ref, horizon=nk - k,
-                                    Q=q, R=r, **bounds)),
+                condense(MpcProblem(A=a, B=b, z0=z, z_ref=z_ref, horizon=nk - k, R=r, **bounds)),
                 tol=1e-12,
             )
             u = seq.u[0]
@@ -501,12 +513,12 @@ def problem_batch(rng, n_rows, **kwargs):
     p = random_problem(rng, **kwargs)
     z0 = rng.normal(size=(n_rows, p.A.shape[0]))
     return p, MpcProblem(A=p.A, B=p.B, z0=z0, z_ref=p.z_ref, horizon=p.horizon,
-                         Q=p.Q, R=p.R, u_min=p.u_min, u_max=p.u_max)
+                         R=p.R, u_min=p.u_min, u_max=p.u_max)
 
 
 def row_problem(batch: MpcProblem, i: int) -> MpcProblem:
     return MpcProblem(A=batch.A, B=batch.B, z0=batch.z0[i], z_ref=batch.z_ref,
-                      horizon=batch.horizon, Q=batch.Q, R=batch.R,
+                      horizon=batch.horizon, R=batch.R,
                       u_min=batch.u_min, u_max=batch.u_max)
 
 

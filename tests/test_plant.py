@@ -534,6 +534,20 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=rf"must be finite: {field}$"):
             plant.config_from_dict(doc)
 
+    @pytest.mark.parametrize("affected, message", [
+        ([-1], "non-negative integers"),
+        ([1.5], "non-negative integers"),
+        ([True], "non-negative integers"),
+        ([2, 2], "distinct"),
+        ([6], "below n = 6"),
+        ([99], "below n = 6"),
+    ], ids=["negative", "fractional", "boolean", "duplicate", "first_missing_bus", "far_out"])
+    def test_bad_fault_bus_rejected(self, affected, message):
+        doc = plant.config_to_dict(default_config())
+        doc["fault"]["affected"] = affected
+        with pytest.raises(ValueError, match=f"fault buses must be {message}"):
+            plant.config_from_dict(doc)
+
     def test_missing_key_rejected(self, tmp_path):
         import json
 
