@@ -227,10 +227,10 @@ def cmd_train(args) -> int:
     model = deep_koopman.extract(net, ds.scaler)
     lifted.save_lifted_model(model, out / "lifted_model.json")
     deep_koopman.history_to_csv(history, out / "training_history.csv")
-    last = history[-1]
+    kept = deep_koopman.kept_epoch(history)  # the epoch whose parameters were saved
     print(
-        f"trained {len(history)} epochs; "
-        f"val MAE next={last.val_mae_next:.5f} recon={last.val_mae_recon:.5f}"
+        f"trained {len(history)} epochs; kept epoch {kept.epoch}: "
+        f"val MAE next={kept.val_mae_next:.5f} recon={kept.val_mae_recon:.5f}"
     )
     return 0
 

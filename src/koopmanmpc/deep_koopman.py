@@ -271,6 +271,112 @@ def _eval_metrics(net: KoopmanNet, v_k, u_k, v_next, chunk=2048) -> list[float]:
     return (sums / v_next.size).tolist()
 
 
+def _validation_worker(conn, parent_end, config: KoopmanNetConfig, v_k, u_k, v_next):
+    """Answer each parameter vector received on ``conn`` with its
+    ``_eval_metrics`` until the parent closes the pipe."""
+    import signal
+
+    parent_end.close()  # else this process holds the pipe open itself
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and closes the pipe
+    net = KoopmanNet(config)
+    try:
+        while True:
+            net.flat[...] = np.frombuffer(conn.recv_bytes())
+            conn.send(_eval_metrics(net, v_k, u_k, v_next))
+    except (EOFError, OSError):  # the parent closed its end
+        pass
+
+
+class _Validation:
+    """Validation metrics of parameter vectors, read one submission behind.
+
+    ``submit(flat)`` hands over a vector; ``result()`` returns the
+    ``_eval_metrics`` of the oldest one not yet read.  Where the ``fork``
+    start method exists, a forked worker that inherits the validation
+    arrays computes them, so validating one epoch overlaps training the
+    next; elsewhere, and in a daemonic process, ``submit`` computes them in
+    this process.  Either way the metrics are the same floats.  Leaving the
+    ``with`` block closes the pipe and joins the worker, whatever ended the
+    block.
+    """
+
+    def __init__(self, config: KoopmanNetConfig, v_k, u_k, v_next):
+        self._args = (config, v_k, u_k, v_next)
+        self._proc = None
+        self._done = []
+
+    def __enter__(self):
+        # imported here: only training forks, and the stages that never train
+        # should not pay for the import
+        import multiprocessing
+
+        # a daemonic process (a multiprocessing pool's worker) may not start one
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            self._net = KoopmanNet(self._args[0])
+            return self
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=_validation_worker, args=(child_end, self._conn, *self._args),
+                                 name="koopmanmpc-validation", daemon=True)
+        try:
+            self._proc.start()
+        finally:
+            child_end.close()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._proc is not None:
+            self._conn.close()
+            self._proc.join()
+
+    def _worker_died(self) -> RuntimeError:
+        self._proc.join()
+        return RuntimeError(f"validation worker exited with code {self._proc.exitcode}")
+
+    def submit(self, flat: np.ndarray) -> None:
+        if self._proc is None:
+            self._net.flat[...] = flat
+            self._done.append(_eval_metrics(self._net, *self._args[1:]))
+            return
+        try:
+            self._conn.send_bytes(flat)
+        except OSError:
+            raise self._worker_died() from None
+
+    def result(self) -> list[float]:
+        if self._proc is None:
+            return self._done.pop(0)
+        try:
+            return self._conn.recv()
+        except EOFError:
+            raise self._worker_died() from None
+
+
+def _train_epoch(net: KoopmanNet, opt: nn.Adam, order: np.ndarray, arrays, batch_size: int,
+                 epoch: int) -> list[float]:
+    """One pass of mini-batch ADAM steps over ``arrays`` in ``order``;
+    returns the epoch's training metrics in ``EpochStats``' order."""
+    v_k, u_k, v_next = arrays
+    sums = np.zeros(4)
+    for lo in range(0, len(order), batch_size):
+        idx = order[lo : lo + batch_size]
+        bv_k, bu_k, bv_next = v_k[idx], u_k[idx], v_next[idx]
+        fp = net.forward(bv_k, bu_k)
+        err_n = fp.v_next_hat - bv_next
+        err_k = fp.v_k_hat - bv_k
+        batch_sums = _error_sums(err_n, err_k)
+        # np.mean is the sum over the size: the same float as the mean
+        loss = float(batch_sums[0] / err_n.size + batch_sums[1] / err_k.size)
+        if not np.isfinite(loss):
+            raise nn.TrainingError(f"loss diverged at epoch {epoch}")
+        net.zero_grads()
+        net.backward(2.0 * err_n / err_n.size, 2.0 * err_k / err_k.size, fp)
+        opt.step(net.flat_grad, net.grads())
+        sums += batch_sums
+    return (sums / v_next.size).tolist()
+
+
 def train(
     config: KoopmanNetConfig,
     train_ds: Dataset,
@@ -282,15 +388,23 @@ def train(
     Normalization uses the datasets' fitted scaler.  Fully deterministic
     for a fixed ``config.seed``: weight init and the per-epoch batch
     shuffle both derive from it.  The returned network carries the
-    parameters of the best validation epoch.
+    parameters of the best validation epoch (``kept_epoch(history)``).
+
+    Validation runs one epoch behind, in one forked worker process
+    (``_Validation``): epoch e's parameters are validated while epoch
+    e + 1 trains, and the early-stopping rule reads epoch e's metrics once
+    e + 1 has trained.  When epoch e stops the run, the look-ahead epoch is
+    discarded, together with a ``TrainingError`` it raised; otherwise that
+    error is raised.  The parameters, the history and the epoch count are
+    those of validating each epoch before training the next, whatever the
+    worker's timing.
     """
     scaler = train_ds.scaler
     if scaler is None:
         raise ValueError("training requires a fitted scaler on the dataset")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("training requires nonempty training and validation sets")
-    tv_k, tu_k, tv_next = _normalized_arrays(train_ds, scaler)
-    vv_k, vu_k, vv_next = _normalized_arrays(val_ds, scaler)
+    train_arrays = _normalized_arrays(train_ds, scaler)
 
     net = KoopmanNet(config)
     opt = nn.Adam(
@@ -302,43 +416,50 @@ def train(
     )
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
-    n_train = tv_k.shape[0]
+    n_train = len(train_ds)
     history: list[EpochStats] = []
     best_val = np.inf
     best_flat = None
     best_epoch = -1
 
-    for epoch in range(hyper.max_epochs):
-        perm = shuffle_rng.permutation(n_train)
-        sums = np.zeros(4)
-        for lo in range(0, n_train, hyper.batch_size):
-            idx = perm[lo : lo + hyper.batch_size]
-            bv_k, bu_k, bv_next = tv_k[idx], tu_k[idx], tv_next[idx]
-            fp = net.forward(bv_k, bu_k)
-            err_n = fp.v_next_hat - bv_next
-            err_k = fp.v_k_hat - bv_k
-            batch_sums = _error_sums(err_n, err_k)
-            # np.mean is the sum over the size: the same float as the mean
-            loss = float(batch_sums[0] / err_n.size + batch_sums[1] / err_k.size)
-            if not np.isfinite(loss):
-                raise nn.TrainingError(f"loss diverged at epoch {epoch}")
-            net.zero_grads()
-            net.backward(2.0 * err_n / err_n.size, 2.0 * err_k / err_k.size, fp)
-            opt.step(net.flat_grad, net.grads())
-            sums += batch_sums
-        stats = EpochStats(epoch, *(sums / tv_next.size).tolist(),
-                           *_eval_metrics(net, vv_k, vu_k, vv_next))
+    def stops(pending) -> bool:
+        """Record the validated epoch ``pending``; True if it ends the run."""
+        nonlocal best_val, best_flat, best_epoch
+        epoch, train_metrics, flat = pending
+        stats = EpochStats(epoch, *train_metrics, *validation.result())
         history.append(stats)
         if stats.val_mae < best_val:
-            best_val = stats.val_mae
-            best_flat = net.flat.copy()
-            best_epoch = epoch
-        elif epoch - best_epoch >= hyper.patience:
-            break
+            best_val, best_flat, best_epoch = stats.val_mae, flat, epoch
+            return False
+        return epoch - best_epoch >= hyper.patience
 
-    if best_flat is not None:
-        net.flat[...] = best_flat
+    pending = None  # (epoch, training metrics, parameters) submitted for validation
+    with _Validation(config, *_normalized_arrays(val_ds, scaler)) as validation:
+        for epoch in range(hyper.max_epochs):
+            try:
+                train_metrics = _train_epoch(net, opt, shuffle_rng.permutation(n_train),
+                                             train_arrays, hyper.batch_size, epoch)
+            except nn.TrainingError:
+                if pending is not None and stops(pending):
+                    break  # the failed epoch is one the run never reaches
+                raise
+            if pending is not None and stops(pending):
+                break
+            pending = (epoch, train_metrics, net.flat.copy())
+            validation.submit(pending[2])
+        else:
+            stops(pending)
+
+    # the best epoch's parameters, or the last validated epoch's if none improved
+    net.flat[...] = best_flat if best_flat is not None else pending[2]
     return net, history
+
+
+def kept_epoch(history: list[EpochStats]) -> EpochStats:
+    """The epoch whose parameters ``train`` returns: the first with the
+    lowest validation MAE, or the last if no MAE is below infinity."""
+    ranked = [st for st in history if st.val_mae < np.inf]
+    return min(ranked, key=lambda st: st.val_mae) if ranked else history[-1]
 
 
 def history_to_csv(history: list[EpochStats], path) -> None:

@@ -27,7 +27,7 @@ class MetricError(ValueError):
     """Metric undefined for the given targets."""
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # e = exp(-|x|) never overflows and lies in [0, 1]; the logistic function
     # is 1/(1+e) for x >= 0 and e/(1+e) below, so the numerator is
     # max(e, x >= 0): the same bits as np.where(x >= 0, 1.0, e), without the
@@ -35,7 +35,7 @@ def _sigmoid(x):
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.maximum(e, x >= 0)
+    num = np.maximum(e, x >= 0, out=out)
     np.add(e, 1.0, out=e)
     return np.divide(num, e, out=num)
 
@@ -119,6 +119,14 @@ class LstmLayer(_Layer):
     Gate preactivations are stacked in the order
     [input, forget, candidate, output] along the first weight axis:
     sigmoid gates, tanh candidate, tanh cell squashing on the output.
+
+    The recurrence writes into arrays stacked over time: the gates
+    (steps, batch, 4 hidden), and the cell and hidden states
+    (steps + 1, batch, hidden) with the zero initial state in row 0.  The
+    backward pass keeps only the recurrence in its time loop; the weight
+    gradients are stacked products over every step, summed into ``g_*``
+    in the loop's order, so each matmul has the operands and the bits of
+    the per-step one.
     """
 
     tensors = ("w_x", "w_h", "bias")
@@ -146,24 +154,25 @@ class LstmLayer(_Layer):
         nh = self.n_hidden
         # input projections of every step, hoisted out of the recurrence; the
         # stacked matmul runs one (batch, n_in) product per step, so each
-        # step's bits equal those of the per-step product
-        xw = seq.transpose(1, 0, 2) @ self.w_x.T
-        h = np.zeros((batch, nh))
-        c = np.zeros((batch, nh))
-        hs = np.empty((batch, steps, nh))
-        records = []
+        # step's bits equal those of the per-step product.  Each step's
+        # preactivation is built in place in its slice.
+        pres = seq.transpose(1, 0, 2) @ self.w_x.T
+        gates = np.empty((steps, batch, 4 * nh))
+        cells = np.zeros((steps + 1, batch, nh))
+        hiddens = np.zeros((steps + 1, batch, nh))
+        tanh_cells = np.empty((steps, batch, nh))
         for t in range(steps):
-            pre = xw[t] + h @ self.w_h.T + self.bias
-            gates = _sigmoid(pre)  # the candidate slot is unused
-            i, f, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 3 * nh :]
-            g = np.tanh(pre[:, 2 * nh : 3 * nh])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            h_new = o * tc
-            records.append((h, c, i, f, g, o, tc))
-            h, c = h_new, c_new
-            hs[:, t, :] = h
-        return hs, (seq, records)
+            pre, gate = pres[t], gates[t]
+            if t:  # h_0 = 0
+                pre += hiddens[t] @ self.w_h.T
+            pre += self.bias
+            _sigmoid(pre, out=gate)  # the candidate slot is overwritten next
+            g = np.tanh(pre[:, 2 * nh : 3 * nh], out=gate[:, 2 * nh : 3 * nh])
+            c = np.multiply(gate[:, nh : 2 * nh], cells[t], out=cells[t + 1])
+            c += gate[:, :nh] * g
+            np.tanh(c, out=tanh_cells[t])
+            np.multiply(gate[:, 3 * nh :], tanh_cells[t], out=hiddens[t + 1])
+        return hiddens[1:].transpose(1, 0, 2), (seq, gates, cells, tanh_cells, hiddens)
 
     def backward(self, cache, d_hs=None, d_h_last=None, input_grad=True):
         """Backpropagate through time.
@@ -174,38 +183,43 @@ class LstmLayer(_Layer):
         ``input_grad=False`` for a first layer, whose input has no
         parameters upstream; the parameter gradients are the same either way.
         """
-        seq, records = cache
+        seq, gates, cells, tanh_cells, hiddens = cache
         batch, steps, _ = seq.shape
         nh = self.n_hidden
-        d_pres = np.empty((steps, batch, 4 * nh))
+        # zeroed: the candidate slot goes through the sigmoid derivative
+        # before its tanh derivative overwrites it
+        d_pres = np.zeros((steps, batch, 4 * nh))
         dh = np.zeros((batch, nh))
         dc = np.zeros((batch, nh))
         if d_h_last is not None:
             dh = dh + d_h_last
         for t in reversed(range(steps)):
-            h_prev, c_prev, i, f, g, o, tc = records[t]
+            gate, tc, d_pre = gates[t], tanh_cells[t], d_pres[t]
+            i, f, g, o = (gate[:, k * nh : (k + 1) * nh] for k in range(4))
             if d_hs is not None:
                 dh = dh + d_hs[:, t, :]
-            do = dh * tc
+            np.multiply(dh, tc, out=d_pre[:, 3 * nh :])
             dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
+            np.multiply(dc, g, out=d_pre[:, :nh])
+            np.multiply(dc, cells[t], out=d_pre[:, nh : 2 * nh])
             dg = dc * i
-            dc = dc * f
-            d_pre = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-                out=d_pres[t],
-            )
-            self.g_w_x += d_pre.T @ seq[:, t, :]
-            self.g_w_h += d_pre.T @ h_prev
-            self.g_bias += d_pre.sum(axis=0)
-            dh = d_pre @ self.w_h
+            # (d s)(1 - s) over every slot, then the candidate's tanh term
+            d_pre *= gate
+            d_pre *= 1.0 - gate
+            np.multiply(dg, 1.0 - g * g, out=d_pre[:, 2 * nh : 3 * nh])
+            if t:
+                dc = dc * f
+                dh = d_pre @ self.w_h
+        # one (4 nh, batch) product per step; h_0 = 0 adds no w_h term
+        d_pres_t = d_pres.transpose(0, 2, 1)
+        g_w_x = d_pres_t @ seq.transpose(1, 0, 2)
+        g_w_h = d_pres_t[1:] @ hiddens[1:steps]
+        g_bias = d_pres.sum(axis=1)
+        for t in reversed(range(steps)):
+            self.g_w_x += g_w_x[t]
+            if t:
+                self.g_w_h += g_w_h[t - 1]
+            self.g_bias += g_bias[t]
         if not input_grad:
             return None
         # one (batch, 4 nh) product per step, as in the forward projection

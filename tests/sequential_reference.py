@@ -2,14 +2,16 @@
 references those must reproduce bit for bit: the closed loop with MPC
 stepping one episode through its own loop, ``compare`` running one case
 after another, ADAM updating one tensor after another, the condensation
-with a general state weight ``Q``.  The plant's RK4 step is kept as
+with a general state weight ``Q``, the LSTM recurrence with per-step
+temporaries and weight products, and training with validation in the
+epoch loop.  The plant's RK4 step is kept as
 it ran before its cube became a product (``** 3``, broadcasts, ``np.clip``
 and one control matmul per stage); ``step`` must match it within 2 ulp,
 not bit for bit, since the arithmetic itself changed."""
 
 import numpy as np
 
-from koopmanmpc import evaluation, mpc, nn
+from koopmanmpc import deep_koopman, evaluation, mpc, nn
 from koopmanmpc.dataset import rollout_seed
 from koopmanmpc.plant import (
     IntegrationError,
@@ -233,3 +235,135 @@ def plant_step(plant, state, u, dt, substeps=None):
             v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
         v = np.clip(v, 0.0, plant.v_max)
     return PlantState(v=v, t=state.t + dt)
+
+
+def lstm_forward(self, seq):
+    """``nn.LstmLayer.forward`` with a list of per-step records as its
+    cache; call with the layer as ``self``."""
+    if seq.ndim != 3 or seq.shape[2] != self.n_in:
+        raise ValueError(f"expected input (batch, steps, {self.n_in}), got {seq.shape}")
+    batch, steps, _ = seq.shape
+    if steps < 1:
+        raise ValueError("sequence must contain at least one step")
+    nh = self.n_hidden
+    # input projections of every step, hoisted out of the recurrence; the
+    # stacked matmul runs one (batch, n_in) product per step, so each
+    # step's bits equal those of the per-step product
+    xw = seq.transpose(1, 0, 2) @ self.w_x.T
+    h = np.zeros((batch, nh))
+    c = np.zeros((batch, nh))
+    hs = np.empty((batch, steps, nh))
+    records = []
+    for t in range(steps):
+        pre = xw[t] + h @ self.w_h.T + self.bias
+        gates = nn._sigmoid(pre)  # the candidate slot is unused
+        i, f, o = gates[:, :nh], gates[:, nh : 2 * nh], gates[:, 3 * nh :]
+        g = np.tanh(pre[:, 2 * nh : 3 * nh])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        records.append((h, c, i, f, g, o, tc))
+        h, c = h_new, c_new
+        hs[:, t, :] = h
+    return hs, (seq, records)
+
+
+def lstm_backward(self, cache, d_hs=None, d_h_last=None, input_grad=True):
+    """``nn.LstmLayer.backward`` over the cache of ``lstm_forward``, with
+    the weight-gradient products inside the time loop."""
+    seq, records = cache
+    batch, steps, _ = seq.shape
+    nh = self.n_hidden
+    d_pres = np.empty((steps, batch, 4 * nh))
+    dh = np.zeros((batch, nh))
+    dc = np.zeros((batch, nh))
+    if d_h_last is not None:
+        dh = dh + d_h_last
+    for t in reversed(range(steps)):
+        h_prev, c_prev, i, f, g, o, tc = records[t]
+        if d_hs is not None:
+            dh = dh + d_hs[:, t, :]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc = dc * f
+        d_pre = np.concatenate(
+            [
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                dg * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ],
+            axis=1,
+            out=d_pres[t],
+        )
+        self.g_w_x += d_pre.T @ seq[:, t, :]
+        self.g_w_h += d_pre.T @ h_prev
+        self.g_bias += d_pre.sum(axis=0)
+        dh = d_pre @ self.w_h
+    if not input_grad:
+        return None
+    # one (batch, 4 nh) product per step, as in the forward projection
+    return (d_pres @ self.w_x).transpose(1, 0, 2)
+
+
+def train(config, train_ds, val_ds, hyper=deep_koopman.TrainHyper()):
+    """``deep_koopman.train`` with each epoch validated in the epoch loop
+    before the next one trains."""
+    scaler = train_ds.scaler
+    if scaler is None:
+        raise ValueError("training requires a fitted scaler on the dataset")
+    if len(train_ds) == 0 or len(val_ds) == 0:
+        raise ValueError("training requires nonempty training and validation sets")
+    tv_k, tu_k, tv_next = deep_koopman._normalized_arrays(train_ds, scaler)
+    vv_k, vu_k, vv_next = deep_koopman._normalized_arrays(val_ds, scaler)
+
+    net = deep_koopman.KoopmanNet(config)
+    opt = nn.Adam(
+        net.flat,
+        lr=hyper.learning_rate,
+        beta1=hyper.beta1,
+        beta2=hyper.beta2,
+        eps=hyper.eps,
+    )
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+
+    n_train = tv_k.shape[0]
+    history = []
+    best_val = np.inf
+    best_flat = None
+    best_epoch = -1
+
+    for epoch in range(hyper.max_epochs):
+        perm = shuffle_rng.permutation(n_train)
+        sums = np.zeros(4)
+        for lo in range(0, n_train, hyper.batch_size):
+            idx = perm[lo : lo + hyper.batch_size]
+            bv_k, bu_k, bv_next = tv_k[idx], tu_k[idx], tv_next[idx]
+            fp = net.forward(bv_k, bu_k)
+            err_n = fp.v_next_hat - bv_next
+            err_k = fp.v_k_hat - bv_k
+            batch_sums = deep_koopman._error_sums(err_n, err_k)
+            # np.mean is the sum over the size: the same float as the mean
+            loss = float(batch_sums[0] / err_n.size + batch_sums[1] / err_k.size)
+            if not np.isfinite(loss):
+                raise nn.TrainingError(f"loss diverged at epoch {epoch}")
+            net.zero_grads()
+            net.backward(2.0 * err_n / err_n.size, 2.0 * err_k / err_k.size, fp)
+            opt.step(net.flat_grad, net.grads())
+            sums += batch_sums
+        stats = deep_koopman.EpochStats(epoch, *(sums / tv_next.size).tolist(),
+                                        *deep_koopman._eval_metrics(net, vv_k, vu_k, vv_next))
+        history.append(stats)
+        if stats.val_mae < best_val:
+            best_val = stats.val_mae
+            best_flat = net.flat.copy()
+            best_epoch = epoch
+        elif epoch - best_epoch >= hyper.patience:
+            break
+
+    if best_flat is not None:
+        net.flat[...] = best_flat
+    return net, history

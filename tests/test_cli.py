@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -287,6 +288,28 @@ class TestPipeline:
             err = json.loads(lines[0])
             assert err["type"] == "ValueError"
             assert "(6, 4, 3)" in err["error"] and "(12, 4, 5)" in err["error"]
+
+    def test_train_reports_the_kept_epoch(self, workspace, capsys):
+        # an early stop keeps the parameters of `patience` epochs before the last
+        ws = workspace
+        run = json.loads((ws / "run.json").read_text())
+        run["koopman_net"].update(max_epochs=60, patience=2, learning_rate=0.01)
+        (ws / "run.json").write_text(json.dumps(run))
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        capsys.readouterr()
+        assert run_cli("train", "--data", ws / "data", "--config", ws / "run.json",
+                       "--out", ws / "m") == 0
+        with open(ws / "m" / "training_history.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) < 60
+        kept = rows[-3]
+        assert min(float(r["val_mae_next"]) + float(r["val_mae_recon"]) for r in rows) == \
+            float(kept["val_mae_next"]) + float(kept["val_mae_recon"])
+        assert capsys.readouterr().out == (
+            f"trained {len(rows)} epochs; kept epoch {kept['epoch']}: "
+            f"val MAE next={float(kept['val_mae_next']):.5f} "
+            f"recon={float(kept['val_mae_recon']):.5f}\n"
+        )
 
     def test_train_rejects_an_empty_split_half(self, workspace, capsys):
         ws = workspace

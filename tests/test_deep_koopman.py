@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 from dataclasses import asdict
 
 import numpy as np
@@ -343,6 +346,166 @@ class TestTrain:
         deep_koopman.history_to_csv(hist, tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[0].startswith("epoch,")
+
+
+def split_tiny(seed):
+    """12 training and 6 validation samples on which training at a high
+    learning rate stops early: at epoch 4 with patience 0 or 1, at epoch 5
+    with patience 2."""
+    rng = np.random.default_rng(seed)
+    tr = tiny_dataset(rng, n_samples=12)
+    va = tiny_dataset(rng, n_samples=6)
+    va.scaler = tr.scaler
+    return tr, va
+
+
+def fast_hyper(**kw):
+    return TrainHyper(batch_size=4, learning_rate=0.05, **kw)
+
+
+STEPS_PER_EPOCH = 3  # 12 training samples in batches of 4
+ADAM_STEP = nn.Adam.step
+
+
+def failing_step_at(call):
+    """An ``Adam.step`` that raises ``TrainingError`` at its ``call``-th
+    call (0-based) and updates as usual otherwise."""
+    real, calls = ADAM_STEP, []
+
+    def step(self, grad, named=None):
+        calls.append(None)
+        if len(calls) == call + 1:
+            raise nn.TrainingError("non-finite gradient in 'injected'")
+        return real(self, grad, named)
+
+    return step
+
+
+def assert_same_run(got, want):
+    (net, hist), (ref_net, ref_hist) = got, want
+    assert hist == ref_hist
+    assert np.array_equal(net.flat.view(np.uint64), ref_net.flat.view(np.uint64))
+
+
+class TestTrainMatchesInLoopValidation:
+    """``train`` validates each epoch one epoch behind in a worker process;
+    ``sequential_reference.train`` validates it in the epoch loop.  The
+    parameters, the history and the epoch count must be the same bits."""
+
+    @pytest.mark.parametrize("hyper, epochs", [
+        (fast_hyper(max_epochs=30, patience=0), 5),
+        (fast_hyper(max_epochs=30, patience=1), 5),
+        (fast_hyper(max_epochs=30, patience=2), 6),
+        (fast_hyper(max_epochs=6, patience=2), 6),  # stops at its last epoch
+        (fast_hyper(max_epochs=8, patience=8), 8),  # runs to max_epochs
+        (fast_hyper(max_epochs=1, patience=0), 1),
+    ])
+    def test_same_run(self, hyper, epochs):
+        from sequential_reference import train as reference
+
+        tr, va = split_tiny(33)
+        want = reference(MINI, tr, va, hyper)
+        assert len(want[1]) == epochs
+        assert_same_run(train(MINI, tr, va, hyper), want)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("patience, stop_epoch", [(1, 4), (2, 5)])
+    @pytest.mark.parametrize("step_in_epoch", [0, STEPS_PER_EPOCH - 1])
+    def test_failing_look_ahead_epoch_is_discarded(self, monkeypatch, patience, stop_epoch,
+                                                   step_in_epoch):
+        from sequential_reference import train as reference
+
+        tr, va = split_tiny(33)
+        hyper = fast_hyper(max_epochs=30, patience=patience)
+        # the epoch after the one that stops the run fails; the reference never trains it
+        call = (stop_epoch + 1) * STEPS_PER_EPOCH + step_in_epoch
+        monkeypatch.setattr(nn.Adam, "step", failing_step_at(call))
+        want = reference(MINI, tr, va, hyper)
+        assert len(want[1]) == stop_epoch + 1
+        monkeypatch.setattr(nn.Adam, "step", failing_step_at(call))
+        assert_same_run(train(MINI, tr, va, hyper), want)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("epoch", [1, 2, 4])
+    def test_failing_epoch_after_one_that_goes_on_raises(self, monkeypatch, epoch):
+        from sequential_reference import train as reference
+
+        tr, va = split_tiny(33)
+        hyper = fast_hyper(max_epochs=30, patience=1)
+        monkeypatch.setattr(nn.Adam, "step", failing_step_at(epoch * STEPS_PER_EPOCH))
+        with pytest.raises(nn.TrainingError) as want:
+            reference(MINI, tr, va, hyper)
+        monkeypatch.setattr(nn.Adam, "step", failing_step_at(epoch * STEPS_PER_EPOCH))
+        with pytest.raises(nn.TrainingError) as got:
+            train(MINI, tr, va, hyper)
+        assert str(got.value) == str(want.value)
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_validation_without_fork(self, monkeypatch):
+        from sequential_reference import train as reference
+
+        tr, va = split_tiny(33)
+        hyper = fast_hyper(max_epochs=30, patience=2)
+        want = reference(MINI, tr, va, hyper)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", None)  # must not be reached
+        assert_same_run(train(MINI, tr, va, hyper), want)
+
+
+def train_tiny(hyper):
+    net, hist = train(MINI, *split_tiny(33), hyper)
+    return net.flat, hist
+
+
+class TestValidationWorker:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs a forked pool")
+    def test_in_process_in_a_daemonic_pool_worker(self):
+        # a pool's worker may not start a process, so it validates in-process
+        from sequential_reference import train as reference
+
+        hyper = fast_hyper(max_epochs=30, patience=2)
+        ref_net, ref_hist = reference(MINI, *split_tiny(33), hyper)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            flat, hist = pool.apply_async(train_tiny, (hyper,)).get(timeout=60)
+        assert hist == ref_hist
+        assert np.array_equal(flat.view(np.uint64), ref_net.flat.view(np.uint64))
+
+    def test_reaped_after_a_dataset_is_rejected(self):
+        ds = tiny_dataset(np.random.default_rng(31))
+        empty = Dataset(v_k=ds.v_k[:0], u_k=ds.u_k[:0], v_next=ds.v_next[:0], scaler=ds.scaler)
+        with pytest.raises(ValueError, match="nonempty"):
+            train(MINI, ds, empty, TrainHyper(max_epochs=1))
+        assert multiprocessing.active_children() == []
+
+    def test_reaped_after_a_diverged_loss(self):
+        ds = tiny_dataset(np.random.default_rng(24))
+        ds.v_next[0, 0, 0] = np.nan
+        with pytest.raises(nn.TrainingError, match="loss diverged at epoch 0"):
+            train(MINI, ds, ds, TrainHyper(batch_size=4, max_epochs=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="validation runs in-process without fork")
+    def test_a_dead_worker_raises_and_does_not_hang(self, monkeypatch):
+        def timed_out(signum, frame):
+            raise TimeoutError("train hung after its validation worker died")
+
+        def die(*args, **kwargs):
+            os._exit(1)
+
+        # the worker is forked after the patch, so it evaluates with ``die``
+        monkeypatch.setattr(deep_koopman, "_eval_metrics", die)
+        tr, va = split_tiny(33)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="validation worker exited with code 1"):
+                train(MINI, tr, va, fast_hyper(max_epochs=30, patience=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
 
 class TestExtractAndLift:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -381,6 +381,50 @@ class TestCheckpoint:
         assert extra == {"note": 1}
         for k in params:
             assert np.array_equal(back[k], params[k])
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+class TestLstmMatchesPerStepRecords:
+    """``LstmLayer`` against its form with per-step records and weight
+    products inside the time loop (``sequential_reference``), bit for bit
+    and sign of zero included, at the shapes training and the MPC lift use."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.one_of(st.just(1), st.integers(1, 300)),
+        steps=st.integers(1, 6),
+        n_in=st.sampled_from([3, 6, 12, 32]),
+        n_hidden=st.sampled_from([4, 16, 32]),
+        case=st.sampled_from(["d_hs", "d_h_last", "both", "no_input_grad"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(seed=0, batch=1, steps=4, n_in=6, n_hidden=32, case="d_h_last")  # the MPC lift's shape
+    def test_bit_for_bit(self, seed, batch, steps, n_in, n_hidden, case):
+        from sequential_reference import lstm_backward, lstm_forward
+
+        rng = np.random.default_rng(seed)
+        layer = LstmLayer(n_in, n_hidden, rng=rng)
+        layer.bias = rng.normal(size=4 * n_hidden)
+        seq = rng.uniform(-3.0, 3.0, size=(batch, steps, n_in))
+        d_hs = rng.normal(size=(batch, steps, n_hidden)) if case != "d_h_last" else None
+        d_h_last = rng.normal(size=(batch, n_hidden)) if case != "d_hs" else None
+        input_grad = case != "no_input_grad"
+        runs = []
+        for forward, backward in ((LstmLayer.forward, LstmLayer.backward), (lstm_forward, lstm_backward)):
+            hs, cache = forward(layer, seq)
+            layer.zero_grads()
+            d_seq = backward(layer, cache, d_hs=d_hs, d_h_last=d_h_last, input_grad=input_grad)
+            runs.append((hs, d_seq, layer.g_w_x.copy(), layer.g_w_h.copy(), layer.g_bias.copy()))
+        (hs, d_seq, *grads), (ref_hs, ref_d_seq, *ref_grads) = runs
+        assert np.array_equal(bits(hs), bits(ref_hs))
+        assert (d_seq is None) == (ref_d_seq is None) == (not input_grad)
+        if input_grad:
+            assert np.array_equal(bits(d_seq), bits(ref_d_seq))
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(bits(got), bits(want))
 
 
 class TestLstmInputGradSkip:
