@@ -70,6 +70,11 @@ def _is_number(val, integer: bool) -> bool:
     return not isinstance(val, bool) and isinstance(val, int if integer else (int, float))
 
 
+def _is_seed(val) -> bool:
+    """An integer >= 0, the seeds numpy's generators accept."""
+    return _is_number(val, integer=True) and val >= 0
+
+
 def _section(doc: dict, name: str, violations: list[str], extra: dict) -> dict:
     """Section ``name`` of ``doc`` built into each of its dataclasses, keyed
     by class; None where the constructor rejects its fields, with the
@@ -137,13 +142,13 @@ def load_run_config(path) -> RunConfig:
                 violations.append(f"plant: invalid plant config ({exc})")
 
     seed = doc.get("seed")
-    if not _is_number(seed, integer=True):
-        violations.append("seed: required integer (no implicit entropy)")
+    if not _is_seed(seed):
+        violations.append(f"seed: required integer >= 0, no implicit entropy (got {seed!r})")
     known = {"plant", "seed", *_SCHEMA}
     violations += [f"{key}: unknown key" for key in sorted(doc.keys() - known)]
 
     net_size = None  # the network is sized for the plant, so it needs one
-    if plant_cfg is not None and _is_number(seed, integer=True):
+    if plant_cfg is not None and _is_seed(seed):
         net_size = dict(n=plant_cfg.model.n, h=plant_cfg.schedule.h, m=plant_cfg.model.m, seed=seed)
     built = {}
     for name in _SCHEMA:
@@ -199,6 +204,16 @@ def _flag(name: str, build, *args, **kwargs):
         raise ConfigError([f"{name}: {exc}"]) from exc
 
 
+def _seed(cfg: RunConfig, flag) -> int:
+    """The ``--seed`` flag's value, checked as the run config's is, or
+    the run config's seed when the flag is absent."""
+    if flag is None:
+        return cfg.seed
+    if not _is_seed(flag):
+        raise ConfigError([f"seed: must be an integer >= 0 (got {flag!r})"])
+    return flag
+
+
 def _out_dir(arg) -> Path:
     out = Path(arg)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,7 +222,7 @@ def _out_dir(arg) -> Path:
 
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = _seed(cfg, args.seed)
     ds = dataset_mod.generate(cfg.plant, cfg.dataset, seed)
     out = _out_dir(args.out)
     dataset_mod.save(ds, out)
@@ -277,8 +292,8 @@ def cmd_compare(args) -> int:
     eval_cfg = cfg.eval
     if args.cases is not None:
         eval_cfg = _flag("cases", replace, eval_cfg, n_cases=args.cases)
+    seed = _seed(cfg, args.seed)
     model = lifted.load_lifted_model(args.model)
-    seed = cfg.seed if args.seed is None else args.seed
     n_cases = eval_cfg.n_cases
     report = evaluation.compare(model, cfg.plant, eval_cfg, seed, vvc=cfg.vvc, mpc=cfg.mpc)
     out = _out_dir(args.out)

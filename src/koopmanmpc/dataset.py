@@ -78,9 +78,6 @@ class Scaler:
     def normalize_v(self, x):
         return ((np.asarray(x, dtype=float) - self.v_ref) - self.v_lo) / (self.v_hi - self.v_lo)
 
-    def denormalize_v(self, x):
-        return np.asarray(x, dtype=float) * (self.v_hi - self.v_lo) + self.v_lo + self.v_ref
-
     def normalize_u(self, u):
         return 2.0 * (np.asarray(u, dtype=float) - self.u_lo) / (self.u_hi - self.u_lo) - 1.0
 
@@ -152,11 +149,12 @@ class DatasetConfig:
         if not (isinstance(self.n_loads, numbers.Integral) and self.n_loads >= 1):
             bad.append(f"n_loads must be an integer >= 1 (got {self.n_loads!r})")
         if (isinstance(self.policies, (list, tuple)) and len(self.policies) > 0
-                and all(isinstance(p, str) and p in POLICIES for p in self.policies)):
+                and all(isinstance(p, str) and p in POLICIES for p in self.policies)
+                and len(set(self.policies)) == len(self.policies)):
             object.__setattr__(self, "policies", tuple(self.policies))
         else:
-            bad.append(f"policies must be a nonempty list of names from {list(POLICIES)} "
-                       f"(got {self.policies!r})")
+            bad.append(f"policies must be a nonempty list of distinct names from "
+                       f"{list(POLICIES)} (got {self.policies!r})")
         if not 0.0 < self.train_ratio < 1.0:
             bad.append(f"train_ratio must lie in (0, 1) (got {self.train_ratio!r})")
         if bad:

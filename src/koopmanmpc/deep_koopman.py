@@ -262,10 +262,13 @@ def _error_sums(err_n: np.ndarray, err_k: np.ndarray) -> np.ndarray:
                      np.sum(np.abs(err_k))])
 
 
-def _eval_metrics(net: KoopmanNet, v_k, u_k, v_next, chunk=2048) -> list[float]:
+_EVAL_CHUNK = 2048  # samples per validation forward, bounding its memory
+
+
+def _eval_metrics(net: KoopmanNet, v_k, u_k, v_next) -> list[float]:
     sums = np.zeros(4)
-    for lo in range(0, v_k.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, v_k.shape[0], _EVAL_CHUNK):
+        sl = slice(lo, lo + _EVAL_CHUNK)
         fp = net.forward(v_k[sl], u_k[sl])
         sums += _error_sums(fp.v_next_hat - v_next[sl], fp.v_k_hat - v_k[sl])
     return (sums / v_next.size).tolist()

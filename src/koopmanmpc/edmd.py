@@ -186,26 +186,6 @@ class EdmdModel(LiftedModel):
         flat = self.scaler.normalize_v(v_hist).reshape(-1 if single else (v_hist.shape[0], -1))
         return self.dictionary.lift(flat)
 
-    def project(self, z: np.ndarray) -> np.ndarray:
-        """Lifted vector back to a raw-p.u. history matrix."""
-        flat = self.C @ z
-        return self.scaler.denormalize_v(flat.reshape(self.n, self.h))
-
-    def predict(self, v_hist: np.ndarray, u_sequence: np.ndarray) -> np.ndarray:
-        """Open-loop rollout in the lifted space.
-
-        Returns (len(u_sequence) + 1, n, h) raw-p.u. histories; index 0 is
-        the instantaneous reconstruction of ``v_hist`` and index i the
-        prediction i control intervals later.
-        """
-        u_sequence = np.asarray(u_sequence, dtype=float).reshape(-1, self.m)
-        z = self.lift(v_hist)
-        out = [self.project(z)]
-        for u in u_sequence:
-            z = self.A @ z + self.B @ self.scaler.normalize_u(u)
-            out.append(self.project(z))
-        return np.stack(out)
-
     def to_dict(self) -> dict:
         return {
             **super().to_dict(),

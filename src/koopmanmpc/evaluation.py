@@ -36,19 +36,17 @@ _CASE_CHANNEL = 0xC0  # pseudo policy index for per-case load draws
 @dataclass(frozen=True)
 class VvcParams:
     """Decentralized deadband rule: each control bus injects
-    gain * (deadband - local voltage), clamped to [0, u_max], whenever its
+    gain * (deadband - local voltage), clamped to [0, U_MAX], whenever its
     own voltage sits below the deadband.  ``ValueError`` names every field
     out of range."""
 
     deadband: float = 0.95
     gain: float = 2.5
-    u_max: float = U_MAX
 
     def __post_init__(self):
         bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
             ("deadband", np.isfinite(self.deadband), "finite"),
             ("gain", self.gain >= 0 and np.isfinite(self.gain), "finite and >= 0"),
-            ("u_max", self.u_max >= 0 and np.isfinite(self.u_max), "finite and >= 0"),
         ) if not ok]
         if bad:
             raise ValueError("; ".join(bad))
@@ -71,7 +69,7 @@ class EvalConfig:
 
 def vvc_policy(v_local, params: VvcParams):
     """Control from local voltage only, elementwise over ``v_local``."""
-    return clip(params.gain * np.maximum(0.0, params.deadband - v_local), 0.0, params.u_max)
+    return clip(params.gain * np.maximum(0.0, params.deadband - v_local), 0.0, U_MAX)
 
 
 def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):
@@ -82,7 +80,8 @@ def vvc_episode_policy(control_buses: tuple[int, ...], params: VvcParams):
 
 
 def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
-    """The monitored bus indices (every bus for None), checked against n."""
+    """The monitored bus indices (every bus for None), distinct and checked
+    against n."""
     if monitored is not None and not (isinstance(monitored, (list, tuple)) and all(
             isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in monitored)):
         raise ValueError(f"monitored must be null or a list of bus indices (got {monitored!r})")
@@ -91,6 +90,8 @@ def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
         raise ValueError("monitored bus set must be nonempty")
     if any(i < 0 or i >= n for i in monitored):
         raise ValueError("monitored bus index out of range")
+    if len(set(monitored)) != len(monitored):
+        raise ValueError(f"monitored buses must be distinct (got {list(monitored)!r})")
     return monitored
 
 

@@ -302,20 +302,6 @@ class Adam:
 # Metrics
 
 
-def mse(y, y_hat) -> float:
-    y, y_hat = np.asarray(y), np.asarray(y_hat)
-    if y.shape != y_hat.shape:
-        raise ValueError("mse requires equal shapes")
-    return float(np.mean((y - y_hat) ** 2))
-
-
-def mae(y, y_hat) -> float:
-    y, y_hat = np.asarray(y), np.asarray(y_hat)
-    if y.shape != y_hat.shape:
-        raise ValueError("mae requires equal shapes")
-    return float(np.mean(np.abs(y - y_hat)))
-
-
 def r2(y, y_hat) -> float:
     """Coefficient of determination 1 - SS_res/SS_tot, unclamped (may be
     negative for fits worse than the mean predictor)."""

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,7 +68,7 @@ class TestConfigValidation:
         for name in ("koopman_net.batch_size", "mpc.tol", "eval.n_cases", "dataset.n_loads"):
             assert any(f.startswith(name + ":") for f in fields), fields
 
-    @pytest.mark.parametrize("monitored", [[99], [-1], [], [0, "1"], 3])
+    @pytest.mark.parametrize("monitored", [[99], [-1], [], [0, "1"], 3, [1, 1]])
     def test_monitored_buses_checked_at_load(self, workspace, capsys, monitored):
         run = json.loads((workspace / "run.json").read_text())
         run["eval"]["monitored"] = monitored
@@ -93,10 +96,14 @@ class TestConfigValidation:
         ("mpc", "max_iter", 0),
         pytest.param("mpc", "tolerance", 1e-3, id="unknown_key"),
         pytest.param("dataset", None, [1], id="section_not_an_object"),
+        *(pytest.param("seed", None, seed, id=f"seed_{name}") for name, seed in (
+            ("negative", -1), ("fraction", 1.5), ("string", "7"), ("boolean", True),
+            ("null", None))),
         pytest.param(None, None, [1], id="config_not_an_object"),
     ])
     def test_library_range_checks_exit_2(self, workspace, capsys, section, key, value):
-        # key None replaces the whole section, section None the whole config
+        # key None replaces the whole section (or the top-level seed),
+        # section None the whole config
         run = json.loads((workspace / "run.json").read_text())
         if section is None:
             run = value
@@ -339,6 +346,7 @@ class TestPipeline:
     @pytest.mark.parametrize("command, flag, value", [
         ("compare", "--cases", 0), ("compare", "--cases", -2),
         ("fit-edmd", "--ridge", -1), ("fit-edmd", "--ridge", "nan"), ("fit-edmd", "--ridge", "inf"),
+        ("compare", "--seed", -1), ("gen-data", "--seed", -1),
     ])
     def test_bad_flag_values_exit_2(self, workspace, capsys, command, flag, value):
         ws = workspace
@@ -348,6 +356,8 @@ class TestPipeline:
         capsys.readouterr()
         if command == "compare":
             argv = ("--model", ws / "edmd" / "lifted_model.json", "--config", ws / "run.json")
+        elif command == "gen-data":
+            argv = ("--config", ws / "run.json")
         else:
             argv = ("--data", ws / "data")
         code = run_cli(command, *argv, flag, value, "--out", ws / "bad")
@@ -399,3 +409,16 @@ class TestShippedConfigs:
         root = Path(__file__).resolve().parents[1] / "configs"
         cfg = cli.load_run_config(root / "run_mirror.json")
         assert cfg.plant.model.n == 12 and cfg.plant.model.m == 5
+
+
+class TestImport:
+    def test_cli_does_not_import_multiprocessing(self):
+        # training imports it where its validation worker starts: at module
+        # level it would enlarge every stage, gen-data included
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, koopmanmpc.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

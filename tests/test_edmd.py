@@ -162,7 +162,8 @@ class TestFit:
         model = fit(ds, polynomial_dictionary(1, 2), ridge=0.0)
         assert model.residuals["projection_rms"] < 1e-10
         x = np.array([[0.37]])
-        assert np.allclose(model.project(model.lift(x)), x, atol=1e-8)
+        flat = model.scaler.normalize_v(x).reshape(-1)
+        assert np.allclose(model.C @ model.lift(x), flat, atol=1e-8)
 
     def test_uncontrolled_fit(self):
         # m = 0: only A is identified
@@ -197,28 +198,7 @@ class TestFit:
             fit(ds, identity_dictionary(3), ridge=0.0)
 
 
-class TestPredict:
-    def test_zero_length_sequence_returns_reconstruction(self):
-        ds = linear_system_dataset()
-        model = fit(ds, identity_dictionary(1), ridge=0.0)
-        out = model.predict(np.array([[0.4]]), np.zeros((0, 1)))
-        assert out.shape == (1, 1, 1)
-        assert abs(out[0, 0, 0] - 0.4) < 1e-8
-
-    def test_multi_step_exact_on_linear_system(self):
-        rho, gain = 0.5, 1.0
-        ds = linear_system_dataset(rho=rho, gain=gain)
-        model = fit(ds, identity_dictionary(1), ridge=0.0)
-        rng = np.random.default_rng(4)
-        u_seq = rng.uniform(-1, 1, size=(10, 1))
-        x = 0.3
-        truth = []
-        for u in u_seq[:, 0]:
-            x = rho * x + gain * u
-            truth.append(x)
-        pred = model.predict(np.array([[0.3]]), u_seq)
-        assert np.max(np.abs(pred[1:, 0, 0] - np.array(truth))) < 1e-6
-
+class TestModelFile:
     def test_serialization_round_trip(self, tmp_path):
         from koopmanmpc.lifted import load_lifted_model, save_lifted_model
 

@@ -50,12 +50,12 @@ class TestVvcPolicy:
         assert vvc_policy(1.02, params) == 0.0
 
     def test_saturation_boundary(self):
-        params = VvcParams(deadband=0.95, gain=2.5, u_max=0.25)
+        params = VvcParams(deadband=0.95, gain=2.5)
         v = 0.95 - 0.25 / 2.5
         assert vvc_policy(v, params) == pytest.approx(0.25)
 
     def test_deep_sag_clamps(self):
-        params = VvcParams(deadband=0.95, gain=2.5, u_max=0.25)
+        params = VvcParams(deadband=0.95, gain=2.5)
         # raw response 2.5 * 0.10 = 0.25 at v = 0.85; anything deeper clamps
         assert vvc_policy(0.85, params) == pytest.approx(0.25)
         assert vvc_policy(0.5, params) == pytest.approx(0.25)
@@ -89,6 +89,12 @@ class TestPerformanceIndex:
         with pytest.raises(ValueError):
             performance_index(traj, monitored=())
 
+    def test_repeated_monitored_rejected(self):
+        # a repeated bus would count twice in J
+        traj = make_traj(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="distinct"):
+            performance_index(traj, monitored=(1, 1))
+
     def test_additive_over_disjoint_parts(self):
         rng = np.random.default_rng(0)
         v = rng.uniform(0.9, 1.1, size=(12, 3))
@@ -112,7 +118,7 @@ class TestCompare:
             cfg,
             EvalConfig(n_cases=3),
             seed=5,
-            vvc=VvcParams(gain=0.0, u_max=0.0),
+            vvc=VvcParams(gain=0.0),
         )
         for rec in report.records:
             assert rec.ok

@@ -14,8 +14,6 @@ from koopmanmpc.nn import (
     MetricError,
     TrainingError,
     load_checkpoint,
-    mae,
-    mse,
     r2,
     save_checkpoint,
 )
@@ -345,8 +343,6 @@ class TestSigmoid:
 class TestMetrics:
     def test_perfect_fit(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert mse(y, y) == 0.0
-        assert mae(y, y) == 0.0
         assert r2(y, y) == 1.0
 
     def test_mean_predictor_r2_zero(self):
@@ -354,10 +350,10 @@ class TestMetrics:
         assert r2(y, np.full(3, y.mean())) == pytest.approx(0.0)
 
     def test_hand_values(self):
-        y = np.array([0.0, 2.0])
-        y_hat = np.array([1.0, 1.0])
-        assert mse(y, y_hat) == pytest.approx(1.0)
-        assert mae(y, y_hat) == pytest.approx(1.0)
+        # SS_tot = 8 and SS_res = 1
+        y = np.array([0.0, 2.0, 4.0])
+        y_hat = np.array([0.0, 2.0, 3.0])
+        assert r2(y, y_hat) == pytest.approx(0.875)
 
     def test_r2_unclamped_below_zero(self):
         y = np.array([0.0, 1.0])
@@ -369,7 +365,7 @@ class TestMetrics:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mse(np.zeros(3), np.zeros(4))
+            r2(np.zeros(3), np.zeros(4))
 
 
 class TestCheckpoint:
