@@ -194,12 +194,12 @@ def parse_dictionary_spec(spec: str, input_dim: int, data: np.ndarray | None, se
     raise ConfigError([f"dict: cannot parse dictionary spec {spec!r}"])
 
 
-def _flag(name: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)`` on the value of flag ``--name``, through
-    the library check that owns it: its ``ValueError`` is a
-    ``ConfigError`` naming ``name``."""
+def _flag(name: str, build, text):
+    """``build(text)`` on the text of flag ``--name``, which converts it
+    and runs the library check that owns it: a ``ValueError`` of either is
+    a ``ConfigError`` naming ``name``."""
     try:
-        return build(*args, **kwargs)
+        return build(text)
     except ValueError as exc:
         raise ConfigError([f"{name}: {exc}"]) from exc
 
@@ -209,9 +209,10 @@ def _seed(cfg: RunConfig, flag) -> int:
     the run config's seed when the flag is absent."""
     if flag is None:
         return cfg.seed
-    if not _is_seed(flag):
-        raise ConfigError([f"seed: must be an integer >= 0 (got {flag!r})"])
-    return flag
+    seed = _flag("seed", int, flag)
+    if not _is_seed(seed):
+        raise ConfigError([f"seed: must be an integer >= 0 (got {seed!r})"])
+    return seed
 
 
 def _out_dir(arg) -> Path:
@@ -251,7 +252,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fit_edmd(args) -> int:
-    ridge = _flag("ridge", edmd.check_ridge, args.ridge)
+    ridge = _flag("ridge", lambda text: edmd.check_ridge(float(text)), args.ridge)
     ds = dataset_mod.load(args.data)
     n, h, m = ds.dims
     seed = int(ds.meta.get("master_seed", 0))
@@ -291,7 +292,7 @@ def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     eval_cfg = cfg.eval
     if args.cases is not None:
-        eval_cfg = _flag("cases", replace, eval_cfg, n_cases=args.cases)
+        eval_cfg = _flag("cases", lambda text: replace(eval_cfg, n_cases=int(text)), args.cases)
     seed = _seed(cfg, args.seed)
     model = lifted.load_lifted_model(args.model)
     n_cases = eval_cfg.n_cases
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="simulate load cases and write the dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the deep lifting network")
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-edmd", help="fit the dictionary baseline")
     p.add_argument("--data", required=True)
     p.add_argument("--dict", default="poly:2")
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--ridge", default="1e-8")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_edmd)
 
@@ -339,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="closed-loop comparison against baselines")
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--cases", default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
     return parser

@@ -47,6 +47,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -84,7 +85,7 @@ NON_FINITE = "integration produced non-finite voltages"
 
 
 def _readonly(x, dtype=float) -> np.ndarray:
-    arr = np.array(x, dtype=dtype)
+    arr = np.array(x, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -204,8 +205,12 @@ class PlantModel:
             raise ValueError("equilibrium voltages must lie in (0, 1]")
         # vector_field reads these at every stage: the equilibrium, and a + c,
         # b, c and v_max at its shape, so that on a state of that shape no op
-        # broadcasts a vector or converts a Python float.  The coupling
-        # matmul runs on W^T itself and c scales its result: for the ring
+        # broadcasts a vector or converts a Python float.  They must also be
+        # C-ordered, as the state is: an operand whose strides differ from
+        # the state's sends its op down numpy's slow strided loop, and a copy
+        # of a vector broadcast to (E, n) in numpy's default order 'K' comes
+        # out column-major, so _readonly copies in C order.  The coupling
+        # product runs on W^T itself and c scales its result: for the ring
         # lattice every product is then exact, so a row's bits do not depend
         # on the BLAS summation order or on the batch it is stepped in
         object.__setattr__(self, "_v_eq", _readonly(v_eq))
@@ -317,7 +322,7 @@ def vector_field(plant: PlantModel, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     f *= x
     f += a_c
     f *= x
-    g = x @ w_t
+    g = np.dot(x, w_t)
     g *= c
     f -= g
     np.subtract(v_max, v, out=g)
@@ -383,7 +388,7 @@ def step(
         v = k1
         # a finite sum means every entry is finite; an infinite one can
         # also be an overflow of finite entries, which the exact test sorts
-        if not np.isfinite(np.add.reduce(v, axis=None)):
+        if not math.isfinite(np.add.reduce(v, axis=None)):
             # fail only the episodes that went non-finite, before the clamp
             # can turn an infinity into v_max; NaN rows stay NaN from here on
             v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)

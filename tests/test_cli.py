@@ -347,6 +347,9 @@ class TestPipeline:
         ("compare", "--cases", 0), ("compare", "--cases", -2),
         ("fit-edmd", "--ridge", -1), ("fit-edmd", "--ridge", "nan"), ("fit-edmd", "--ridge", "inf"),
         ("compare", "--seed", -1), ("gen-data", "--seed", -1),
+        # text that is not a number of the flag's kind fails the same check
+        ("gen-data", "--seed", "abc"), ("gen-data", "--seed", "1.5"), ("compare", "--seed", "x"),
+        ("compare", "--cases", "abc"), ("compare", "--cases", "2.0"), ("fit-edmd", "--ridge", "x"),
     ])
     def test_bad_flag_values_exit_2(self, workspace, capsys, command, flag, value):
         ws = workspace

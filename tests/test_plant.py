@@ -366,6 +366,22 @@ def test_clip_ufunc_is_np_clip_bit_for_bit():
     assert same_bits(plant.clip(np.array([-0.0]), 0.0, 1.0), np.array([-0.0]))
 
 
+@pytest.mark.parametrize("lam", [1.0, np.linspace(0.9, 1.1, 12)], ids=["scalar", "vector_12"])
+def test_field_operands_are_c_contiguous(lam):
+    """Every array ``vector_field`` reads but ``W^T`` is C-ordered like the
+    state, so no operation of a substep takes numpy's strided loop; layout
+    shows in no value, only in time.  ``W^T`` is the transposed view of the
+    C-ordered ``w``, which BLAS reads without a copy."""
+    model = default_config().model.with_load(lam)
+    *arrays_read, w_t = model._field
+    for x in arrays_read:
+        assert x.shape == model.equilibrium().shape and x.flags.c_contiguous
+    assert w_t.base is model.w and model.w.flags.c_contiguous
+    v = model.equilibrium() - 0.1
+    out = step(model, PlantState(v=v), np.full(v.shape[:-1] + (model.m,), 0.1), dt=0.75)
+    assert out.v.flags.c_contiguous
+
+
 class TestFault:
     def test_simple_sag(self):
         state = PlantState(v=np.ones(6))
