@@ -239,11 +239,11 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     y_flat = scaler.normalize_v(ds.v_next).reshape(len(ds), -1)
     u_norm = scaler.normalize_u(ds.u_k)
 
-    zx = dictionary.lift(x_flat)
-    zy = dictionary.lift(y_flat)
     nd = dictionary.n_features
+    g = np.hstack([dictionary.lift(x_flat), u_norm])
+    zx = g[:, :nd]  # a view: the lifted predecessors are held once
+    zy = dictionary.lift(y_flat)
 
-    g = np.hstack([zx, u_norm])
     gram = g.T @ g + ridge * np.eye(nd + m)
     theta = _solve_normal(gram, g.T @ zy, "dynamics fit")
     A = theta[:nd].T
@@ -253,7 +253,9 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     c_t = _solve_normal(gram_c, zx.T @ x_flat, "projection fit")
     C = c_t.T
 
-    dyn_res = float(np.sqrt(np.mean((g @ theta - zy) ** 2)))
+    dyn_err = g @ theta
+    dyn_err -= zy
+    dyn_res = float(np.sqrt(np.mean(np.square(dyn_err, out=dyn_err))))
     proj_res = float(np.sqrt(np.mean((zx @ c_t - x_flat) ** 2)))
     return EdmdModel(
         dictionary=dictionary,

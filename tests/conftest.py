@@ -3,7 +3,7 @@
 import pytest
 
 from koopmanmpc import dataset, deep_koopman, edmd
-from koopmanmpc.plant import default_config
+from koopmanmpc.plant import default_config, mirror_config
 
 
 @pytest.fixture(scope="session")
@@ -35,4 +35,19 @@ def bench_models():
     return {
         "net": deep_koopman.extract(net, ds.scaler),
         "edmd": edmd.fit(ds, edmd.polynomial_dictionary(24, 2), ridge=1e-8),
+    }
+
+
+@pytest.fixture(scope="session")
+def mirror_models():
+    """The same two model kinds for the twelve-bus, five-control mirror
+    plant: an untrained network and an identity-dictionary EDMD fit on
+    four load cases."""
+    cfg = mirror_config()
+    ds = dataset.generate(cfg, dataset.DatasetConfig(n_loads=4), seed=2022)
+    net = deep_koopman.KoopmanNet(deep_koopman.KoopmanNetConfig(
+        n=12, h=4, m=5, lifted_dim=16, lstm_hidden=4, seed=5))
+    return {
+        "net": deep_koopman.extract(net, ds.scaler),
+        "edmd": edmd.fit(ds, edmd.identity_dictionary(48), ridge=1e-8),
     }

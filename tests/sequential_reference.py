@@ -7,7 +7,10 @@ temporaries and weight products, and training with validation in the
 epoch loop.  The plant's RK4 step is kept as
 it ran before its cube became a product (``** 3``, broadcasts, ``np.clip``
 and one control matmul per stage); ``step`` must match it within 2 ulp,
-not bit for bit, since the arithmetic itself changed."""
+not bit for bit, since the arithmetic itself changed.  The box-QP solver
+is kept as it ran with one scalar step, 1 / (safety * 2 * lambda_max);
+``mpc.solve_box_qp`` takes a Jacobi-scaled step and must reach the same
+solutions within a stated tolerance, in fewer iterations."""
 
 import numpy as np
 
@@ -63,6 +66,54 @@ def condense(problem, Q):
         horizon=nk,
         n_controls=m,
     )
+
+
+def solve_box_qp(qp, tol=mpc.DEFAULT_TOL, max_iter=mpc.DEFAULT_MAX_ITER):
+    """``mpc.solve_box_qp`` with the scalar step 1 / (safety * 2 *
+    lambda_max) it took before the Jacobi-scaled step."""
+    lam = float(np.linalg.eigvalsh(qp.hessian)[-1]) if qp.hessian.size else 0.0
+    alpha = 1.0 / max(mpc._STEP_SAFETY * 2.0 * lam, 1e-300)
+
+    linear = qp.linear.reshape(-1, qp.linear.shape[-1])
+    u = mpc.clip(np.zeros_like(linear), qp.lower, qp.upper)  # every row's final iterate
+    iterations = np.full(len(u), max_iter)
+    pg_norm = np.zeros(len(u))
+    # the rows still iterating, compacted: their indices, iterates, linear terms
+    active, u_act, lin_act = np.arange(len(u)), u.copy(), linear
+    for it in range(max_iter + 1):
+        grad = 2.0 * (mpc._matvec(qp.hessian, u_act) + lin_act)
+        pg = u_act - mpc.clip(u_act - grad, qp.lower, qp.upper)
+        norm = np.maximum.reduce(np.abs(pg), axis=-1, initial=0.0)
+        done = norm < tol
+        stop = done | ~np.isfinite(norm)
+        if it == max_iter or stop.any():
+            out = np.ones_like(done) if it == max_iter else stop
+            u[active[out]], pg_norm[active[out]] = u_act[out], norm[out]
+            iterations[active[stop]] = it
+            if out.all():
+                break
+            active, u_act, lin_act, grad = active[~out], u_act[~out], lin_act[~out], grad[~out]
+        u_act = mpc.clip(u_act - alpha * grad, qp.lower, qp.upper)
+    converged = pg_norm < tol
+    u_flat = u.reshape(qp.linear.shape)
+    row_objective = np.atleast_1d(qp.objective(u_flat))
+    info = mpc.SolveInfo(
+        iterations=int(iterations.sum()),
+        converged=bool(np.all(converged)),
+        pg_norm=float(pg_norm.max()),
+        objective=float(row_objective.sum()),
+        row_iterations=iterations,
+        row_converged=converged,
+        row_pg_norm=pg_norm,
+        row_objective=row_objective,
+    )
+    u_mat = u_flat.reshape(qp.linear.shape[:-1] + (qp.horizon, qp.n_controls))
+    result = mpc.ControlSequence(u=u_mat, info=info)
+    if not info.converged:
+        stopped = int(iterations[~converged].max())
+        raise mpc.QpNonConvergence(mpc._residual_message(info.pg_norm, tol, stopped),
+                                   residual=info.pg_norm, result=result)
+    return result
 
 
 def receding_horizon(model, plant, sched, v_ref=1.0, fault=None, Q=None, R=None,

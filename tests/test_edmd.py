@@ -1,4 +1,9 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +216,30 @@ class TestModelFile:
         assert np.array_equal(back.C, model.C)
         x = np.array([[0.21]])
         assert np.array_equal(back.lift(x), model.lift(x))
+
+    def test_golden_poly2_model_bytes(self, tmp_path):
+        """sha256 of a ``poly:2`` (N = 325) ``lifted_model.json``, fit with
+        ridge 1e-8 on 30 seeded load cases of the default plant: pins the
+        bits of ``fit``.  Runs in a child process with one BLAS thread, since
+        a threaded OpenBLAS sums this fit's products in another order."""
+        src = str(Path(edmd.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = tmp_path / "lifted_model.json"
+        code = (
+            "import sys\n"
+            "from koopmanmpc.dataset import DatasetConfig, generate\n"
+            "from koopmanmpc.edmd import fit, polynomial_dictionary\n"
+            "from koopmanmpc.lifted import save_lifted_model\n"
+            "from koopmanmpc.plant import default_config\n"
+            "ds = generate(default_config(), DatasetConfig(n_loads=30), seed=2022)\n"
+            "model = fit(ds, polynomial_dictionary(24, 2), ridge=1e-8)\n"
+            "save_lifted_model(model, sys.argv[1])\n"
+        )
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5c338c03f6e16673ef70338085aae226b94c4675f4b1dcd19214fd3cb3e70e38")
 
 
 class TestModelValidation:

@@ -354,11 +354,11 @@ class TestGoldenClosedLoop:
 
     @pytest.mark.parametrize("builder, cmp_digest, loop_digest", [
         (default_config,
-         "da6c54202168aa71d645eef221103d272779f873e1901f585cf6529c75b413d2",
-         "d14fb08c2180c39853ea3e5790b39fb5e47592079f0f88356f663d240d50a616"),
+         "e0267c11a01080d59b0b6969a49bc4cd4d5fc6ebf0ab01cbe6fbcff651b64b3d",
+         "27eaa456fe3bb6b19b7931cead2182b3b86ea0cb44a2477885216bc4a3aede57"),
         (mirror_config,
-         "22ba2c2ddd779ced77598d24dafa790a94c8c0a2d7920526aea17da0b511c94a",
-         "8d141d9131590bdf8b4f966cb9f83c671fb1c8346b9c8a1647f553c725ea0083"),
+         "30dd7c4a0a76741de92b018d3ca0397c93ecd748923b8fe53608680f71a1f621",
+         "822edaf936931dfd3810c06b58ee6283556a4aa5ce6ee114c37a6ccf30790de1"),
     ], ids=["default_config", "mirror_config"])
     def test_golden_closed_loop_bytes(self, builder, cmp_digest, loop_digest, tmp_path):
         cfg = builder()

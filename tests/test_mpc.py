@@ -20,7 +20,14 @@ from koopmanmpc.mpc import (
     receding_horizon,
     solve_box_qp,
 )
-from koopmanmpc.plant import U_MAX, default_config, load_config, run_episode, zero_policy
+from koopmanmpc.plant import (
+    U_MAX,
+    default_config,
+    load_config,
+    mirror_config,
+    run_episode,
+    zero_policy,
+)
 
 
 def direct_objective(problem: MpcProblem, u_seq: np.ndarray) -> float:
@@ -312,6 +319,161 @@ class TestSolveBoxQp:
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
 
+def badly_scaled_qp(rng, dim):
+    """A dense PSD quadratic of modest conditioning scaled symmetrically so
+    that its diagonal spreads over 1e-3 to 1e3."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    root = np.sqrt(np.logspace(-3, 3, dim))
+    hess = root[:, None] * (q @ np.diag(rng.uniform(0.5, 2.0, size=dim)) @ q.T) * root
+    hess = 0.5 * (hess + hess.T)
+    return CondensedQp(hessian=hess, linear=root * rng.normal(size=dim), const=0.0,
+                       lower=np.full(dim, -1.0), upper=np.full(dim, 1.0),
+                       horizon=dim, n_controls=1)
+
+
+def assert_kkt(qp, u, tol):
+    """Interior coordinates have |grad| < tol, bound ones an outward gradient."""
+    grad = 2.0 * (qp.hessian @ u + qp.linear)
+    at_lower, at_upper = u <= qp.lower, u >= qp.upper
+    assert np.all(grad[at_lower] > -tol) and np.all(grad[at_upper] < tol)
+    assert np.all(np.abs(grad[~at_lower & ~at_upper]) < tol)
+
+
+def scaled_spectrum(hessian):
+    """The extreme eigenvalues of D^1/2 H D^1/2, D = 1 / diag(H) (1 where the
+    diagonal is not positive): the spectrum the solver sizes its step by."""
+    diag = np.diagonal(hessian)
+    root = np.sqrt(1.0 / np.where(diag > 0.0, diag, 1.0))
+    return _estimate_curvature(root[:, None] * hessian * root)
+
+
+class TestJacobiStep:
+    def test_zero_row_and_column_take_a_unit_scale(self):
+        from sequential_reference import solve_box_qp as reference
+
+        # PSD, with coordinate 1 absent from the quadratic: its gradient is
+        # the constant 2 * 0.5 > 0, so it goes to its lower bound
+        hess = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        qp = CondensedQp(hessian=hess, linear=np.array([-1.0, 0.5, 0.2]), const=0.0,
+                         lower=np.full(3, -1.0), upper=np.full(3, 1.0),
+                         horizon=3, n_controls=1)
+        assert scaled_spectrum(hess)[0] == pytest.approx(0.0, abs=1e-15)
+        seq = solve_box_qp(qp, tol=1e-10)
+        u = seq.u.ravel()
+        assert u[1] == -1.0
+        assert_kkt(qp, u, 1e-10)
+        assert np.max(np.abs(u - reference(qp, tol=1e-10).u.ravel())) <= 1e-9
+
+    def test_singular_hessian(self):
+        from sequential_reference import solve_box_qp as reference
+
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            dim = int(rng.integers(2, 9))
+            root = rng.normal(size=(dim, int(rng.integers(1, dim))))  # rank < dim
+            hess = root @ root.T
+            qp = CondensedQp(hessian=hess, linear=rng.normal(size=dim), const=0.0,
+                             lower=np.full(dim, -1.0), upper=np.full(dim, 1.0),
+                             horizon=dim, n_controls=1)
+            assert scaled_spectrum(hess)[0] <= 1e-12  # lambda_min is 0 up to rounding
+            seq = solve_box_qp(qp, tol=1e-10)
+            assert_kkt(qp, seq.u.ravel(), 1e-10)
+            # the minimizer need not be unique; the minimum is
+            ref = reference(qp, tol=1e-10, max_iter=200_000)
+            assert seq.info.objective == pytest.approx(ref.info.objective, rel=1e-9, abs=1e-9)
+
+    def test_diagonal_spread_over_six_decades(self):
+        from sequential_reference import solve_box_qp as reference
+
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            qp = badly_scaled_qp(rng, 6)
+            diag = np.diagonal(qp.hessian)
+            assert diag.max() / diag.min() > 1e5
+            seq = solve_box_qp(qp, tol=1e-9)
+            assert_kkt(qp, seq.u.ravel(), 1e-9)
+            # the old scalar step needs of the order of kappa(H) iterations
+            with pytest.raises(QpNonConvergence):
+                reference(qp, tol=1e-9, max_iter=100 * seq.info.iterations)
+
+    def test_monotone_descent_on_a_badly_scaled_hessian(self):
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            qp = badly_scaled_qp(rng, 6)
+            objectives = []
+            for max_iter in range(solve_box_qp(qp).info.iterations + 1):
+                try:  # the iterate after max_iter steps
+                    seq = solve_box_qp(qp, max_iter=max_iter)
+                except QpNonConvergence as exc:
+                    seq = exc.result
+                objectives.append(qp.objective(seq.u.ravel()))
+            assert np.all(np.diff(objectives) <= 1e-12 * max(1.0, abs(objectives[0])))
+
+    def test_fewer_iterations_than_the_scalar_step(self):
+        # the guard on the step rule: over a fixed set of condensed random
+        # problems the Jacobi-scaled step 1 / (lambda_max + lambda_min) of D H
+        # takes at most 0.7 of the iterations of 1 / (2 lambda_max) of H
+        # (0.36 when it was introduced)
+        from sequential_reference import solve_box_qp as reference
+
+        rng = np.random.default_rng(2020)
+        totals = np.zeros(2, dtype=int)
+        for _ in range(60):
+            qp = condense(random_problem(rng, horizon=int(rng.integers(1, 6))))
+            totals += [solve_box_qp(qp, tol=1e-10).info.iterations,
+                       reference(qp, tol=1e-10).info.iterations]
+        assert totals[0] <= 0.7 * totals[1]
+
+
+class TestSolverMatchesScalarStepReference:
+    """The stated tolerance against the scalar-step solver it replaced:
+    every row converges wherever the reference converged, and the controls
+    agree within 1e-7."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 6),
+           horizon=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_random_problems(self, seed, n_rows, horizon):
+        from sequential_reference import solve_box_qp as reference
+
+        rng = np.random.default_rng(seed)
+        _, batch = problem_batch(rng, n_rows, n_lift=int(rng.integers(2, 30)), horizon=horizon)
+        qp = condense(batch)
+        results = []
+        for solve in (solve_box_qp, reference):
+            try:
+                results.append(solve(qp, tol=1e-10))
+            except QpNonConvergence as exc:
+                results.append(exc.result)
+        got, ref = results
+        assert np.all(got.info.row_converged[ref.info.row_converged])
+        both = got.info.row_converged & ref.info.row_converged
+        assert np.max(np.abs(got.u[both] - ref.u[both]), initial=0.0) <= 1e-7
+
+    @pytest.mark.parametrize("plant", ["default", "mirror"])
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_closed_loop_on_both_plants(self, bench_models, mirror_models, monkeypatch,
+                                        plant, kind):
+        from sequential_reference import solve_box_qp as reference
+
+        cfg = default_config() if plant == "default" else mirror_config()
+        model = (bench_models if plant == "default" else mirror_models)[kind]
+        lams = np.array([0.9, 0.97, 1.0, 1.04, 1.1])
+        runs = []
+        for solve in (solve_box_qp, reference):
+            monkeypatch.setattr(mpc, "solve_box_qp", solve)
+            policy = mpc.MpcPolicy(model, cfg)
+            traj = run_episode(cfg.model.with_load(lams), cfg.schedule, cfg.fault, policy)
+            runs.append((traj, policy))
+        (got, got_policy), (ref, ref_policy) = runs
+        assert not ref_policy.aborted.any() and not got_policy.aborted.any()
+        assert np.max(np.abs(got.controls - ref.controls)) <= 1e-7
+        assert np.max(np.abs(got.voltages - ref.voltages)) <= 1e-7
+        got_iters, ref_iters = ([d["iterations"] for e in p.diagnostics for d in e]
+                                for p in (got_policy, ref_policy))
+        assert sum(got_iters) < sum(ref_iters)
+
+
 class TestCondenseMatchesReference:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -389,14 +551,17 @@ class TestCurvature:
         for _ in range(50):
             p = random_problem(rng, horizon=int(rng.integers(1, 7)))
             hess = condense(p).hessian
-            exact = float(np.linalg.eigvalsh(hess)[-1])
-            lam = _estimate_curvature(hess)
+            spectrum = np.linalg.eigvalsh(hess)
+            exact = float(spectrum[-1])
+            lam_min, lam = _estimate_curvature(hess)
             assert abs(lam - exact) <= 1e-12 * exact
+            assert abs(lam_min - float(spectrum[0])) <= 1e-12 * exact
             # power iteration's Rayleigh quotient approaches it from below
             assert reference_power_curvature(hess) <= lam * (1 + 1e-12)
 
     def test_zero_hessian(self):
-        assert _estimate_curvature(np.zeros((3, 3))) == 0.0
+        assert _estimate_curvature(np.zeros((3, 3))) == (0.0, 0.0)
+        assert _estimate_curvature(np.zeros((0, 0))) == (0.0, 0.0)
         assert reference_power_curvature(np.zeros((3, 3))) == 0.0
 
 
