@@ -4,10 +4,15 @@ Subcommands wire config files to the library stages and write fixed-name
 artifacts under ``--out``:
 
     gen-data  --config RUN.json --out DIR [--seed N]   dataset.json, samples.csv
-    train     --data DIR --config RUN.json --out DIR   checkpoint.json, lifted_model.json, training_history.csv
-    fit-edmd  --data DIR --dict SPEC --ridge X --out DIR    lifted_model.json
+    train     --data DIR --config RUN.json --out DIR   checkpoint.json/.bin, lifted_model.json/.bin,
+                                                       training_history.csv
+    fit-edmd  --data DIR --dict SPEC --ridge X --out DIR    lifted_model.json/.bin
     run-mpc   --model FILE --config RUN.json --out DIR      closed_loop.csv, qp_diagnostics.json
     compare   --model FILE --config RUN.json --cases N --seed N --out DIR  comparison.csv, summary.json
+
+A model file or checkpoint ``X.json`` keeps its float arrays in the sidecar
+``X.bin`` beside it (``lifted``); ``--model`` names the JSON, and the
+sidecar must sit next to it.
 
 Every run is deterministic given its config and flags; all randomness
 flows from explicit seeds.  Failures print one machine-readable JSON line
@@ -258,7 +263,7 @@ def cmd_fit_edmd(args) -> int:
     seed = int(ds.meta.get("master_seed", 0))
     flat = None
     if args.dict.startswith("rbf"):
-        flat = ds.scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
+        flat = edmd.require_scaler(ds).normalize_v(ds.v_k).reshape(len(ds), -1)
     dictionary = parse_dictionary_spec(args.dict, n * h, flat, seed)
     model = edmd.fit(ds, dictionary, ridge=ridge)
     out = _out_dir(args.out)

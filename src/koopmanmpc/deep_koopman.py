@@ -519,24 +519,25 @@ class LiftedLinearModel(LiftedModel):
         z, _ = _encode(self.enc_lstm, self.enc_fc, self.scaler.normalize_v(v_hist)[None])
         return z[0]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, payload: bytearray) -> dict:
         return {
-            **super().to_dict(),
+            **super().to_dict(payload),
             "config": asdict(self.config),
             "encoder": {
-                name: encode_array(arr)
+                name: encode_array(arr, payload)
                 for name, arr in sorted(_encoder_params(self.enc_lstm, self.enc_fc).items())
             },
         }
 
     @staticmethod
-    def from_dict(doc: dict) -> "LiftedLinearModel":
-        enc = {name: decode_array(f"tensor {name!r}", rec) for name, rec in doc["encoder"].items()}
+    def from_dict(doc: dict, payload) -> "LiftedLinearModel":
+        enc = {name: decode_array(f"tensor {name!r}", rec, payload)
+               for name, rec in doc["encoder"].items()}
         return LiftedLinearModel(
             config=KoopmanNetConfig.from_dict(doc["config"]),
             encoder_params=enc,
-            A=decode_array("matrix A", doc["A"]),
-            B=decode_array("matrix B", doc["B"]),
+            A=decode_array("matrix A", doc["A"], payload),
+            B=decode_array("matrix B", doc["B"], payload),
             scaler=Scaler.from_dict(doc["scaler"]),
         )
 

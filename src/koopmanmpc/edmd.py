@@ -97,22 +97,23 @@ class Dictionary:
         out = np.hstack(cols)
         return out[0] if single else out
 
-    def to_dict(self) -> dict:
+    def to_dict(self, payload: bytearray) -> dict:
         doc = {"kind": self.kind, "input_dim": self.input_dim}
         if self.kind == "polynomial":
             doc["degree"] = self.degree
         if self.kind == "rbf":
             doc["width"] = self.width
-            doc["centers"] = encode_array(self.centers)
+            doc["centers"] = encode_array(self.centers, payload)
         return doc
 
     @staticmethod
-    def from_dict(doc: dict) -> "Dictionary":
+    def from_dict(doc: dict, payload) -> "Dictionary":
         return Dictionary(
             kind=doc["kind"],
             input_dim=int(doc["input_dim"]),
             degree=int(doc.get("degree", 1)),
-            centers=decode_array("rbf centers", doc["centers"]) if "centers" in doc else None,
+            centers=(decode_array("rbf centers", doc["centers"], payload)
+                     if "centers" in doc else None),
             width=float(doc.get("width", 1.0)),
         )
 
@@ -186,23 +187,23 @@ class EdmdModel(LiftedModel):
         flat = self.scaler.normalize_v(v_hist).reshape(-1 if single else (v_hist.shape[0], -1))
         return self.dictionary.lift(flat)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, payload: bytearray) -> dict:
         return {
-            **super().to_dict(),
-            "dictionary": self.dictionary.to_dict(),
-            "C": encode_array(self.C),
+            **super().to_dict(payload),
+            "dictionary": self.dictionary.to_dict(payload),
+            "C": encode_array(self.C, payload),
             "n": self.n,
             "h": self.h,
             "residuals": self.residuals,
         }
 
     @staticmethod
-    def from_dict(doc: dict) -> "EdmdModel":
+    def from_dict(doc: dict, payload) -> "EdmdModel":
         return EdmdModel(
-            dictionary=Dictionary.from_dict(doc["dictionary"]),
-            A=decode_array("matrix A", doc["A"]),
-            B=decode_array("matrix B", doc["B"]),
-            C=decode_array("matrix C", doc["C"]),
+            dictionary=Dictionary.from_dict(doc["dictionary"], payload),
+            A=decode_array("matrix A", doc["A"], payload),
+            B=decode_array("matrix B", doc["B"], payload),
+            C=decode_array("matrix C", doc["C"], payload),
             scaler=Scaler.from_dict(doc["scaler"]),
             n=int(doc["n"]),
             h=int(doc["h"]),
@@ -215,6 +216,14 @@ def check_ridge(ridge: float) -> float:
     if not (np.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be finite and >= 0 (got {ridge!r})")
     return ridge
+
+
+def require_scaler(ds: Dataset) -> Scaler:
+    """``ds``'s scaler, which defines the normalized units of a fit and of
+    its rbf centers; ``ValueError`` if the dataset has none."""
+    if ds.scaler is None:
+        raise ValueError("fitting requires a dataset with a fitted scaler")
+    return ds.scaler
 
 
 def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
@@ -230,9 +239,7 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     check_ridge(ridge)
     if len(ds) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    scaler = ds.scaler
-    if scaler is None:
-        raise ValueError("fitting requires a dataset with a fitted scaler")
+    scaler = require_scaler(ds)
     n, h, m = ds.dims
 
     x_flat = scaler.normalize_v(ds.v_k).reshape(len(ds), -1)

@@ -4,13 +4,19 @@ the shared keys ``kind``, ``A``, ``B`` and ``scaler`` plus those of the
 kind.  The kinds differ only in the lift: the network's frozen encoder
 (``deep_koopman``) or a feature dictionary (``edmd``).
 
-Every float array in a model file or a network checkpoint is one payload
-record, written by ``encode_array`` and read by ``decode_array``.
+Every float array of a model file or a network checkpoint lives in the
+document's sidecar ``<stem>.bin`` beside it, as C-order little-endian
+float64 bytes back to back.  The JSON holds one payload record
+``{"shape", "dtype": "<f8", "offset"}`` per array, written by
+``encode_array`` and read by ``decode_array``, and a top-level
+``"payload": {"bytes", "sha256"}`` that binds the sidecar to it, so the
+JSON's own bytes pin every bit of the arrays.  ``write_document`` and
+``read_payload`` own the sidecar.
 """
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -19,6 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from koopmanmpc.dataset import Scaler
+
+_REGENERATE = "must be regenerated with train or fit-edmd"
 
 
 def finite_array(what: str, value) -> np.ndarray:
@@ -30,37 +38,81 @@ def finite_array(what: str, value) -> np.ndarray:
     return arr
 
 
-def encode_array(arr) -> dict:
-    """``arr`` as the payload record ``{"shape", "dtype": "<f8", "b64"}``:
-    its float64 entries in C order as little-endian bytes, base64-encoded,
-    so the record holds every bit, ``-0.0`` and NaN payloads included."""
-    arr = np.asarray(arr, dtype="<f8")
-    return {"shape": list(arr.shape), "dtype": "<f8",
-            "b64": base64.b64encode(arr.tobytes()).decode("ascii")}
+def encode_array(arr, payload: bytearray) -> dict:
+    """Append ``arr``'s float64 entries in C order as little-endian bytes
+    to ``payload``, the document's sidecar bytes; return the record
+    ``{"shape", "dtype": "<f8", "offset"}`` that finds them there.  The
+    bytes hold every bit, ``-0.0`` and NaN payloads included."""
+    arr = np.asarray(arr, dtype="<f8", order="C")
+    rec = {"shape": list(arr.shape), "dtype": "<f8", "offset": len(payload)}
+    payload += memoryview(arr)
+    return rec
 
 
-def decode_array(what: str, rec) -> np.ndarray:
-    """The float array a record from ``encode_array`` holds; ``ValueError``
-    naming ``what`` if ``rec`` is not such a record, its ``dtype`` is not
-    ``"<f8"``, its base64 does not decode, or its byte count is not
-    ``8·prod(shape)``."""
-    if not (isinstance(rec, dict) and rec.keys() == {"shape", "dtype", "b64"}):
-        raise ValueError(f"{what} is not a {{shape, dtype, b64}} payload record "
-                         "(a file written in the nested-list form must be regenerated)")
-    shape = rec["shape"]
+def decode_array(what: str, rec, payload) -> np.ndarray:
+    """A fresh float array holding what a record from ``encode_array``
+    points to in ``payload``; ``ValueError`` naming ``what`` if ``rec`` is
+    not such a record, its ``dtype`` is not ``"<f8"``, its offset is not an
+    integer >= 0, or its bytes run past the end of ``payload``."""
+    if not (isinstance(rec, dict) and rec.keys() == {"shape", "dtype", "offset"}):
+        raise ValueError(f"{what} is not a {{shape, dtype, offset}} payload record "
+                         f"(a file in the nested-list or base64 form {_REGENERATE})")
+    shape, offset = rec["shape"], rec["offset"]
     if not (isinstance(shape, list)
             and all(type(d) is int and d >= 0 for d in shape)):
         raise ValueError(f"{what} has shape {shape!r}, expected a list of sizes")
     if rec["dtype"] != "<f8":
         raise ValueError(f"{what} has dtype {rec['dtype']!r}, expected '<f8'")
+    if not (type(offset) is int and offset >= 0):
+        raise ValueError(f"{what} has offset {offset!r}, expected an integer >= 0")
+    count = math.prod(shape)
+    if offset + 8 * count > len(payload):
+        raise ValueError(f"{what} needs payload bytes [{offset}, {offset + 8 * count}), "
+                         f"the sidecar has {len(payload)}")
+    return np.frombuffer(payload, dtype="<f8", count=count, offset=offset) \
+        .astype(float).reshape(shape)
+
+
+def _sidecar(path: Path) -> Path:
+    if path.suffix == ".bin":
+        raise ValueError(f"document path {path} ends in .bin, the suffix of its sidecar")
+    return path.with_suffix(".bin")
+
+
+def write_document(path, doc: dict, payload: bytearray) -> None:
+    """Write ``payload`` as the sidecar ``<stem>.bin``, then ``doc`` as one
+    JSON document with sorted keys and the sidecar's size and sha256 as its
+    ``"payload"``; ``ValueError`` if ``path`` ends in ``.bin``."""
+    path = Path(path)
+    _sidecar(path).write_bytes(payload)
+    doc = {**doc, "payload": {"bytes": len(payload),
+                              "sha256": hashlib.sha256(payload).hexdigest()}}
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def read_payload(path, doc) -> bytes:
+    """The sidecar bytes of the document ``doc`` read from ``path``, read
+    once; ``ValueError`` naming the sidecar if ``doc`` has no ``"payload"``
+    record, the sidecar is missing, or its size or sha256 differ from the
+    record's."""
+    path = Path(path)
+    side = _sidecar(path)
+    meta = doc.get("payload") if isinstance(doc, dict) else None
+    if not (isinstance(meta, dict) and meta.keys() == {"bytes", "sha256"}):
+        raise ValueError(f"{path.name} has no {{bytes, sha256}} payload record "
+                         f"(a file in the nested-list or base64 form {_REGENERATE})")
     try:
-        raw = base64.b64decode(rec["b64"], validate=True)
-    except (TypeError, ValueError):  # binascii.Error is a ValueError
-        raise ValueError(f"{what} has a payload that is not valid base64") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{what} has {len(raw)} payload bytes, shape {tuple(shape)} "
-                         f"needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+        raw = side.read_bytes()
+    except FileNotFoundError:
+        raise ValueError(f"sidecar {side.name} of {path.name} is missing "
+                         f"(the pair {_REGENERATE})") from None
+    if len(raw) != meta["bytes"]:
+        raise ValueError(f"sidecar {side.name} has {len(raw)} bytes, "
+                         f"{path.name} records {meta['bytes']!r}")
+    if hashlib.sha256(raw).hexdigest() != meta["sha256"]:
+        raise ValueError(f"sidecar {side.name} does not match the sha256 {path.name} records")
+    return raw
 
 
 class LiftedModel:
@@ -68,7 +120,9 @@ class LiftedModel:
     and the history shape ``(n, h)``; ``A`` and ``B`` are copied, and
     either one misshapen or not finite raises ``ValueError`` naming it.  A
     subclass sets ``kind`` and defines ``lift`` ((n, h) -> (N,), a batch
-    (C, n, h) -> (C, N)), ``from_dict`` and its own ``to_dict`` keys.
+    (C, n, h) -> (C, N)), ``from_dict(doc, payload)`` and its own
+    ``to_dict`` keys; both pass the document's sidecar bytes along to
+    ``encode_array`` and ``decode_array``.
     """
 
     kind: str
@@ -95,15 +149,15 @@ class LiftedModel:
         """Lifted image of the history that holds every bus at ``v`` p.u."""
         return self.lift(np.full((self.n, self.h), v))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "A": encode_array(self.A), "B": encode_array(self.B),
-                "scaler": asdict(self.scaler)}
+    def to_dict(self, payload: bytearray) -> dict:
+        return {"kind": self.kind, "A": encode_array(self.A, payload),
+                "B": encode_array(self.B, payload), "scaler": asdict(self.scaler)}
 
 
 def save_lifted_model(model: LiftedModel, path) -> None:
-    """Write ``model`` as one JSON document with sorted keys."""
-    # json.dumps runs the C encoder; json.dump always runs the Python one
-    Path(path).write_text(json.dumps(model.to_dict(), sort_keys=True) + "\n")
+    """Write ``model`` as its JSON document and sidecar (``write_document``)."""
+    payload = bytearray()
+    write_document(path, model.to_dict(payload), payload)
 
 
 def load_lifted_model(path) -> LiftedModel:
@@ -114,5 +168,5 @@ def load_lifted_model(path) -> LiftedModel:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     for cls in LiftedModel.__subclasses__():
         if cls.kind == kind:
-            return cls.from_dict(doc)
+            return cls.from_dict(doc, read_payload(path, doc))
     raise ValueError(f"unknown lifted-model kind {kind!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from koopmanmpc.lifted import decode_array, encode_array, finite_array
+from koopmanmpc.lifted import decode_array, encode_array, finite_array, read_payload, write_document
 
 
 class TrainingError(RuntimeError):
@@ -321,22 +321,26 @@ def r2(y, y_hat) -> float:
 
 def save_checkpoint(params: dict, path, extra: dict | None = None) -> None:
     """JSON checkpoint of named tensors, each an exact payload record
-    (``lifted.encode_array``), with sorted keys for reproducible bytes."""
-    doc = {"tensors": {k: encode_array(arr) for k, arr in params.items()}, "extra": extra or {}}
-    # json.dumps runs the C encoder; json.dump always runs the Python one
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    (``lifted.encode_array``) in its sidecar, with sorted keys for
+    reproducible bytes (``lifted.write_document``)."""
+    payload = bytearray()
+    doc = {"tensors": {k: encode_array(arr, payload) for k, arr in params.items()},
+           "extra": extra or {}}
+    write_document(path, doc, payload)
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
     """The named tensors and the extra fields of a checkpoint written by
     ``save_checkpoint``; ``ValueError`` names a tensor that is not a
-    payload record or not finite."""
+    payload record or not finite, or the sidecar that does not match."""
     with open(Path(path)) as f:
         doc = json.load(f)
+    payload = read_payload(path, doc)
     tensors = doc["tensors"]
     if not isinstance(tensors, dict):
-        raise ValueError("checkpoint tensors are not an object of {shape, dtype, b64} payload "
-                         "records (a file written in the nested-list form must be regenerated)")
-    params = {name: finite_array(f"tensor {name!r}", decode_array(f"tensor {name!r}", rec))
-              for name, rec in tensors.items()}
+        raise ValueError("checkpoint tensors are not an object of payload records")
+    params = {
+        name: finite_array(f"tensor {name!r}", decode_array(f"tensor {name!r}", rec, payload))
+        for name, rec in tensors.items()
+    }
     return params, doc.get("extra", {})

@@ -574,6 +574,10 @@ def config_to_dict(cfg: PlantConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> PlantConfig:
+    """The plant config a ``config_to_dict`` document describes;
+    ``ValueError`` for a missing key or a value of the wrong type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"plant config must be a JSON object (got {type(doc).__name__})")
     try:
         model = PlantModel(
             n=int(doc["n"]),
@@ -598,6 +602,8 @@ def config_from_dict(doc: dict) -> PlantConfig:
         )
     except KeyError as exc:
         raise ValueError(f"plant config missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"plant config has a value of the wrong type: {exc}") from exc
     return PlantConfig(model=model, schedule=sched, fault=fault)
 
 

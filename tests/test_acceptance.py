@@ -369,8 +369,9 @@ def test_criterion_9_determinism(tmp_path):
 
     stage_files = {
         "gen-data": ["dataset.json", "samples.csv"],
-        "train": ["checkpoint.json", "lifted_model.json", "training_history.csv"],
-        "fit-edmd": ["lifted_model.json"],
+        "train": ["checkpoint.json", "checkpoint.bin", "lifted_model.json", "lifted_model.bin",
+                  "training_history.csv"],
+        "fit-edmd": ["lifted_model.json", "lifted_model.bin"],
         "run-mpc": ["closed_loop.csv", "qp_diagnostics.json"],
         "compare": ["comparison.csv", "summary.json"],
     }

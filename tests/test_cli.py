@@ -13,7 +13,7 @@ from koopmanmpc import cli
 from koopmanmpc.dataset import DatasetConfig
 from koopmanmpc.deep_koopman import KoopmanNetConfig, TrainHyper
 from koopmanmpc.evaluation import EvalConfig, VvcParams
-from koopmanmpc.lifted import decode_array, encode_array
+from koopmanmpc.lifted import decode_array, encode_array, read_payload, write_document
 from koopmanmpc.mpc import MpcConfig
 from koopmanmpc.plant import config_to_dict, default_config, load_config, save_config
 
@@ -159,6 +159,26 @@ class TestConfigValidation:
         assert code == 2
         fields = json.loads(capsys.readouterr().err.strip())["fields"]
         assert fields == ["plant: invalid plant config (fault buses must be below n = 6 (got [99]))"]
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(n=None), "int() argument must be"),
+        (lambda doc: doc.update({"lambda": [1, 2]}), "float() argument must be"),
+        (lambda doc: doc.update(fault={"affected": 5, "depth": 0.25}), "'int' object is not iterable"),
+        (lambda doc: doc.update(fault=[1]), "list indices must be integers"),
+        (lambda doc: [doc], "plant config must be a JSON object (got list)"),
+    ], ids=["null_n", "list_lambda", "int_fault_buses", "list_fault", "list_document"])
+    def test_wrongly_typed_plant_config_exits_2(self, workspace, capsys, edit, message):
+        doc = config_to_dict(default_config())
+        doc = edit(doc) or doc
+        (workspace / "plant.json").write_text(json.dumps(doc))
+        code = run_cli("gen-data", "--config", workspace / "run.json", "--out", workspace / "o")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config validation failed"
+        assert len(err["fields"]) == 1
+        assert err["fields"][0].startswith("plant: invalid plant config (")
+        assert message in err["fields"][0]
         assert not (workspace / "o").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
@@ -385,10 +405,11 @@ class TestPipeline:
                        "--out", ws / "edmd") == 0
         path = ws / "edmd" / "lifted_model.json"
         doc = json.loads(path.read_text())
-        a = decode_array("A", doc["A"])
+        payload = bytearray(read_payload(path, doc))
+        a = decode_array("A", doc["A"], payload)
         a[3][5] = float("nan")
-        doc["A"] = encode_array(a)
-        path.write_text(json.dumps(doc))
+        doc["A"] = encode_array(a, payload)
+        write_document(path, doc, payload)
         capsys.readouterr()
         code = run_cli("compare", "--model", path, "--config", ws / "run.json",
                        "--cases", 2, "--out", ws / "cmp")
@@ -399,6 +420,42 @@ class TestPipeline:
         assert err["type"] == "ValueError"
         assert re.search(r"\bA\b", err["error"]), err
         assert not (ws / "cmp").exists()
+
+    def test_compare_rejects_a_flipped_sidecar_byte(self, workspace, capsys):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "identity",
+                       "--out", ws / "edmd") == 0
+        sidecar = ws / "edmd" / "lifted_model.bin"
+        raw = bytearray(sidecar.read_bytes())
+        raw[len(raw) // 2] ^= 0x10
+        sidecar.write_bytes(raw)
+        capsys.readouterr()
+        code = run_cli("compare", "--model", ws / "edmd" / "lifted_model.json",
+                       "--config", ws / "run.json", "--cases", 2, "--out", ws / "cmp")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err == {"error": "sidecar lifted_model.bin does not match the sha256 "
+                                "lifted_model.json records", "type": "ValueError"}
+        assert not (ws / "cmp").exists()
+
+    @pytest.mark.parametrize("spec", ["identity", "poly:2", "rbf:4:0.5"])
+    def test_fit_edmd_without_a_scaler_is_a_value_error(self, workspace, capsys, spec):
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        manifest = json.loads((ws / "data" / "dataset.json").read_text())
+        manifest["scaler"] = None
+        (ws / "data" / "dataset.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("fit-edmd", "--data", ws / "data", "--dict", spec, "--out", ws / "e")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "fitting requires a dataset with a fitted scaler",
+                                        "type": "ValueError"}
+        assert not (ws / "e").exists()
 
 
 class TestShippedConfigs:

@@ -24,7 +24,8 @@ from koopmanmpc.deep_koopman import (
     save_net,
     train,
 )
-from koopmanmpc.lifted import decode_array, encode_array, load_lifted_model, save_lifted_model
+from koopmanmpc.lifted import (decode_array, encode_array, load_lifted_model, read_payload,
+                               save_lifted_model)
 from koopmanmpc.plant import default_config
 
 
@@ -569,11 +570,12 @@ class TestSerialization:
             assert np.array_equal(back.params()[k], v)
         assert back_sc == sc
 
-    # sha256 of these artifacts with every tensor a base64 float64 payload record
+    # sha256 of these JSON documents, every tensor a payload record in the
+    # .bin sidecar whose sha256 the document holds
     GOLDEN = {
-        "checkpoint": "f4d8950e1208a9c1ca4204be02262615ef8dd93cf70b0a56e8ec52348580a673",
-        "net_model": "ccf7f9b15fec95570e39156aa9296a3c529db7f1178e01f0217323035590056b",
-        "edmd_model": "c84f6974835c1945bfa18fe45476fbc485150aecfe6e9bc47ef9681159ab1f59",
+        "checkpoint": "d4bdd3160cdd2578a2465e35358daa257db17bd6bdd1494bccf0147065278c21",
+        "net_model": "8c1b29703385bb1e367089ee462ce9ca9dc4a27adb9fb991942229316f6dd3d9",
+        "edmd_model": "fe66a30f8749b32c5ff6918a42cd9e85c18ccccabed0619658d92ae99336a7f5",
     }
 
     @staticmethod
@@ -603,14 +605,18 @@ class TestSerialization:
     def file_tensors(path) -> dict:
         """Every payload record of a checkpoint or a lifted model, decoded."""
         doc = json.loads(path.read_text())
+        payload = read_payload(path, doc)
         records = doc["tensors"] if "tensors" in doc else {
             **{k: doc[k] for k in ("A", "B", "C") if k in doc}, **doc.get("encoder", {})}
-        return {name: decode_array(name, rec) for name, rec in records.items()}
+        return {name: decode_array(name, rec, payload) for name, rec in records.items()}
 
     def test_golden_artifact_bytes(self, tmp_path):
         self.write_golden_artifacts(tmp_path)
         for name, digest in self.GOLDEN.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+            recorded = json.loads((tmp_path / name).read_text())["payload"]["sha256"]
+            sidecar = (tmp_path / name).with_suffix(".bin")
+            assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == recorded, name
 
     def test_golden_tensors_match_the_nested_list_parse(self, tmp_path):
         # the payloads hold the bits the nested-list form read back
@@ -625,18 +631,19 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "tensor, edit",
         [
-            ("encoder_lstm/w_h", lambda doc: doc["encoder"].pop("encoder_lstm/w_h")),
-            ("encoder_fc/bias",
-             lambda doc: doc["encoder"].update({"encoder_fc/bias": encode_array(np.array([0.5]))})),
-            (r"\bA\b", lambda doc: doc.update(A=encode_array(np.zeros((10, 6))))),
+            ("encoder_lstm/w_h", lambda doc, pay: doc["encoder"].pop("encoder_lstm/w_h")),
+            ("encoder_fc/bias", lambda doc, pay: doc["encoder"].update(
+                {"encoder_fc/bias": encode_array(np.array([0.5]), pay)})),
+            (r"\bA\b", lambda doc, pay: doc.update(A=encode_array(np.zeros((10, 6)), pay))),
         ],
         ids=["missing_encoder_tensor", "broadcast_bias", "ten_row_A"],
     )
     def test_malformed_lifted_model_rejected(self, tensor, edit):
-        doc = extract(KoopmanNet(MINI), Scaler.identity()).to_dict()
-        edit(doc)
+        payload = bytearray()
+        doc = extract(KoopmanNet(MINI), Scaler.identity()).to_dict(payload)
+        edit(doc, payload)
         with pytest.raises(ValueError, match=tensor):
-            deep_koopman.LiftedLinearModel.from_dict(doc)
+            deep_koopman.LiftedLinearModel.from_dict(doc, payload)
 
     def test_unknown_kind_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"kind": "mystery"}')

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -107,7 +108,8 @@ class TestDictionary:
     def test_round_trip(self):
         for d in (identity_dictionary(4), polynomial_dictionary(4, 3),
                   rbf_dictionary(4, np.zeros((2, 4)), 0.3)):
-            back = Dictionary.from_dict(d.to_dict())
+            payload = bytearray()
+            back = Dictionary.from_dict(d.to_dict(payload), payload)
             x = np.linspace(-1, 1, 4)
             assert np.array_equal(back.lift(x), d.lift(x))
 
@@ -220,7 +222,8 @@ class TestModelFile:
     def test_golden_poly2_model_bytes(self, tmp_path):
         """sha256 of a ``poly:2`` (N = 325) ``lifted_model.json``, fit with
         ridge 1e-8 on 30 seeded load cases of the default plant: pins the
-        bits of ``fit``.  Runs in a child process with one BLAS thread, since
+        bits of ``fit``, since the document holds the sha256 of its
+        ``lifted_model.bin`` sidecar.  Runs in a child process with one BLAS thread, since
         a threaded OpenBLAS sums this fit's products in another order."""
         src = str(Path(edmd.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -239,30 +242,34 @@ class TestModelFile:
         )
         subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "5c338c03f6e16673ef70338085aae226b94c4675f4b1dcd19214fd3cb3e70e38")
+            "77084bf068944a0e3a7dea7dc10293793ac130d756c988859e6337e7a0f38ce8")
+        recorded = json.loads(path.read_text())["payload"]["sha256"]
+        assert hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest() == recorded
 
 
 class TestModelValidation:
     @pytest.mark.parametrize(
         "mismatch, edit",
         [
-            (r"\bC\b", lambda doc: doc.update(C=encode_array(decode_array("C", doc["C"])[:, :-1]))),
-            ("input dimension", lambda doc: doc["dictionary"].update(input_dim=2)),
-            ("3 features", lambda doc: doc.update(A=encode_array(np.zeros((4, 4))),
-                                                  B=encode_array(np.zeros((4, 1))))),
+            (r"\bC\b", lambda doc, pay: doc.update(
+                C=encode_array(decode_array("C", doc["C"], pay)[:, :-1], pay))),
+            ("input dimension", lambda doc, pay: doc["dictionary"].update(input_dim=2)),
+            ("3 features", lambda doc, pay: doc.update(A=encode_array(np.zeros((4, 4)), pay),
+                                                       B=encode_array(np.zeros((4, 1)), pay))),
             # one rbf center keeps the 3 features of the degree-2 dictionary it replaces
-            ("rbf centers", lambda doc: doc.update(dictionary={
+            ("rbf centers", lambda doc, pay: doc.update(dictionary={
                 "kind": "rbf", "input_dim": 1, "width": 0.5,
-                "centers": encode_array(np.array([[np.nan]]))})),
-            ("rbf width", lambda doc: doc.update(dictionary={
+                "centers": encode_array(np.array([[np.nan]]), pay)})),
+            ("rbf width", lambda doc, pay: doc.update(dictionary={
                 "kind": "rbf", "input_dim": 1, "width": float("inf"),
-                "centers": encode_array(np.zeros((1, 1)))})),
+                "centers": encode_array(np.zeros((1, 1)), pay)})),
         ],
         ids=["short_C", "wrong_input_dim", "A_larger_than_dictionary", "rbf_nan_center",
              "rbf_infinite_width"],
     )
     def test_inconsistent_model_rejected(self, mismatch, edit):
-        doc = fit(linear_system_dataset(), polynomial_dictionary(1, 2), ridge=1e-10).to_dict()
-        edit(doc)
+        payload = bytearray()
+        doc = fit(linear_system_dataset(), polynomial_dictionary(1, 2), ridge=1e-10).to_dict(payload)
+        edit(doc, payload)
         with pytest.raises(ValueError, match=mismatch):
-            EdmdModel.from_dict(doc)
+            EdmdModel.from_dict(doc, payload)
