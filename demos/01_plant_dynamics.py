@@ -8,7 +8,6 @@ Run from the repository root:  python demos/01_plant_dynamics.py
 import numpy as np
 
 from koopmanmpc.plant import (
-    PlantState,
     U_MAX,
     default_config,
     faulted_initial_state,
@@ -29,7 +28,7 @@ for lam in (0.9, 1.0, 1.1):
 print("\n== fault sag and free recovery ==")
 init = faulted_initial_state(model, fault)
 print(f"  fault on buses {fault.affected} (depth {fault.depth} p.u.)")
-print(f"  post-fault v = {np.round(init.v, 3)}")
+print(f"  post-fault v = {np.round(init, 3)}")
 traj = rollout(model, init, zero_policy(model), sched)
 for idx in (0, 1, 2, 4, 8, 20):
     print(f"  t={traj.times[idx]:5.2f}s  mean v = {traj.voltages[idx].mean():.4f}")
@@ -46,5 +45,5 @@ for scale in (1, 2, 4):
     for _ in range(sched.h):
         s = step(model, s, np.full(model.m, U_MAX), sched.ts,
                  substeps=scale * n_substeps(sched.ts))
-    print(f"  substeps x{scale}: v[0] = {s.v[0]:.12f}")
+    print(f"  substeps x{scale}: v[0] = {s[0]:.12f}")
 print("  (digits agree: the default substep length is already converged)")

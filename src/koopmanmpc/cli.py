@@ -34,6 +34,7 @@ from koopmanmpc import dataset as dataset_mod
 from koopmanmpc import deep_koopman, edmd, evaluation, lifted
 from koopmanmpc import mpc as mpc_mod
 from koopmanmpc import plant as plant_mod
+from koopmanmpc.plant import _is_number
 
 
 class ConfigError(ValueError):
@@ -68,11 +69,6 @@ _SCHEMA = {
     "eval": [(evaluation.VvcParams, "vvc_", ("deadband", "gain")),
              (evaluation.EvalConfig, "", ("n_cases", "monitored"))],
 }
-
-
-def _is_number(val, integer: bool) -> bool:
-    """A JSON number, an integer where ``integer``; never a boolean."""
-    return not isinstance(val, bool) and isinstance(val, int if integer else (int, float))
 
 
 def _is_seed(val) -> bool:

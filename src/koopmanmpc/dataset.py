@@ -19,13 +19,13 @@ import csv
 import hashlib
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from koopmanmpc import plant as plant_mod
-from koopmanmpc.plant import Trajectory, U_MAX, V_REF, run_episode
+from koopmanmpc.plant import Trajectory, U_MAX, V_REF, _number, measurement_window, run_episode
 
 LOAD_RANGE = (0.9, 1.1)
 
@@ -47,11 +47,9 @@ def window_history(traj: Trajectory, k: int) -> np.ndarray:
     is the sample at instant k itself.  Valid for 1 <= k <= n_intervals.
     A batched trajectory gives one history per episode, ``(E, n, h)``.
     """
-    h = traj.schedule.h
     if not 1 <= k <= traj.n_intervals:
         raise IndexError(f"window index {k} outside 1..{traj.n_intervals}")
-    block = traj.voltages[..., (k - 1) * h + 1 : k * h + 1, :]
-    return block.swapaxes(-1, -2).copy()
+    return measurement_window(traj.voltages, k, traj.schedule.h)
 
 
 @dataclass(frozen=True)
@@ -86,13 +84,12 @@ class Scaler:
 
     @staticmethod
     def from_dict(doc: dict) -> "Scaler":
-        return Scaler(
-            v_ref=float(doc["v_ref"]),
-            v_lo=float(doc["v_lo"]),
-            v_hi=float(doc["v_hi"]),
-            u_lo=float(doc["u_lo"]),
-            u_hi=float(doc["u_hi"]),
-        )
+        """The scaler ``asdict`` wrote; ``ValueError`` unless ``doc`` is an
+        object with a number for every field, naming the first that is not."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"scaler must be an object (got {doc!r})")
+        return Scaler(**{f.name: _number(f"scaler {f.name}", doc.get(f.name))
+                         for f in fields(Scaler)})
 
     @staticmethod
     def identity() -> "Scaler":
@@ -332,7 +329,8 @@ def save(ds: Dataset, out_dir) -> None:
 
 
 def load(in_dir) -> Dataset:
-    """Inverse of :func:`save`; validates dimensions against the manifest."""
+    """Inverse of :func:`save`; ``DatasetFormatError`` for a malformed
+    manifest field (scaler and meta included) or samples that differ from it."""
     src = Path(in_dir)
     try:
         with open(src / MANIFEST_NAME) as f:
@@ -340,10 +338,15 @@ def load(in_dir) -> Dataset:
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read manifest: {exc}") from exc
     try:
-        n, h, m = int(manifest["n"]), int(manifest["h"]), int(manifest["m"])
-        n_samples = int(manifest["n_samples"])
-        scaler_doc = manifest["scaler"]
+        n, h, m, n_samples = (_number(key, manifest[key], integer=True)
+                              for key in ("n", "h", "m", "n_samples"))
         table = np.empty((n_samples, 2 * n * h + m))
+        scaler = None if manifest["scaler"] is None else Scaler.from_dict(manifest["scaler"])
+        meta = manifest.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta must be an object (got {meta!r})")
+    except ScalerError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"manifest missing or malformed field: {exc}") from exc
 
@@ -377,8 +380,8 @@ def load(in_dir) -> Dataset:
         v_k=table[:, :nh].reshape(n_samples, n, h),
         u_k=table[:, nh : nh + m],
         v_next=table[:, nh + m :].reshape(n_samples, n, h),
-        scaler=Scaler.from_dict(scaler_doc) if scaler_doc else None,
-        meta=manifest.get("meta", {}),
+        scaler=scaler,
+        meta=meta,
     )
 
 

@@ -50,10 +50,10 @@ def encode_array(arr, payload: bytearray) -> dict:
 
 
 def decode_array(what: str, rec, payload) -> np.ndarray:
-    """A fresh float array holding what a record from ``encode_array``
-    points to in ``payload``; ``ValueError`` naming ``what`` if ``rec`` is
-    not such a record, its ``dtype`` is not ``"<f8"``, its offset is not an
-    integer >= 0, or its bytes run past the end of ``payload``."""
+    """A view of the float array a record from ``encode_array`` points to
+    in ``payload``, which each consumer copies; ``ValueError`` naming ``what``
+    if ``rec`` is not such a record, its ``dtype`` is not ``"<f8"``, its
+    offset is not an integer >= 0, or its bytes run past the end of it."""
     if not (isinstance(rec, dict) and rec.keys() == {"shape", "dtype", "offset"}):
         raise ValueError(f"{what} is not a {{shape, dtype, offset}} payload record "
                          f"(a file in the nested-list or base64 form {_REGENERATE})")
@@ -69,8 +69,7 @@ def decode_array(what: str, rec, payload) -> np.ndarray:
     if offset + 8 * count > len(payload):
         raise ValueError(f"{what} needs payload bytes [{offset}, {offset + 8 * count}), "
                          f"the sidecar has {len(payload)}")
-    return np.frombuffer(payload, dtype="<f8", count=count, offset=offset) \
-        .astype(float).reshape(shape)
+    return np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
 
 
 def _sidecar(path: Path) -> Path:

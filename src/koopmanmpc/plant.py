@@ -16,13 +16,13 @@ acts on deviations from equilibrium so that ``v*`` is an exact fixed point
 of the uncontrolled field for every load factor.
 
 Shapes: every integrator function works on a batch of E episodes at once.
-A state is ``(E, n)`` and a control ``(E, m)``; a plain ``(n,)`` state with
-an ``(m,)`` control is the single-episode case and runs through the same
-RK4 code.  A model whose load factor ``lam`` is a vector of E values stands
-for E plants that differ only in load, so each episode has its own
-equilibrium ``(E, n)``, computed once when the model is built.  A batched
-``Trajectory`` holds voltages ``(E, T, n)`` and controls
-``(E, n_intervals, m)``.
+A state is the voltage array itself, ``(E, n)``, and a control ``(E, m)``;
+an ``(n,)`` state with an ``(m,)`` control is the single-episode case and
+runs through the same RK4 code.  A model whose load factor ``lam`` is a
+vector of E values stands for E plants that differ only in load, so each
+episode has its own equilibrium ``(E, n)``, computed once when the model
+is built.  A batched ``Trajectory`` holds voltages ``(E, T, n)`` and
+controls ``(E, n_intervals, m)``.
 
 Policies are feedback laws on the measurement window: a policy maps
 ``(k, W)`` to one control row per episode, ``(E, m)``, where ``W`` is
@@ -30,7 +30,8 @@ Policies are feedback laws on the measurement window: a policy maps
 (``(n, h)`` -> ``(m,)`` for a single episode).  ``W[..., -1]`` is the
 sample at the control instant itself; the open-loop and rule-based
 policies read only that column, the lifted-space MPC lifts the whole
-window.  ``rollout`` builds ``W`` from its sample list.
+window.  ``rollout`` cuts ``W`` from its one voltage buffer with
+``measurement_window``, as ``dataset`` cuts its training histories.
 
 Failures are per episode.  An episode whose voltages (or control) turn
 non-finite has failed: its state row becomes NaN and stays NaN, and the
@@ -40,8 +41,8 @@ other episodes of the batch integrate exactly as if it were not there.
 needs every episode.
 
 All model objects are immutable after construction; ``step`` and
-``rollout`` are pure functions of their inputs, so rollouts may safely run
-concurrently.
+``rollout`` are pure functions of their inputs that return fresh arrays
+and write into none of them, so rollouts may safely run concurrently.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -235,22 +236,6 @@ class PlantModel:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    """Voltages ``(n,)`` or ``(E, n)`` at time ``t``.  Every row is finite,
-    or all NaN for an episode whose integration failed."""
-
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _readonly(self.v))
-        if not np.all(np.isfinite(self.v)):
-            rows_ok = np.all(np.isfinite(self.v), axis=-1) | np.all(np.isnan(self.v), axis=-1)
-            if not np.all(rows_ok):
-                raise IntegrationError("state voltages must be finite")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Voltage samples on the ``ts`` grid plus the zero-order-held controls.
 
@@ -338,13 +323,13 @@ def n_substeps(dt: float) -> int:
 
 def step(
     plant: PlantModel,
-    state: PlantState,
+    v: np.ndarray,
     u: np.ndarray,
     dt: float,
     substeps: int | None = None,
-) -> PlantState:
-    """Advance the state by ``dt`` under the constant control ``u``:
-    ``(E, n)`` under ``(E, m)``, or ``(n,)`` under ``(m,)``.
+) -> np.ndarray:
+    """Advance the voltages ``v`` by ``dt`` under the constant control
+    ``u``: ``(E, n)`` under ``(E, m)``, or ``(n,)`` under ``(m,)``.
 
     Classical RK4 with internal substeps capped at 50 ms (at least 4 per
     call; override with ``substeps`` for convergence studies); voltages
@@ -352,10 +337,10 @@ def step(
     control term stays well posed.  An episode whose voltages or control
     are not finite comes out as a row of NaN; the other rows are
     unaffected.  Deterministic: identical inputs give bit-identical
-    outputs.
+    outputs, in a fresh array that leaves ``v`` as it was.
     """
     u = np.array(u, dtype=float)
-    v = state.v
+    v = np.asarray(v, dtype=float)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if plant.equilibrium().shape not in ((plant.n,), v.shape):
@@ -393,55 +378,59 @@ def step(
             # can turn an infinity into v_max; NaN rows stay NaN from here on
             v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
         v = clip(v, v_min, v_max, out=v)
-    return PlantState(v=v, t=state.t + dt)
+    return v
 
 
-def apply_fault(state: PlantState, affected: Sequence[int], depth: float) -> PlantState:
-    """Sag the affected buses by ``depth`` p.u., floored at 0.05 p.u.; the
-    arguments are checked as a :class:`FaultSpec`."""
-    fault = FaultSpec(affected=tuple(affected), depth=depth)
-    v = np.array(state.v, dtype=float)
-    for i in fault.affected:
-        v[..., i] = np.maximum(v[..., i] - fault.depth, FAULT_FLOOR)
-    return PlantState(v=v, t=state.t)
+def faulted_initial_state(plant: PlantModel, fault: FaultSpec) -> np.ndarray:
+    """Equilibrium voltages with the fault's buses sagged by its depth,
+    floored at ``FAULT_FLOOR``: a fresh ``(n,)`` array, or ``(E, n)`` with
+    one row per load factor when ``plant.lam`` is a vector."""
+    v = plant.equilibrium().copy()
+    v[..., fault.affected] = np.maximum(v[..., fault.affected] - fault.depth, FAULT_FLOOR)
+    return v
 
 
-def faulted_initial_state(plant: PlantModel, fault: FaultSpec) -> PlantState:
-    """Equilibrium state with the fault sag applied, at t = 0; one row per
-    load factor when ``plant.lam`` is a vector."""
-    eq = PlantState(v=plant.equilibrium(), t=0.0)
-    return apply_fault(eq, fault.affected, fault.depth)
+def measurement_window(voltages: np.ndarray, k: int, h: int) -> np.ndarray:
+    """Samples ``(k-1) h + 1 .. k h`` of the voltages ``(..., T, n)``, the
+    ``h`` samples since control instant k - 1, as a fresh C-ordered
+    ``(..., n, h)`` array: oldest first, the sample at instant k last."""
+    return voltages[..., (k - 1) * h + 1 : k * h + 1, :].swapaxes(-1, -2).copy()
 
 
 def rollout(
     plant: PlantModel,
-    init: PlantState,
+    init: np.ndarray,
     policy: ControlPolicy,
     sched: Schedule,
 ) -> Trajectory:
-    """Simulate ``n_instants`` control intervals with zero-order-held controls.
+    """Simulate ``n_instants`` control intervals with zero-order-held
+    controls from the voltages ``init``, ``(n,)`` or ``(E, n)``, whose rows
+    must each be finite or all NaN (``IntegrationError`` otherwise).
 
     The policy is queried once per control instant with the window ``W``
     of the last ``h`` samples, ``(E, n, h)`` (``(n, h)`` for one episode).
     At k = 0 only the initial sample exists, so ``W`` holds it ``h`` times
     over.  The returned trajectory holds ``n_instants * h + 1`` samples at
-    spacing ``ts``.
+    spacing ``ts``, from t = 0.
     """
-    state = init
-    samples = [init.v]
-    controls = []
-    for k in range(sched.n_instants):
-        window = np.stack(samples[-sched.h :] if k else [init.v] * sched.h, axis=-1)
-        u = np.asarray(policy(k, window), dtype=float)
-        controls.append(u)
-        for _ in range(sched.h):
-            state = step(plant, state, u, sched.ts)
-            samples.append(state.v)
-    times = init.t + sched.ts * np.arange(len(samples))
+    v = np.array(init, dtype=float)
+    if not np.all(np.isfinite(v).all(axis=-1) | np.isnan(v).all(axis=-1)):
+        raise IntegrationError("state voltages must be finite")
+    h, n_inst = sched.h, sched.n_instants
+    voltages = np.empty(v.shape[:-1] + (n_inst * h + 1, v.shape[-1]))
+    controls = np.empty(v.shape[:-1] + (n_inst, plant.m))
+    voltages[..., 0, :] = v
+    for k in range(n_inst):
+        w = measurement_window(voltages, k, h) if k else np.repeat(v[..., None], h, axis=-1)
+        u = np.asarray(policy(k, w), dtype=float)
+        for j in range(k * h + 1, (k + 1) * h + 1):
+            v = step(plant, v, u, sched.ts)
+            voltages[..., j, :] = v
+        controls[..., k, :] = u
     return Trajectory(
-        times=times,
-        voltages=np.stack(samples, axis=-2),
-        controls=np.stack(controls, axis=-2),
+        times=sched.ts * np.arange(voltages.shape[-2]),
+        voltages=voltages,
+        controls=controls,
         schedule=sched,
     )
 
@@ -573,38 +562,49 @@ def config_to_dict(cfg: PlantConfig) -> dict:
     }
 
 
+def _is_number(val, integer: bool) -> bool:
+    """A JSON number, an integer where ``integer``; never a boolean."""
+    return not isinstance(val, bool) and isinstance(val, int if integer else (int, float))
+
+
+def _number(key: str, val, integer: bool = False):
+    """``val`` as a float, or as itself where ``integer``; ``ValueError``
+    naming ``key`` unless it is a JSON number, an integer where ``integer``."""
+    if not _is_number(val, integer):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'} (got {val!r})")
+    return val if integer else float(val)
+
+
+def _numbers(key: str, val):
+    """``val``, lists of JSON numbers nested to any depth, with each number
+    as a float; ``ValueError`` naming ``key`` for an entry that is not one."""
+    if isinstance(val, list):
+        return [_numbers(key, x) for x in val]
+    return _number(f"every entry of {key}", val)
+
+
 def config_from_dict(doc: dict) -> PlantConfig:
     """The plant config a ``config_to_dict`` document describes;
-    ``ValueError`` for a missing key or a value of the wrong type."""
+    ``ValueError`` for a missing key or a value of the wrong type (``n``,
+    ``m`` and ``n_instants`` are integers, every other entry a number)."""
     if not isinstance(doc, dict):
         raise ValueError(f"plant config must be a JSON object (got {type(doc).__name__})")
     try:
+        sched, fault = doc["schedule"], doc["fault"]
         model = PlantModel(
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            a=doc["a"],
-            b=doc["b"],
-            c=float(doc["c"]),
-            w=doc["W"],
-            gamma=doc["gamma"],
-            v_max=float(doc["v_max"]),
-            d=doc["d"],
-            lam=float(doc["lambda"]),
-        )
-        sched = Schedule(
-            ts=float(doc["schedule"]["Ts"]),
-            tc=float(doc["schedule"]["Tc"]),
-            n_instants=int(doc["schedule"]["n_instants"]),
-        )
-        fault = FaultSpec(
-            affected=tuple(doc["fault"]["affected"]),
-            depth=float(doc["fault"]["depth"]),
-        )
+            n=_number("n", doc["n"], integer=True), m=_number("m", doc["m"], integer=True),
+            a=_numbers("a", doc["a"]), b=_numbers("b", doc["b"]), c=_number("c", doc["c"]),
+            w=_numbers("W", doc["W"]), gamma=_numbers("gamma", doc["gamma"]),
+            v_max=_number("v_max", doc["v_max"]), d=_numbers("d", doc["d"]),
+            lam=_number("lambda", doc["lambda"]))
+        schedule = Schedule(ts=_number("Ts", sched["Ts"]), tc=_number("Tc", sched["Tc"]),
+                            n_instants=_number("n_instants", sched["n_instants"], integer=True))
+        fault = FaultSpec(affected=tuple(fault["affected"]), depth=_number("depth", fault["depth"]))
     except KeyError as exc:
         raise ValueError(f"plant config missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"plant config has a value of the wrong type: {exc}") from exc
-    return PlantConfig(model=model, schedule=sched, fault=fault)
+    return PlantConfig(model=model, schedule=schedule, fault=fault)
 
 
 def save_config(cfg: PlantConfig, path) -> None:

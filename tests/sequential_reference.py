@@ -6,8 +6,9 @@ with a general state weight ``Q``, the LSTM recurrence with per-step
 temporaries and weight products, and training with validation in the
 epoch loop.  The plant's RK4 step is kept as
 it ran before its cube became a product (``** 3``, broadcasts, ``np.clip``
-and one control matmul per stage); ``step`` must match it within 2 ulp,
-not bit for bit, since the arithmetic itself changed.  The box-QP solver
+and one control matmul per stage), on the same state type as ``step``:
+the voltage array itself.  ``step`` must match it within 2 ulp, not bit
+for bit, since the arithmetic itself changed.  The box-QP solver
 is kept as it ran with one scalar step, 1 / (safety * 2 * lambda_max);
 ``mpc.solve_box_qp`` takes a Jacobi-scaled step and must reach the same
 solutions within a stated tolerance, in fewer iterations."""
@@ -18,7 +19,6 @@ from koopmanmpc import deep_koopman, evaluation, mpc, nn
 from koopmanmpc.dataset import rollout_seed
 from koopmanmpc.plant import (
     IntegrationError,
-    PlantState,
     Schedule,
     Trajectory,
     U_MAX,
@@ -130,7 +130,7 @@ def receding_horizon(model, plant, sched, v_ref=1.0, fault=None, Q=None, R=None,
 
     h = sched.h
     state = faulted_initial_state(plant, fault)
-    samples = [np.array(state.v)]
+    samples = [np.array(state)]
     control_rows = [np.zeros(m)]
     applied = []
     diagnostics = []
@@ -139,9 +139,9 @@ def receding_horizon(model, plant, sched, v_ref=1.0, fault=None, Q=None, R=None,
     def advance(state, u):
         for _ in range(h):
             state = step(plant, state, u, sched.ts)
-            if not np.all(np.isfinite(state.v)):
+            if not np.all(np.isfinite(state)):
                 raise IntegrationError("integration produced non-finite voltages")
-            samples.append(np.array(state.v))
+            samples.append(np.array(state))
         return state
 
     state = advance(state, np.zeros(m))  # uncontrolled while the first window fills
@@ -268,12 +268,11 @@ def plant_vector_field(plant, v, u):
     return recover + couple + inject
 
 
-def plant_step(plant, state, u, dt, substeps=None):
+def plant_step(plant, v, u, dt, substeps=None):
     """RK4 with Python-float coefficients, the control matmul in every
     stage, a full finiteness test and ``np.clip`` at every substep (the
     argument checks, which ``step`` keeps as they were, are left out)."""
     u = np.array(u, dtype=float)
-    v = state.v
     n_sub = n_substeps(dt) if substeps is None else int(substeps)
     h = dt / n_sub
     for _ in range(n_sub):
@@ -285,7 +284,7 @@ def plant_step(plant, state, u, dt, substeps=None):
         if not np.all(np.isfinite(v)):
             v = np.where(np.all(np.isfinite(v), axis=-1, keepdims=True), v, np.nan)
         v = np.clip(v, 0.0, plant.v_max)
-    return PlantState(v=v, t=state.t + dt)
+    return v
 
 
 def lstm_forward(self, seq):

@@ -162,12 +162,29 @@ class TestConfigValidation:
         assert not (workspace / "o").exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(n=None), "int() argument must be"),
-        (lambda doc: doc.update({"lambda": [1, 2]}), "float() argument must be"),
+        (lambda doc: doc.update(n=None), "n must be an integer (got None)"),
+        (lambda doc: doc.update({"lambda": [1, 2]}), "lambda must be a number (got [1, 2])"),
         (lambda doc: doc.update(fault={"affected": 5, "depth": 0.25}), "'int' object is not iterable"),
         (lambda doc: doc.update(fault=[1]), "list indices must be integers"),
         (lambda doc: [doc], "plant config must be a JSON object (got list)"),
-    ], ids=["null_n", "list_lambda", "int_fault_buses", "list_fault", "list_document"])
+        # each of these used to be coerced by int() or float() and run
+        (lambda doc: doc["schedule"].update(n_instants=5.5), "n_instants must be an integer (got 5.5)"),
+        (lambda doc: doc["schedule"].update(n_instants=True),
+         "n_instants must be an integer (got True)"),
+        (lambda doc: doc.update(n=6.5), "n must be an integer (got 6.5)"),
+        (lambda doc: doc.update(c=True), "c must be a number (got True)"),
+        (lambda doc: doc.update({"lambda": "1.0"}), "lambda must be a number (got '1.0')"),
+        (lambda doc: doc["schedule"].update(Ts="0.75"), "Ts must be a number (got '0.75')"),
+        (lambda doc: doc.update(v_max="1.1"), "v_max must be a number (got '1.1')"),
+        (lambda doc: doc["fault"].update(depth="0.25"), "depth must be a number (got '0.25')"),
+        (lambda doc: doc.update(a=[str(x) for x in doc["a"]]), "every entry of a must be a number (got '2.0')"),
+        (lambda doc: doc.update(d=[True] * 6), "every entry of d must be a number (got True)"),
+        (lambda doc: doc["W"][1].__setitem__(0, "0.5"), "every entry of W must be a number (got '0.5')"),
+        (lambda doc: doc["gamma"][0].__setitem__(0, False), "every entry of gamma must be a number (got False)"),
+    ], ids=["null_n", "list_lambda", "int_fault_buses", "list_fault", "list_document",
+            "fractional_n_instants", "boolean_n_instants", "fractional_n", "boolean_c",
+            "string_lambda", "string_Ts", "string_v_max", "string_depth", "string_a",
+            "boolean_d", "string_W_entry", "boolean_gamma_entry"])
     def test_wrongly_typed_plant_config_exits_2(self, workspace, capsys, edit, message):
         doc = config_to_dict(default_config())
         doc = edit(doc) or doc
@@ -406,7 +423,7 @@ class TestPipeline:
         path = ws / "edmd" / "lifted_model.json"
         doc = json.loads(path.read_text())
         payload = bytearray(read_payload(path, doc))
-        a = decode_array("A", doc["A"], payload)
+        a = decode_array("A", doc["A"], payload).copy()
         a[3][5] = float("nan")
         doc["A"] = encode_array(a, payload)
         write_document(path, doc, payload)

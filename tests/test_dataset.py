@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from koopmanmpc.dataset import (
     window_history,
 )
 from koopmanmpc.plant import (
-    PlantState,
     U_MAX,
     default_config,
     full_policy,
@@ -55,7 +56,7 @@ class TestWindowing:
 
         cfg = default_config()
         sched = Schedule(ts=3.0, tc=3.0, n_instants=3)
-        init = PlantState(v=cfg.model.equilibrium())
+        init = cfg.model.equilibrium()
         traj = rollout(cfg.model, init, zero_policy(cfg.model), sched)
         win = window_history(traj, 2)
         assert win.shape == (6, 1)
@@ -63,7 +64,7 @@ class TestWindowing:
 
     def test_constant_trajectory_windows_equal_equilibrium(self):
         cfg = default_config()
-        init = PlantState(v=cfg.model.equilibrium())
+        init = cfg.model.equilibrium()
         traj = rollout(cfg.model, init, zero_policy(cfg.model), cfg.schedule)
         win = window_history(traj, 3)
         assert np.max(np.abs(win - cfg.model.equilibrium()[:, None])) < 1e-9
@@ -99,7 +100,7 @@ class TestWindowing:
 
     def test_out_of_range_index(self):
         cfg = default_config()
-        init = PlantState(v=cfg.model.equilibrium())
+        init = cfg.model.equilibrium()
         traj = rollout(cfg.model, init, zero_policy(cfg.model), cfg.schedule)
         with pytest.raises(IndexError):
             window_history(traj, 0)
@@ -291,6 +292,34 @@ class TestPersistence:
         lines[3] = ",".join(cells)
         (tmp_path / dataset.SAMPLES_NAME).write_text("\r\n".join(lines) + "\r\n")
         with pytest.raises(DatasetFormatError, match="row 2 "):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("message, edit", [
+        ("scaler v_lo must be a number (got None)", lambda doc: doc["scaler"].pop("v_lo")),
+        ("scaler must be an object (got [1, 2])", lambda doc: doc.update(scaler=[1, 2])),
+        ("scaler v_lo must be a number (got 'x')", lambda doc: doc["scaler"].update(v_lo="x")),
+        ("scaler u_hi must be a number (got True)", lambda doc: doc["scaler"].update(u_hi=True)),
+        ("meta must be an object (got [1])", lambda doc: doc.update(meta=[1])),
+        ("n_samples must be an integer (got 15.7)", lambda doc: doc.update(n_samples=15.7)),
+        ("h must be an integer (got True)", lambda doc: doc.update(h=True)),
+    ], ids=["scaler_without_v_lo", "scaler_not_an_object", "v_lo_a_string", "u_hi_a_boolean",
+            "meta_not_an_object", "fractional_n_samples", "boolean_h"])
+    def test_malformed_manifest_field_rejected(self, tmp_path, message, edit):
+        save(small_dataset(n_loads=1), tmp_path)
+        path = tmp_path / dataset.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            load(tmp_path)
+
+    def test_degenerate_scaler_stays_a_scaler_error(self, tmp_path):
+        save(small_dataset(n_loads=1), tmp_path)
+        path = tmp_path / dataset.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        doc["scaler"]["v_hi"] = doc["scaler"]["v_lo"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScalerError):
             load(tmp_path)
 
     @given(data=st.data(), s=st.integers(0, 6), n=st.integers(1, 3), h=st.integers(1, 3),

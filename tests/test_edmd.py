@@ -252,7 +252,7 @@ class TestModelValidation:
         "mismatch, edit",
         [
             (r"\bC\b", lambda doc, pay: doc.update(
-                C=encode_array(decode_array("C", doc["C"], pay)[:, :-1], pay))),
+                C=encode_array(decode_array("C", doc["C"], pay)[:, :-1].copy(), pay))),
             ("input dimension", lambda doc, pay: doc["dictionary"].update(input_dim=2)),
             ("3 features", lambda doc, pay: doc.update(A=encode_array(np.zeros((4, 4)), pay),
                                                        B=encode_array(np.zeros((4, 1)), pay))),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from koopmanmpc import deep_koopman
+from koopmanmpc import deep_koopman, nn
 from koopmanmpc.edmd import Dictionary
 from koopmanmpc.lifted import (LiftedModel, decode_array, encode_array, load_lifted_model,
                                read_payload, save_lifted_model, write_document)
@@ -41,7 +41,7 @@ def test_both_kinds_share_the_interface(small_models, tmp_path, kind):
 def test_non_finite_matrix_rejected(small_models, tmp_path, kind, matrix, value):
     payload = bytearray()
     doc = small_models[kind].to_dict(payload)
-    arr = decode_array(matrix, doc[matrix], payload)
+    arr = decode_array(matrix, doc[matrix], payload).copy()
     arr[-1][0] = value
     doc[matrix] = encode_array(arr, payload)
     write_document(tmp_path / "bad.json", doc, payload)
@@ -53,7 +53,7 @@ def test_non_finite_matrix_rejected(small_models, tmp_path, kind, matrix, value)
 def test_non_finite_encoder_tensor_rejected(small_models, tmp_path, tensor):
     payload = bytearray()
     doc = small_models["net"].to_dict(payload)
-    arr = decode_array(tensor, doc["encoder"][tensor], payload)
+    arr = decode_array(tensor, doc["encoder"][tensor], payload).copy()
     arr.ravel()[-1] = np.nan
     doc["encoder"][tensor] = encode_array(arr, payload)
     write_document(tmp_path / "bad.json", doc, payload)
@@ -171,7 +171,7 @@ def test_checkpoint_names_its_malformed_tensor(checkpoint, case):
 
 def test_checkpoint_rejects_a_non_finite_tensor(checkpoint):
     doc, payload = read_document(checkpoint)
-    arr = decode_array("w_h", doc["tensors"]["decoder_lstm/w_h"], payload)
+    arr = decode_array("w_h", doc["tensors"]["decoder_lstm/w_h"], payload).copy()
     arr[1, 2] = np.nan
     doc["tensors"]["decoder_lstm/w_h"] = encode_array(arr, payload)
     write_document(checkpoint, doc, payload)
@@ -234,8 +234,34 @@ def test_arrays_round_trip_bit_for_bit(tmp_path_factory, data):
     assert len(raw) == 8 * sum(arr.size for arr in arrays_in)
     for rec, arr in zip(back_doc["arrays"], arrays_in):
         back = decode_array("x", rec, raw)
-        assert back.dtype == np.float64 and back.flags.writeable and back.flags.c_contiguous
+        assert back.dtype == np.float64 and back.flags.c_contiguous
         assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
+
+
+def assert_fresh_copy(got, want):
+    assert got.flags.writeable and not np.shares_memory(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_loaded_arrays_are_fresh_writable_copies(small_models, tmp_path):
+    # decode_array hands out read-only views of the sidecar bytes; a loaded
+    # model or checkpoint keeps arrays of its own
+    for kind in ("net", "edmd"):
+        model = small_models[kind]
+        save_lifted_model(model, tmp_path / f"{kind}.json")
+        back = load_lifted_model(tmp_path / f"{kind}.json")
+        for name in ("A", "B") + (("C",) if kind == "edmd" else ()):
+            assert_fresh_copy(getattr(back, name), getattr(model, name))
+    model, back = small_models["net"], load_lifted_model(tmp_path / "net.json")
+    encoder = deep_koopman._encoder_params(model.enc_lstm, model.enc_fc)
+    for name, arr in deep_koopman._encoder_params(back.enc_lstm, back.enc_fc).items():
+        assert_fresh_copy(arr, encoder[name])
+    net = deep_koopman.KoopmanNet(deep_koopman.KoopmanNetConfig(
+        n=2, h=2, m=1, lifted_dim=4, lstm_hidden=3, seed=1))
+    deep_koopman.save_net(net, tmp_path / "checkpoint.json")
+    params, _ = nn.load_checkpoint(tmp_path / "checkpoint.json")
+    for name, arr in net.params().items():
+        assert_fresh_copy(params[name], arr)
 
 
 @pytest.mark.parametrize("kind", KINDS)

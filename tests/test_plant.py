@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from koopmanmpc import plant
+from koopmanmpc.dataset import window_history
 from koopmanmpc.plant import (
     FaultSpec,
     PlantModel,
-    PlantState,
     Schedule,
     U_MAX,
-    apply_fault,
     default_config,
     faulted_initial_state,
     full_policy,
@@ -82,9 +82,9 @@ class TestStep:
         model = default_config().model
         for lam in np.linspace(0.9, 1.1, 9):
             m = model.with_load(lam)
-            state = PlantState(v=m.equilibrium())
+            state = m.equilibrium()
             out = step(m, state, np.zeros(3), dt=0.75)
-            assert np.max(np.abs(out.v - m.equilibrium())) < 1e-10
+            assert np.max(np.abs(out - m.equilibrium())) < 1e-10
 
     def test_ceiling_saturation_kills_control_term(self):
         model = default_config().model
@@ -96,9 +96,9 @@ class TestStep:
     def test_linear_ode_matches_closed_form(self):
         # dv/dt = 2 (1 - v), v(0) = 0.9 -> v(t) = 1 - 0.1 exp(-2 t)
         model = scalar_plant(a=2.0)
-        out = step(model, PlantState(v=np.array([0.9])), np.zeros(1), dt=0.1)
+        out = step(model, np.array([0.9]), np.zeros(1), dt=0.1)
         expect = 1.0 - 0.1 * np.exp(-0.2)
-        assert abs(out.v[0] - expect) < 1e-8
+        assert abs(out[0] - expect) < 1e-8
 
     def test_monotone_control_response(self):
         model = default_config().model
@@ -120,14 +120,14 @@ class TestStep:
             for _ in range(cfg.schedule.h):
                 s = step(cfg.model, s, np.full(3, U_MAX), cfg.schedule.ts,
                          substeps=substep_scale * n_substeps(cfg.schedule.ts))
-            return s.v
+            return s
 
         diff = np.max(np.abs(advance(1) - advance(2)))
         assert diff < 1e-6
 
     def test_rejects_out_of_range_controls(self):
         model = default_config().model
-        state = PlantState(v=model.equilibrium())
+        state = model.equilibrium()
         with pytest.raises(ValueError):
             step(model, state, np.full(3, U_MAX + 0.01), dt=0.75)
         with pytest.raises(ValueError):
@@ -135,8 +135,8 @@ class TestStep:
 
     def test_state_clamped_to_physical_range(self):
         model = default_config().model
-        out = step(model, PlantState(v=np.full(6, 0.05)), np.full(3, U_MAX), dt=5.0)
-        assert np.all(out.v >= 0.0) and np.all(out.v <= model.v_max)
+        out = step(model, np.full(6, 0.05), np.full(3, U_MAX), dt=5.0)
+        assert np.all(out >= 0.0) and np.all(out <= model.v_max)
 
 
 def same_bits(a, b) -> bool:
@@ -164,11 +164,11 @@ def assert_step_matches_reference(model, v, u, dt=0.75, substeps=None, n_steps=4
     is within ``STEP_ULPS`` ulp (or ``atol``); returns the last state."""
     from sequential_reference import plant_step
 
-    state = PlantState(v=v)
+    state = v
     for _ in range(n_steps):
         new = step(model, state, u, dt, substeps=substeps)
         ref = plant_step(model, state, u, dt, substeps=substeps)
-        assert within_ulps(new.v, ref.v, atol) and new.t == ref.t
+        assert within_ulps(new, ref, atol)
         state = new
     return state
 
@@ -243,11 +243,11 @@ class TestStepMatchesReference:
         # x = v* - v is exactly +0.0 there, so every stage is exactly zero
         # and the equilibrium stays put
         for e in (0, 3):
-            assert same_bits(out.v[e], model.equilibrium()[e])
+            assert same_bits(out[e], model.equilibrium()[e])
         # the rows that start at v_max and at 0 hold the exact arithmetic
         for e in (1, 2):
             expect = step_oracle(model, lams[e], v[e].tolist(), u[e].tolist(), 0.75)
-            assert same_bits(out.v[e], np.array(expect))
+            assert same_bits(out[e], np.array(expect))
 
     def test_substeps_override(self, builder):
         model = builder().model
@@ -272,8 +272,8 @@ class TestStepMatchesReference:
         v[3] = 1e200
         with np.errstate(all="ignore"):
             out = assert_step_matches_reference(model, v, u, n_steps=1)
-        assert np.isnan(out.v).all(axis=1).tolist() == [False, True, True, True, False]
-        assert np.isfinite(out.v[[0, 4]]).all()
+        assert np.isnan(out).all(axis=1).tolist() == [False, True, True, True, False]
+        assert np.isfinite(out[[0, 4]]).all()
 
     def test_a_row_that_overflows_to_inf_fails(self, builder):
         # a row far below equilibrium: its first substep ends at -inf without
@@ -284,7 +284,7 @@ class TestStepMatchesReference:
         v[1] = -2e4
         with np.errstate(all="ignore"):
             out = assert_step_matches_reference(model, v, u, n_steps=1)
-        assert np.isnan(out.v).all(axis=1).tolist() == [False, True, False]
+        assert np.isnan(out).all(axis=1).tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("builder", [default_config, mirror_config])
@@ -305,10 +305,10 @@ class TestExactOracle:
             expect = field_oracle(model, lam, v[e].tolist(), q[e].tolist())
             assert same_bits(field[e], np.array(expect))
         for substeps in (None, 1, 2):
-            out = step(model, PlantState(v=v), u, dt=0.75, substeps=substeps)
+            out = step(model, v, u, dt=0.75, substeps=substeps)
             for e, lam in enumerate(lams.tolist()):
                 expect = step_oracle(model, lam, v[e].tolist(), u[e].tolist(), 0.75, substeps)
-                assert same_bits(out.v[e], np.array(expect))
+                assert same_bits(out[e], np.array(expect))
 
     def test_single_episode(self, builder):
         model = builder().model
@@ -320,7 +320,7 @@ class TestExactOracle:
             expect = field_oracle(model, model.lam, v.tolist(), q.tolist())
             assert same_bits(vector_field(model, v, q), np.array(expect))
             expect = step_oracle(model, model.lam, v.tolist(), u.tolist(), 0.75)
-            assert same_bits(step(model, PlantState(v=v), u, dt=0.75).v, np.array(expect))
+            assert same_bits(step(model, v, u, dt=0.75), np.array(expect))
 
 
 def test_restoring_term_is_exactly_odd():
@@ -355,7 +355,7 @@ def test_finite_rows_whose_sum_overflows_are_kept():
         assert np.isfinite(v_next).all() and np.isinf(v_next.sum())
         out = assert_step_matches_reference(model, v, np.zeros(1), dt=1.0, substeps=1,
                                             n_steps=1)
-    assert same_bits(out.v, np.zeros(n))
+    assert same_bits(out, np.zeros(n))
 
 
 def test_clip_ufunc_is_np_clip_bit_for_bit():
@@ -378,51 +378,76 @@ def test_field_operands_are_c_contiguous(lam):
         assert x.shape == model.equilibrium().shape and x.flags.c_contiguous
     assert w_t.base is model.w and model.w.flags.c_contiguous
     v = model.equilibrium() - 0.1
-    out = step(model, PlantState(v=v), np.full(v.shape[:-1] + (model.m,), 0.1), dt=0.75)
-    assert out.v.flags.c_contiguous
+    out = step(model, v, np.full(v.shape[:-1] + (model.m,), 0.1), dt=0.75)
+    assert out.flags.c_contiguous
 
 
 class TestFault:
     def test_simple_sag(self):
-        state = PlantState(v=np.ones(6))
-        out = apply_fault(state, affected=(0,), depth=0.3)
-        assert out.v[0] == pytest.approx(0.7)
-        assert np.all(out.v[1:] == 1.0)
+        # no load sensitivity: every bus rests at 1.0 p.u.
+        model = replace(default_config().model, d=np.zeros(6))
+        out = faulted_initial_state(model, FaultSpec(affected=(0,), depth=0.3))
+        assert out[0] == pytest.approx(0.7)
+        assert np.all(out[1:] == 1.0)
 
     def test_floor_at_005(self):
-        state = PlantState(v=np.array([0.2, 1.0]))
-        out = apply_fault(state, affected=(0,), depth=0.5)
-        assert out.v[0] == pytest.approx(0.05)
+        model = default_config().model
+        out = faulted_initial_state(model, FaultSpec(affected=(0, 3), depth=0.99))
+        assert out[0] == out[3] == plant.FAULT_FLOOR
 
     def test_empty_affected_rejected(self):
         with pytest.raises(ValueError):
-            apply_fault(PlantState(v=np.ones(3)), affected=(), depth=0.2)
+            FaultSpec(affected=(), depth=0.2)
+
+    @pytest.mark.parametrize("lam", [1.0, np.array([0.9, 1.0, 1.1])], ids=["scalar", "vector_3"])
+    def test_fresh_array_sagged_bus_by_bus(self, lam):
+        cfg = default_config()
+        model = cfg.model.with_load(lam)
+        out = faulted_initial_state(model, cfg.fault)
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(out, model.equilibrium())
+        expect = np.array(model.equilibrium())
+        for i in cfg.fault.affected:
+            expect[..., i] = np.maximum(expect[..., i] - cfg.fault.depth, plant.FAULT_FLOOR)
+        assert same_bits(out, expect)
 
     def test_monotone_recovery_uncoupled(self):
         # all buses sagged, no coupling, no control: recovery toward v*
         base = default_config().model
         model = PlantModel(n=6, m=3, a=base.a, b=base.b, c=0.0, w=np.zeros((6, 6)),
                            gamma=base.gamma, v_max=base.v_max, d=base.d)
-        state = apply_fault(PlantState(v=model.equilibrium()), range(6), 0.2)
-        assert np.allclose(state.v, model.equilibrium() - 0.2)
-        prev = state.v
+        state = faulted_initial_state(model, FaultSpec(affected=tuple(range(6)), depth=0.2))
+        assert np.allclose(state, model.equilibrium() - 0.2)
+        prev = state
         for _ in range(30):
             state = step(model, state, np.zeros(3), dt=0.25)
-            assert np.all(state.v >= prev - 1e-12)
-            prev = state.v
+            assert np.all(state >= prev - 1e-12)
+            prev = state
         assert np.max(np.abs(prev - model.equilibrium())) < 1e-5
+
+
+@pytest.mark.parametrize("lam", [1.0, np.array([0.9, 1.0, 1.1])], ids=["scalar", "vector_3"])
+def test_step_writes_into_no_input(lam):
+    model = default_config().model.with_load(lam)
+    v = model.equilibrium() - 0.1
+    u = np.full(v.shape[:-1] + (model.m,), 0.1)
+    v_in, u_in = v.copy(), u.copy()
+    out = step(model, v, u, dt=0.75)
+    assert same_bits(v, v_in) and same_bits(u, u_in)
+    assert out is not v and not np.shares_memory(out, v)
+    assert not same_bits(out, v)
 
 
 class TestRollout:
     def test_zero_policy_from_equilibrium_constant(self):
         cfg = default_config()
-        init = PlantState(v=cfg.model.equilibrium())
+        init = cfg.model.equilibrium()
         traj = rollout(cfg.model, init, zero_policy(cfg.model), cfg.schedule)
         assert np.max(np.abs(traj.voltages - cfg.model.equilibrium())) < 1e-9
 
     def test_sample_and_control_counts(self):
         cfg = default_config()
-        init = PlantState(v=cfg.model.equilibrium())
+        init = cfg.model.equilibrium()
         traj = rollout(cfg.model, init, zero_policy(cfg.model), cfg.schedule)
         assert traj.voltages.shape == (5 * 4 + 1, 6)
         assert traj.controls.shape == (5, 3)
@@ -506,11 +531,11 @@ class TestBatch:
     def test_state_must_match_load_factors(self):
         model = default_config().model.with_load([0.95, 1.05])
         with pytest.raises(ValueError):
-            step(model, PlantState(v=np.ones(6)), np.zeros(3), dt=0.75)
+            step(model, np.ones(6), np.zeros(3), dt=0.75)
         with pytest.raises(ValueError):
-            step(model, PlantState(v=np.ones((2, 6))), np.zeros(3), dt=0.75)
-        out = step(model, PlantState(v=model.equilibrium()), np.zeros((2, 3)), dt=0.75)
-        assert np.max(np.abs(out.v - model.equilibrium())) < 1e-10
+            step(model, np.ones((2, 6)), np.zeros(3), dt=0.75)
+        out = step(model, model.equilibrium(), np.zeros((2, 3)), dt=0.75)
+        assert np.max(np.abs(out - model.equilibrium())) < 1e-10
 
 
 class TestConfigIO:
@@ -590,11 +615,27 @@ class TestWindowPolicy:
         traj = rollout(cfg.model.with_load(lams), init, policy, cfg.schedule)
         assert seen[0].shape == (len(lams), cfg.model.n, h)
         # k = 0: only the initial sample exists, held h times over
-        assert np.array_equal(seen[0], np.repeat(init.v[..., None], h, axis=-1))
+        assert np.array_equal(seen[0], np.repeat(init[..., None], h, axis=-1))
         for k in range(1, cfg.schedule.n_instants):
             block = traj.voltages[:, (k - 1) * h + 1 : k * h + 1]
             assert np.array_equal(seen[k], block.swapaxes(-1, -2))
             assert np.array_equal(seen[k][..., -1], traj.voltages[:, k * h])
+
+    @pytest.mark.parametrize("builder", [default_config, mirror_config])
+    def test_windows_are_window_history(self, builder):
+        # rollout and the dataset cut their windows with the same function
+        cfg = builder()
+        model = cfg.model.with_load(np.array([0.9, 1.0, 1.1]))
+        seen = {}
+
+        def policy(k, window):
+            seen[k] = window
+            return np.full((3, model.m), 0.05 * (k % 4))
+
+        traj = rollout(model, faulted_initial_state(model, cfg.fault), policy, cfg.schedule)
+        for k in range(1, cfg.schedule.n_instants):
+            assert seen[k].flags.c_contiguous
+            assert same_bits(seen[k], window_history(traj, k))
 
     def test_single_episode_window_is_n_by_h(self):
         cfg = default_config()
@@ -649,8 +690,19 @@ class TestEpisodeFailure:
         assert np.array_equal(traj.voltages[0], single.voltages)
 
     def test_state_rows_are_finite_or_all_nan(self):
-        PlantState(v=np.array([[1.0, 1.0], [np.nan, np.nan]]))
-        with pytest.raises(plant.IntegrationError):
-            PlantState(v=np.array([[1.0, 1.0], [np.nan, 1.0]]))
-        with pytest.raises(plant.IntegrationError):
-            PlantState(v=np.array([1.0, np.inf]))
+        # rollout's init is where a caller's state enters the integrator
+        cfg = default_config()
+        model = cfg.model.with_load(np.array([0.95, 1.05]))
+        policy = zero_policy(model)
+        init = np.array(model.equilibrium())
+        init[1] = np.nan
+        traj = rollout(model, init, policy, cfg.schedule)
+        assert traj.failed().tolist() == [False, True]
+        single = rollout(cfg.model.with_load(0.95), init[0], policy, cfg.schedule)
+        assert np.array_equal(traj.voltages[0], single.voltages)
+        init[1] = model.equilibrium()[1]
+        init[1, 2] = np.nan
+        with pytest.raises(plant.IntegrationError, match="state voltages must be finite"):
+            rollout(model, init, policy, cfg.schedule)
+        with pytest.raises(plant.IntegrationError, match="state voltages must be finite"):
+            rollout(cfg.model, np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0]), policy, cfg.schedule)
