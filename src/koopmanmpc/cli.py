@@ -236,8 +236,11 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     ds = dataset_mod.load(args.data)
     n, h, m = ds.dims
+    try:  # the run config's sizes checked against the data's (n, h, m)
+        net_cfg = replace(cfg.net, n=n, h=h, m=m)
+    except ValueError as exc:
+        raise ConfigError([f"koopman_net: {exc}"]) from exc
     train_ds, val_ds = dataset_mod.split(ds, cfg.dataset.train_ratio, seed=cfg.seed)
-    net_cfg = replace(cfg.net, n=n, h=h, m=m)
     net, history = deep_koopman.train(net_cfg, train_ds, val_ds, cfg.train)
     out = _out_dir(args.out)
     deep_koopman.save_net(net, out / "checkpoint.json", scaler=ds.scaler)

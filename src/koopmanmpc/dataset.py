@@ -18,14 +18,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from koopmanmpc import plant as plant_mod
-from koopmanmpc.plant import Trajectory, U_MAX, V_REF, _number, measurement_window, run_episode
+from koopmanmpc.plant import (Trajectory, U_MAX, V_REF, _is_number, _number, measurement_window,
+                              run_episode)
 
 LOAD_RANGE = (0.9, 1.1)
 
@@ -143,7 +143,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         bad = []
-        if not (isinstance(self.n_loads, numbers.Integral) and self.n_loads >= 1):
+        if not (_is_number(self.n_loads, integer=True) and self.n_loads >= 1):
             bad.append(f"n_loads must be an integer >= 1 (got {self.n_loads!r})")
         if (isinstance(self.policies, (list, tuple)) and len(self.policies) > 0
                 and all(isinstance(p, str) and p in POLICIES for p in self.policies)

@@ -12,26 +12,35 @@ across those, and a shared per-step readout produces the voltage matrix.
 Training minimizes the mean squared reconstruction error of both the
 successor history (through A, B) and the input history itself (straight
 through encoder and decoder), with equal weights.
+
+``save_net`` and ``load_net`` are the one writer and reader of the
+network's checkpoint, ``checkpoint.json`` and its sidecar: every tensor by
+name as a payload record, and under ``extra`` the config and the scaler,
+which every checkpoint carries.  ``extract`` freezes the encoder and the
+linear maps into the ``LiftedLinearModel`` that MPC uses.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from koopmanmpc import nn
 from koopmanmpc.dataset import Dataset, Scaler
-from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, finite_array
+from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, read_payload, write_document
 # re-exported: perfbench/workloads.py loads models as deep_koopman.load_lifted_model
 from koopmanmpc.lifted import load_lifted_model  # noqa: F401
+from koopmanmpc.plant import _is_number
 
 
 @dataclass(frozen=True)
 class KoopmanNetConfig:
     """Network sizes and the seed of its initial weights and batch
-    shuffle.  ``ValueError`` names every field out of range."""
+    shuffle, all integers.  ``ValueError`` names every field that is not
+    an integer, else every field out of range."""
 
     n: int
     h: int
@@ -41,6 +50,10 @@ class KoopmanNetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        bad = [f"{f.name} must be an integer (got {getattr(self, f.name)!r})"
+               for f in fields(self) if not _is_number(getattr(self, f.name), integer=True)]
+        if bad:
+            raise ValueError("; ".join(bad))
         bad = [f"{name} must be >= 1 (got {getattr(self, name)!r})"
                for name in ("n", "h", "m", "lstm_hidden") if not getattr(self, name) >= 1]
         if not self.lifted_dim > self.n:
@@ -50,7 +63,11 @@ class KoopmanNetConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "KoopmanNetConfig":
-        return KoopmanNetConfig(**{k: int(doc[k]) for k in ("n", "h", "m", "lifted_dim", "lstm_hidden", "seed")})
+        """The config ``asdict`` wrote, every field of it required; the
+        constructor rejects a value that is not an integer."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"network config must be an object (got {doc!r})")
+        return KoopmanNetConfig(**{f.name: doc[f.name] for f in fields(KoopmanNetConfig)})
 
 
 @dataclass
@@ -192,8 +209,9 @@ def _encoder_params(lstm: nn.LstmLayer, fc: nn.FcLayer) -> dict:
 
 
 def _copy_tensors(own: dict, params: dict) -> None:
-    """Copy ``params`` into the named arrays ``own`` in place; every name of
-    ``own`` must be present with its shape."""
+    """Copy ``params`` into the named arrays ``own`` in place, the one copy
+    a loaded tensor gets; every name of ``own`` must be present with its
+    shape and finite entries."""
     missing = set(own) - set(params)
     if missing:
         raise ValueError(f"missing tensors: {sorted(missing)}")
@@ -201,6 +219,8 @@ def _copy_tensors(own: dict, params: dict) -> None:
         src = np.asarray(params[name], dtype=float)
         if src.shape != arr.shape:
             raise ValueError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
+        if not np.isfinite(src).all():
+            raise ValueError(f"tensor {name!r} has non-finite entries")
         arr[...] = src
 
 
@@ -223,12 +243,15 @@ class TrainHyper:
 
     def __post_init__(self):
         bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
-            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("batch_size", _is_number(self.batch_size, integer=True) and self.batch_size >= 1,
+             "an integer >= 1"),
             ("learning_rate", self.learning_rate > 0, "> 0"),
             ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("max_epochs", self.max_epochs >= 1, ">= 1"),
-            ("patience", self.patience >= 0, ">= 0"),
+            ("max_epochs", _is_number(self.max_epochs, integer=True) and self.max_epochs >= 1,
+             "an integer >= 1"),
+            ("patience", _is_number(self.patience, integer=True) and self.patience >= 0,
+             "an integer >= 0"),
         ) if not ok]
         if bad:
             raise ValueError("; ".join(bad))
@@ -501,8 +524,6 @@ class LiftedLinearModel(LiftedModel):
                              f"the config {(nl, config.m)}")
         self.enc_lstm = nn.LstmLayer(config.n, nh)
         self.enc_fc = nn.FcLayer(nh, nl, activation="tanh")
-        for name, arr in encoder_params.items():
-            finite_array(f"tensor {name!r}", arr)
         _copy_tensors(_encoder_params(self.enc_lstm, self.enc_fc), encoder_params)
 
     def lift(self, v_hist: np.ndarray) -> np.ndarray:
@@ -560,16 +581,30 @@ def extract(net: KoopmanNet, scaler: Scaler) -> LiftedLinearModel:
 # -- network checkpointing
 
 
-def save_net(net: KoopmanNet, path, scaler: Scaler | None = None) -> None:
-    extra = {"config": asdict(net.config)}
-    if scaler is not None:
-        extra["scaler"] = asdict(scaler)
-    nn.save_checkpoint(net.params(), path, extra=extra)
+def save_net(net: KoopmanNet, path, scaler: Scaler) -> None:
+    """Write ``net``'s checkpoint: every tensor by name as a payload record
+    (``encode_array``) under ``tensors``, and the config and ``scaler``
+    under ``extra`` (``write_document``)."""
+    payload = bytearray()
+    doc = {"tensors": {name: encode_array(arr, payload) for name, arr in net.params().items()},
+           "extra": {"config": asdict(net.config), "scaler": asdict(scaler)}}
+    write_document(path, doc, payload)
 
 
-def load_net(path) -> tuple[KoopmanNet, Scaler | None]:
-    params, extra = nn.load_checkpoint(path)
-    net = KoopmanNet(KoopmanNetConfig.from_dict(extra["config"]))
-    net.load_params(params)
-    scaler = Scaler.from_dict(extra["scaler"]) if "scaler" in extra else None
-    return net, scaler
+def load_net(path) -> tuple[KoopmanNet, Scaler]:
+    """The network and scaler of a checkpoint written by ``save_net``;
+    ``ValueError`` names a missing key, a tensor that is not a payload
+    record, misshapen or not finite, or a sidecar that does not match."""
+    with open(path) as f:
+        doc = json.load(f)
+    payload = read_payload(path, doc)
+    try:
+        tensors, extra = doc["tensors"], doc["extra"]
+        if not isinstance(tensors, dict):
+            raise ValueError("checkpoint tensors are not an object of payload records")
+        net = KoopmanNet(KoopmanNetConfig.from_dict(extra["config"]))
+        net.load_params({name: decode_array(f"tensor {name!r}", rec, payload)
+                         for name, rec in tensors.items()})
+        return net, Scaler.from_dict(extra["scaler"])
+    except KeyError as exc:
+        raise ValueError(f"checkpoint missing key {exc}") from exc

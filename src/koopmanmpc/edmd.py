@@ -20,6 +20,7 @@ import numpy as np
 
 from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, finite_array
+from koopmanmpc.plant import _is_number, _number
 
 
 class SingularityError(np.linalg.LinAlgError):
@@ -46,9 +47,12 @@ class Dictionary:
     def __post_init__(self):
         if self.kind not in ("identity", "polynomial", "rbf"):
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
+        if not (_is_number(self.input_dim, integer=True) and self.input_dim >= 1):
+            raise ValueError(f"dictionary input_dim must be an integer >= 1 "
+                             f"(got {self.input_dim!r})")
         if self.kind == "polynomial":
-            if not self.degree >= 1:
-                raise ValueError(f"polynomial degree must be >= 1 (got {self.degree!r})")
+            if not (_is_number(self.degree, integer=True) and self.degree >= 1):
+                raise ValueError(f"polynomial degree must be an integer >= 1 (got {self.degree!r})")
             object.__setattr__(self, "_monomials", tuple(
                 np.array(list(itertools.combinations_with_replacement(range(self.input_dim), d)))
                 for d in range(2, self.degree + 1)
@@ -56,8 +60,9 @@ class Dictionary:
         if self.kind == "rbf":
             if self.centers is None:
                 raise ValueError("rbf dictionary needs centers")
-            if not (self.width > 0 and np.isfinite(self.width)):
-                raise ValueError(f"rbf width must be finite and > 0 (got {self.width!r})")
+            if not (_is_number(self.width, integer=False) and self.width > 0
+                    and np.isfinite(self.width)):
+                raise ValueError(f"rbf width must be a finite number > 0 (got {self.width!r})")
             centers = np.atleast_2d(finite_array("rbf centers", self.centers))
             if centers.shape[1] != self.input_dim:
                 raise ValueError("rbf centers must match the input dimension")
@@ -108,13 +113,15 @@ class Dictionary:
 
     @staticmethod
     def from_dict(doc: dict, payload) -> "Dictionary":
+        """The dictionary ``to_dict`` wrote: each key it writes for the kind
+        is required, and the constructor checks every value."""
+        kind = doc["kind"]
         return Dictionary(
-            kind=doc["kind"],
-            input_dim=int(doc["input_dim"]),
-            degree=int(doc.get("degree", 1)),
-            centers=(decode_array("rbf centers", doc["centers"], payload)
-                     if "centers" in doc else None),
-            width=float(doc.get("width", 1.0)),
+            kind=kind,
+            input_dim=doc["input_dim"],
+            degree=doc["degree"] if kind == "polynomial" else 1,
+            centers=decode_array("rbf centers", doc["centers"], payload) if kind == "rbf" else None,
+            width=doc["width"] if kind == "rbf" else 1.0,
         )
 
 
@@ -205,9 +212,9 @@ class EdmdModel(LiftedModel):
             B=decode_array("matrix B", doc["B"], payload),
             C=decode_array("matrix C", doc["C"], payload),
             scaler=Scaler.from_dict(doc["scaler"]),
-            n=int(doc["n"]),
-            h=int(doc["h"]),
-            residuals=doc.get("residuals", {}),
+            n=_number("n", doc["n"], integer=True),
+            h=_number("h", doc["h"], integer=True),
+            residuals=doc["residuals"],
         )
 
 

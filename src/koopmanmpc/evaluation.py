@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from koopmanmpc.plant import (
     Trajectory,
     U_MAX,
     V_REF,
+    _is_number,
     clip,
     run_episode,
 )
@@ -63,7 +63,7 @@ class EvalConfig:
     monitored: list[int] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_cases, numbers.Integral) and self.n_cases >= 1):
+        if not (_is_number(self.n_cases, integer=True) and self.n_cases >= 1):
             raise ValueError(f"n_cases must be an integer >= 1 (got {self.n_cases!r})")
 
 
@@ -83,7 +83,7 @@ def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
     """The monitored bus indices (every bus for None), distinct and checked
     against n."""
     if monitored is not None and not (isinstance(monitored, (list, tuple)) and all(
-            isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in monitored)):
+            _is_number(i, integer=True) for i in monitored)):
         raise ValueError(f"monitored must be null or a list of bus indices (got {monitored!r})")
     monitored = tuple(range(n)) if monitored is None else tuple(int(i) for i in monitored)
     if len(monitored) == 0:

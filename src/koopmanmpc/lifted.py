@@ -11,7 +11,10 @@ float64 bytes back to back.  The JSON holds one payload record
 ``encode_array`` and read by ``decode_array``, and a top-level
 ``"payload": {"bytes", "sha256"}`` that binds the sidecar to it, so the
 JSON's own bytes pin every bit of the arrays.  ``write_document`` and
-``read_payload`` own the sidecar.
+``read_payload`` own the sidecar; the network checkpoint's own layout is
+``deep_koopman.save_net``'s and ``load_net``'s.  ``decode_array`` returns
+read-only views of the sidecar bytes, and the model or network that keeps
+an array checks and copies it once.
 """
 
 from __future__ import annotations
@@ -161,11 +164,16 @@ def save_lifted_model(model: LiftedModel, path) -> None:
 
 def load_lifted_model(path) -> LiftedModel:
     """Read a model written by ``save_lifted_model``; its ``kind`` picks
-    the class among the subclasses of ``LiftedModel``."""
+    the class among the subclasses of ``LiftedModel``.  Every key the
+    kind's ``to_dict`` writes is required: ``ValueError`` names a missing
+    one."""
     with open(Path(path)) as f:
         doc = json.load(f)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     for cls in LiftedModel.__subclasses__():
         if cls.kind == kind:
-            return cls.from_dict(doc, read_payload(path, doc))
+            try:
+                return cls.from_dict(doc, read_payload(path, doc))
+            except KeyError as exc:
+                raise ValueError(f"{kind} model missing key {exc}") from exc
     raise ValueError(f"unknown lifted-model kind {kind!r}")

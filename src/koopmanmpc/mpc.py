@@ -33,12 +33,12 @@ an ``MpcConfig``, whose constructor is their one range check.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from koopmanmpc.plant import PlantConfig, Schedule, Trajectory, U_MAX, V_REF, clip, run_episode
+from koopmanmpc.plant import (PlantConfig, Schedule, Trajectory, U_MAX, V_REF, _is_number, clip,
+                              run_episode)
 from koopmanmpc.plant import step  # noqa: F401  (the benchmark's tracer finds plant.step here)
 
 #: Defaults for the projected-gradient solver.
@@ -61,7 +61,7 @@ class MpcConfig:
         bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
             ("r_weight", np.isfinite(self.r_weight) and self.r_weight >= 0, "finite and >= 0"),
             ("tol", np.isfinite(self.tol) and self.tol > 0, "finite and > 0"),
-            ("max_iter", isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1,
+            ("max_iter", _is_number(self.max_iter, integer=True) and self.max_iter >= 1,
              "an integer >= 1"),
         ) if not ok]
         if bad:

@@ -7,16 +7,14 @@ opaque cache, ``backward`` consumes the cache and the output gradient,
 accumulates parameter gradients on the layer, and returns the input
 gradient.  Gradients accumulate until ``zero_grads`` is called, so a
 layer used twice in one graph just runs ``backward`` once per cache.
+
+Numerics only, on numpy alone: the network's checkpoint file belongs to
+``deep_koopman`` (``save_net`` / ``load_net``).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
-
-from koopmanmpc.lifted import decode_array, encode_array, finite_array, read_payload, write_document
 
 
 class TrainingError(RuntimeError):
@@ -313,34 +311,3 @@ def r2(y, y_hat) -> float:
         raise MetricError("r2 undefined: targets have zero variance")
     ss_res = float(np.sum((y - y_hat) ** 2))
     return 1.0 - ss_res / ss_tot
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-
-def save_checkpoint(params: dict, path, extra: dict | None = None) -> None:
-    """JSON checkpoint of named tensors, each an exact payload record
-    (``lifted.encode_array``) in its sidecar, with sorted keys for
-    reproducible bytes (``lifted.write_document``)."""
-    payload = bytearray()
-    doc = {"tensors": {k: encode_array(arr, payload) for k, arr in params.items()},
-           "extra": extra or {}}
-    write_document(path, doc, payload)
-
-
-def load_checkpoint(path) -> tuple[dict, dict]:
-    """The named tensors and the extra fields of a checkpoint written by
-    ``save_checkpoint``; ``ValueError`` names a tensor that is not a
-    payload record or not finite, or the sidecar that does not match."""
-    with open(Path(path)) as f:
-        doc = json.load(f)
-    payload = read_payload(path, doc)
-    tensors = doc["tensors"]
-    if not isinstance(tensors, dict):
-        raise ValueError("checkpoint tensors are not an object of payload records")
-    params = {
-        name: finite_array(f"tensor {name!r}", decode_array(f"tensor {name!r}", rec, payload))
-        for name, rec in tensors.items()
-    }
-    return params, doc.get("extra", {})

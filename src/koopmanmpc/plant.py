@@ -129,8 +129,7 @@ class FaultSpec:
         affected = list(self.affected)
         if len(affected) == 0:
             raise ValueError("fault must affect at least one bus")
-        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) and i >= 0
-                   for i in affected):
+        if not all(_is_number(i, integer=True) and i >= 0 for i in affected):
             raise ValueError(f"fault buses must be non-negative integers (got {affected!r})")
         if len(set(affected)) != len(affected):
             raise ValueError(f"fault buses must be distinct (got {affected!r})")
@@ -337,7 +336,8 @@ def step(
     control term stays well posed.  An episode whose voltages or control
     are not finite comes out as a row of NaN; the other rows are
     unaffected.  Deterministic: identical inputs give bit-identical
-    outputs, in a fresh array that leaves ``v`` as it was.
+    outputs, in a fresh array that leaves ``v`` as it was.  ``ValueError``
+    for a ``substeps`` that is not an integer >= 1.
     """
     u = np.array(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -350,7 +350,12 @@ def step(
     if np.any(u < -1e-9) or np.any(u > U_MAX + 1e-9):
         raise ValueError(f"control must lie in [0, {U_MAX}] componentwise")
 
-    n_sub = n_substeps(dt) if substeps is None else int(substeps)
+    if substeps is None:
+        n_sub = n_substeps(dt)
+    elif _is_number(substeps, integer=True) and substeps >= 1:
+        n_sub = int(substeps)
+    else:
+        raise ValueError(f"substeps must be an integer >= 1 (got {substeps!r})")
     h = dt / n_sub
     # u is held over the call, so its injection is too; every constant of
     # the substep is built once, at the state's shape
@@ -563,8 +568,10 @@ def config_to_dict(cfg: PlantConfig) -> dict:
 
 
 def _is_number(val, integer: bool) -> bool:
-    """A JSON number, an integer where ``integer``; never a boolean."""
-    return not isinstance(val, bool) and isinstance(val, int if integer else (int, float))
+    """A real number, an integer where ``integer``, numpy scalars included;
+    never a boolean.  Of the JSON values, the numbers and the integers."""
+    kind = numbers.Integral if integer else numbers.Real
+    return not isinstance(val, bool) and isinstance(val, kind)
 
 
 def _number(key: str, val, integer: bool = False):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from koopmanmpc import cli
@@ -204,6 +205,36 @@ class TestConfigValidation:
         assert code == 2
 
 
+NET_SIZE = {"n": 6, "h": 4, "m": 3}
+
+COUNTS = [
+    pytest.param(lambda x: EvalConfig(n_cases=x), "n_cases", id="n_cases"),
+    pytest.param(lambda x: DatasetConfig(n_loads=x), "n_loads", id="n_loads"),
+    pytest.param(lambda x: MpcConfig(max_iter=x), "max_iter", id="max_iter"),
+    pytest.param(lambda x: TrainHyper(batch_size=x), "batch_size", id="batch_size"),
+    pytest.param(lambda x: TrainHyper(max_epochs=x), "max_epochs", id="max_epochs"),
+    pytest.param(lambda x: TrainHyper(patience=x), "patience", id="patience"),
+    pytest.param(lambda x: KoopmanNetConfig(**{**NET_SIZE, "n": x}), "n", id="n"),
+    pytest.param(lambda x: KoopmanNetConfig(**NET_SIZE, lstm_hidden=x), "lstm_hidden",
+                 id="lstm_hidden"),
+    pytest.param(lambda x: KoopmanNetConfig(**NET_SIZE, seed=x), "seed", id="seed"),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("build, name", COUNTS)
+def test_library_counts_reject_what_is_not_an_integer(build, name, value):
+    # the rule the run config's keys follow, for a config built in code
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3)])
+@pytest.mark.parametrize("build, name", COUNTS)
+def test_library_counts_take_python_and_numpy_integers(build, name, value):
+    assert getattr(build(value), name) == 3
+
+
 class TestGenData:
     def test_sample_count_and_determinism(self, workspace):
         for sub in ("a", "b"):
@@ -354,6 +385,25 @@ class TestPipeline:
             f"val MAE next={float(kept['val_mae_next']):.5f} "
             f"recon={float(kept['val_mae_recon']):.5f}\n"
         )
+
+    def test_train_checks_lifted_dim_against_the_data(self, workspace, capsys):
+        # run.json's lifted_dim of 12 fits its six-bus plant, not data of the 12-bus mirror
+        ws = workspace
+        root = Path(__file__).resolve().parents[1] / "configs"
+        save_config(load_config(root / "mirror_plant.json"), ws / "mirror.json")
+        run = json.loads((ws / "run.json").read_text())
+        run.update(plant="mirror.json", dataset={"n_loads": 2, "train_ratio": 0.7})
+        run["koopman_net"]["lifted_dim"] = 16
+        (ws / "run_mirror.json").write_text(json.dumps(run))
+        assert run_cli("gen-data", "--config", ws / "run_mirror.json", "--out", ws / "data") == 0
+        capsys.readouterr()
+        code = run_cli("train", "--data", ws / "data", "--config", ws / "run.json",
+                       "--out", ws / "m")
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "config validation failed",
+            "fields": ["koopman_net: lifted_dim must exceed n = 12 (got 12)"]}
+        assert not (ws / "m").exists()
 
     def test_train_rejects_an_empty_split_half(self, workspace, capsys):
         ws = workspace

@@ -3,7 +3,7 @@ import json
 import multiprocessing
 import os
 import signal
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -259,7 +259,7 @@ class TestFlatState:
         net.load_params(other.params())
         assert_flat_views(net)
         assert np.array_equal(net.flat, other.flat)
-        save_net(other, tmp_path / "ck.json")
+        save_net(other, tmp_path / "ck.json", Scaler.identity())
         back, _ = load_net(tmp_path / "ck.json")
         assert_flat_views(back)
         assert np.array_equal(back.flat, other.flat)
@@ -569,6 +569,21 @@ class TestSerialization:
         for k, v in net.params().items():
             assert np.array_equal(back.params()[k], v)
         assert back_sc == sc
+
+    def test_lossless_round_trip(self, tmp_path):
+        # every named tensor, the config and the scaler come back bit for
+        # bit, signed zeros, subnormals and the extreme magnitudes included
+        net = KoopmanNet(MINI)
+        net.flat[...] = np.random.default_rng(2).normal(size=net.flat.shape)
+        net.flat[:6] = [-0.0, 5e-324, -2.5e-310, np.finfo(float).max, -np.finfo(float).max, 0.1]
+        sc = Scaler(v_ref=1.0 + 2**-52, v_lo=-0.2, v_hi=0.1, u_lo=-0.0, u_hi=1 / 3)
+        save_net(net, tmp_path / "ck.json", sc)
+        back, back_sc = load_net(tmp_path / "ck.json")
+        assert back.config == net.config
+        assert [x.hex() for x in astuple(back_sc)] == [x.hex() for x in astuple(sc)]
+        assert back.params().keys() == net.params().keys()
+        for name, arr in net.params().items():
+            assert back.params()[name].tobytes() == arr.tobytes(), name
 
     # sha256 of these JSON documents, every tensor a payload record in the
     # .bin sidecar whose sha256 the document holds

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from koopmanmpc import deep_koopman, nn
+from koopmanmpc import deep_koopman, edmd
+from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.edmd import Dictionary
 from koopmanmpc.lifted import (LiftedModel, decode_array, encode_array, load_lifted_model,
                                read_payload, save_lifted_model, write_document)
@@ -156,7 +157,7 @@ def test_rbf_centers_are_a_payload():
 def checkpoint(tmp_path):
     net = deep_koopman.KoopmanNet(deep_koopman.KoopmanNetConfig(
         n=2, h=2, m=1, lifted_dim=4, lstm_hidden=3, seed=1))
-    deep_koopman.save_net(net, tmp_path / "checkpoint.json")
+    deep_koopman.save_net(net, tmp_path / "checkpoint.json", Scaler.identity())
     return tmp_path / "checkpoint.json"
 
 
@@ -200,7 +201,7 @@ def save(small_models, kind, path):
     ``path``; return the loader of that file."""
     if kind == "checkpoint":
         deep_koopman.save_net(deep_koopman.KoopmanNet(deep_koopman.KoopmanNetConfig(
-            n=2, h=2, m=1, lifted_dim=4, lstm_hidden=3, seed=1)), path)
+            n=2, h=2, m=1, lifted_dim=4, lstm_hidden=3, seed=1)), path, Scaler.identity())
         return deep_koopman.load_net
     save_lifted_model(small_models[kind], path)
     return load_lifted_model
@@ -258,10 +259,93 @@ def test_loaded_arrays_are_fresh_writable_copies(small_models, tmp_path):
         assert_fresh_copy(arr, encoder[name])
     net = deep_koopman.KoopmanNet(deep_koopman.KoopmanNetConfig(
         n=2, h=2, m=1, lifted_dim=4, lstm_hidden=3, seed=1))
-    deep_koopman.save_net(net, tmp_path / "checkpoint.json")
-    params, _ = nn.load_checkpoint(tmp_path / "checkpoint.json")
+    deep_koopman.save_net(net, tmp_path / "checkpoint.json", Scaler.identity())
+    back_net, _ = deep_koopman.load_net(tmp_path / "checkpoint.json")
     for name, arr in net.params().items():
-        assert_fresh_copy(params[name], arr)
+        assert_fresh_copy(back_net.params()[name], arr)
+
+
+def test_network_model_copies_read_only_views_once(small_models):
+    # from_dict hands the model read-only views of the sidecar bytes
+    model = small_models["net"]
+    payload = bytearray()
+    doc = model.to_dict(payload)
+    raw = bytes(payload)
+    views = {name: decode_array(name, rec, raw) for name, rec in doc["encoder"].items()}
+    assert not any(view.flags.writeable for view in views.values())
+    back = deep_koopman.LiftedLinearModel.from_dict(doc, raw)
+    encoder = deep_koopman._encoder_params(model.enc_lstm, model.enc_fc)
+    for name, arr in deep_koopman._encoder_params(back.enc_lstm, back.enc_fc).items():
+        assert_fresh_copy(arr, encoder[name])
+        assert not np.shares_memory(arr, views[name])
+    bad = views["encoder_lstm/bias"].copy()
+    bad[0] = np.inf
+    bad.setflags(write=False)
+    with pytest.raises(ValueError, match="tensor 'encoder_lstm/bias' has non-finite entries"):
+        deep_koopman.LiftedLinearModel(model.config, {**views, "encoder_lstm/bias": bad},
+                                       model.A, model.B, model.scaler)
+
+
+def poly_model():
+    """A ``poly:2`` EDMD model of a one-bus, two-sample history."""
+    rng = np.random.default_rng(4)
+    ds = Dataset(v_k=rng.uniform(size=(12, 1, 2)), u_k=rng.uniform(size=(12, 1)),
+                 v_next=rng.uniform(size=(12, 1, 2)), scaler=Scaler.identity())
+    return edmd.fit(ds, edmd.polynomial_dictionary(2, 2), ridge=1e-6)
+
+
+def case(case_id, kind, edit, message):
+    return pytest.param(kind, edit, message, id=case_id)
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    case("net_fractional_lstm_hidden", "net", lambda doc: doc["config"].update(lstm_hidden=3.7),
+         "lstm_hidden must be an integer (got 3.7)"),
+    case("net_boolean_seed", "net", lambda doc: doc["config"].update(seed=True),
+         "seed must be an integer (got True)"),
+    case("net_no_encoder", "net", lambda doc: doc.pop("encoder"),
+         "koopman_net model missing key 'encoder'"),
+    case("net_no_h", "net", lambda doc: doc["config"].pop("h"),
+         "koopman_net model missing key 'h'"),
+    case("edmd_fractional_n", "edmd", lambda doc: doc.update(n=6.9),
+         "n must be an integer (got 6.9)"),
+    case("edmd_string_h", "edmd", lambda doc: doc.update(h="4"),
+         "h must be an integer (got '4')"),
+    case("edmd_float_input_dim", "edmd", lambda doc: doc["dictionary"].update(input_dim=24.0),
+         "dictionary input_dim must be an integer >= 1 (got 24.0)"),
+    case("edmd_no_dictionary", "edmd", lambda doc: doc.pop("dictionary"),
+         "edmd model missing key 'dictionary'"),
+    case("edmd_no_residuals", "edmd", lambda doc: doc.pop("residuals"),
+         "edmd model missing key 'residuals'"),
+    case("poly_fractional_degree", "poly", lambda doc: doc["dictionary"].update(degree=2.7),
+         "polynomial degree must be an integer >= 1 (got 2.7)"),
+    case("poly_no_degree", "poly", lambda doc: doc["dictionary"].pop("degree"),
+         "edmd model missing key 'degree'"),
+    case("checkpoint_string_lifted_dim", "checkpoint",
+         lambda doc: doc["extra"]["config"].update(lifted_dim="4"),
+         "lifted_dim must be an integer (got '4')"),
+    case("checkpoint_no_tensors", "checkpoint", lambda doc: doc.pop("tensors"),
+         "checkpoint missing key 'tensors'"),
+    case("checkpoint_no_config", "checkpoint", lambda doc: doc["extra"].pop("config"),
+         "checkpoint missing key 'config'"),
+    case("checkpoint_no_scaler", "checkpoint", lambda doc: doc["extra"].pop("scaler"),
+         "checkpoint missing key 'scaler'"),
+])
+def test_model_files_take_their_numbers_as_written(small_models, checkpoint, kind, edit,
+                                                   message):
+    # a value is neither truncated nor parsed into an integer, and a key
+    # the writer always writes is required
+    if kind == "checkpoint":
+        doc, payload = read_document(checkpoint)
+        path, load = checkpoint, deep_koopman.load_net
+    else:
+        payload = bytearray()
+        doc = (poly_model() if kind == "poly" else small_models[kind]).to_dict(payload)
+        path, load = checkpoint.with_name("model.json"), load_lifted_model
+    edit(doc)
+    write_document(path, doc, payload)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(path)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -13,9 +13,7 @@ from koopmanmpc.nn import (
     LstmLayer,
     MetricError,
     TrainingError,
-    load_checkpoint,
     r2,
-    save_checkpoint,
 )
 
 
@@ -366,17 +364,6 @@ class TestMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             r2(np.zeros(3), np.zeros(4))
-
-
-class TestCheckpoint:
-    def test_lossless_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        params = {"a/weight": rng.normal(size=(3, 4)), "b/bias": rng.normal(size=5)}
-        save_checkpoint(params, tmp_path / "ck.json", extra={"note": 1})
-        back, extra = load_checkpoint(tmp_path / "ck.json")
-        assert extra == {"note": 1}
-        for k in params:
-            assert np.array_equal(back[k], params[k])
 
 
 def bits(arr):

@@ -133,6 +133,19 @@ class TestStep:
         with pytest.raises(ValueError):
             step(model, state, np.zeros(3), dt=-1.0)
 
+    @pytest.mark.parametrize("substeps", [-1, 0, 2.5, True])
+    def test_substeps_must_be_an_integer_of_at_least_one(self, substeps):
+        model = default_config().model
+        message = f"substeps must be an integer >= 1 \\(got {substeps!r}\\)"
+        with pytest.raises(ValueError, match=message):
+            step(model, model.equilibrium(), np.zeros(3), dt=0.75, substeps=substeps)
+
+    def test_numpy_integer_substeps_run_as_the_int(self):
+        model = default_config().model
+        v = faulted_initial_state(model, default_config().fault)
+        assert same_bits(step(model, v, np.full(3, U_MAX), 0.75, substeps=np.int64(7)),
+                         step(model, v, np.full(3, U_MAX), 0.75, substeps=7))
+
     def test_state_clamped_to_physical_range(self):
         model = default_config().model
         out = step(model, np.full(6, 0.05), np.full(3, U_MAX), dt=5.0)
