@@ -262,7 +262,7 @@ def cmd_fit_edmd(args) -> int:
     seed = int(ds.meta.get("master_seed", 0))
     flat = None
     if args.dict.startswith("rbf"):
-        flat = edmd.require_scaler(ds).normalize_v(ds.v_k).reshape(len(ds), -1)
+        flat = ds.scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
     dictionary = parse_dictionary_spec(args.dict, n * h, flat, seed)
     model = edmd.fit(ds, dictionary, ridge=ridge)
     out = _out_dir(args.out)

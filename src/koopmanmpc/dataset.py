@@ -5,7 +5,9 @@ applied at that instant, voltage history after it).  Histories are n x h
 matrices of voltages sampled on the ``ts`` grid; the control is held for
 one full control interval.  A :class:`Dataset` of S samples holds them as
 three arrays: pre-histories ``v_k`` (S, n, h), controls ``u_k`` (S, m) and
-post-histories ``v_next`` (S, n, h); row i of each is sample i.
+post-histories ``v_next`` (S, n, h); row i of each is sample i.  It is
+frozen and always carries the :class:`Scaler` that defines the normalized
+units every model learns in; ``normalized()`` gives its arrays in them.
 
 On disk a dataset is a ``dataset.json`` manifest plus a ``samples.csv``
 table whose column order is normative: flattened pre-history row-major
@@ -24,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from koopmanmpc import plant as plant_mod
-from koopmanmpc.plant import (Trajectory, U_MAX, V_REF, _is_number, _number, measurement_window,
-                              run_episode)
+from koopmanmpc.plant import (Trajectory, U_MAX, V_REF, _is_number, _number, _object,
+                              measurement_window, run_episode)
 
 LOAD_RANGE = (0.9, 1.1)
 
@@ -86,8 +88,7 @@ class Scaler:
     def from_dict(doc: dict) -> "Scaler":
         """The scaler ``asdict`` wrote; ``ValueError`` unless ``doc`` is an
         object with a number for every field, naming the first that is not."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"scaler must be an object (got {doc!r})")
+        _object("scaler", doc)
         return Scaler(**{f.name: _number(f"scaler {f.name}", doc.get(f.name))
                          for f in fields(Scaler)})
 
@@ -97,15 +98,16 @@ class Scaler:
         return Scaler(v_ref=0.0, v_lo=0.0, v_hi=1.0, u_lo=-1.0, u_hi=1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """S training triples: histories ``v_k`` and ``v_next`` (S, n, h) and
-    controls ``u_k`` (S, m).  An empty set is S = 0."""
+    controls ``u_k`` (S, m), and the scaler of their normalized units.  An
+    empty set is S = 0."""
 
     v_k: np.ndarray
     u_k: np.ndarray
     v_next: np.ndarray
-    scaler: Scaler | None = None
+    scaler: Scaler
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -128,6 +130,11 @@ class Dataset:
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (S, n, h), (S, m), (S, n, h) over all samples."""
         return self.v_k, self.u_k, self.v_next
+
+    def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``stacked()`` in the scaler's units: new arrays, same shapes."""
+        sc = self.scaler
+        return sc.normalize_v(self.v_k), sc.normalize_u(self.u_k), sc.normalize_v(self.v_next)
 
 
 @dataclass(frozen=True)
@@ -152,8 +159,8 @@ class DatasetConfig:
         else:
             bad.append(f"policies must be a nonempty list of distinct names from "
                        f"{list(POLICIES)} (got {self.policies!r})")
-        if not 0.0 < self.train_ratio < 1.0:
-            bad.append(f"train_ratio must lie in (0, 1) (got {self.train_ratio!r})")
+        if not (_is_number(self.train_ratio, integer=False) and 0.0 < self.train_ratio < 1.0):
+            bad.append(f"train_ratio must be a number in (0, 1) (got {self.train_ratio!r})")
         if bad:
             raise ValueError("; ".join(bad))
 
@@ -234,10 +241,12 @@ def generate(plant_config: plant_mod.PlantConfig, data_config: DatasetConfig,
 
     # (E, n_inst + 1, n, h); window j ends at instant j + 1
     windows = np.stack([window_history(traj, k) for k in range(1, n_inst + 2)], axis=1)
-    ds = Dataset(
-        v_k=windows[:, :-1].reshape(-1, n, h),
+    v_k, v_next = windows[:, :-1].reshape(-1, n, h), windows[:, 1:].reshape(-1, n, h)
+    return Dataset(
+        v_k=v_k,
         u_k=traj.controls[:, 1:].reshape(-1, m),
-        v_next=windows[:, 1:].reshape(-1, n, h),
+        v_next=v_next,
+        scaler=fit_scaler(v_k, v_next),
         meta={
             "master_seed": int(seed),
             "n_loads": int(n_loads),
@@ -247,16 +256,14 @@ def generate(plant_config: plant_mod.PlantConfig, data_config: DatasetConfig,
             "plant_digest": plant_digest(plant_config),
         },
     )
-    ds.scaler = fit_scaler(ds)
-    return ds
 
 
-def fit_scaler(ds: Dataset) -> Scaler:
-    """Min-max scaler over all voltages of the dataset shifted by
-    ``V_REF``; control bounds are fixed at [0, U_MAX] rather than fitted."""
-    if len(ds) == 0:
+def fit_scaler(v_k: np.ndarray, v_next: np.ndarray) -> Scaler:
+    """Min-max scaler over all voltages of ``v_k`` and ``v_next`` shifted
+    by ``V_REF``; control bounds are fixed at [0, U_MAX] rather than fitted."""
+    if len(v_k) == 0:
         raise ValueError("cannot fit a scaler on an empty dataset")
-    shifted = np.concatenate([ds.v_k.ravel(), ds.v_next.ravel()]) - V_REF
+    shifted = np.concatenate([v_k.ravel(), v_next.ravel()]) - V_REF
     lo, hi = float(shifted.min()), float(shifted.max())
     if hi <= lo:
         raise ScalerError("all voltages identical; normalization range degenerate")
@@ -314,7 +321,7 @@ def save(ds: Dataset, out_dir) -> None:
         "h": h,
         "m": m,
         "n_samples": len(ds),
-        "scaler": asdict(ds.scaler) if ds.scaler else None,
+        "scaler": asdict(ds.scaler),
         "meta": ds.meta,
     }
     with open(out / MANIFEST_NAME, "w") as f:
@@ -330,7 +337,7 @@ def save(ds: Dataset, out_dir) -> None:
 
 def load(in_dir) -> Dataset:
     """Inverse of :func:`save`; ``DatasetFormatError`` for a malformed
-    manifest field (scaler and meta included) or samples that differ from it."""
+    manifest field (scaler, ``null`` included, and meta) or samples that differ from it."""
     src = Path(in_dir)
     try:
         with open(src / MANIFEST_NAME) as f:
@@ -341,10 +348,8 @@ def load(in_dir) -> Dataset:
         n, h, m, n_samples = (_number(key, manifest[key], integer=True)
                               for key in ("n", "h", "m", "n_samples"))
         table = np.empty((n_samples, 2 * n * h + m))
-        scaler = None if manifest["scaler"] is None else Scaler.from_dict(manifest["scaler"])
-        meta = manifest.get("meta", {})
-        if not isinstance(meta, dict):
-            raise TypeError(f"meta must be an object (got {meta!r})")
+        scaler = Scaler.from_dict(manifest["scaler"])
+        meta = _object("meta", manifest.get("meta", {}))
     except ScalerError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

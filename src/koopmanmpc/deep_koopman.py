@@ -33,12 +33,12 @@ from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, read_payload, write_document
 # re-exported: perfbench/workloads.py loads models as deep_koopman.load_lifted_model
 from koopmanmpc.lifted import load_lifted_model  # noqa: F401
-from koopmanmpc.plant import _is_number
+from koopmanmpc.plant import _is_finite, _is_number, _object
 
 
 @dataclass(frozen=True)
 class KoopmanNetConfig:
-    """Network sizes and the seed of its initial weights and batch
+    """Network sizes and the seed (>= 0) of its initial weights and batch
     shuffle, all integers.  ``ValueError`` names every field that is not
     an integer, else every field out of range."""
 
@@ -58,6 +58,8 @@ class KoopmanNetConfig:
                for name in ("n", "h", "m", "lstm_hidden") if not getattr(self, name) >= 1]
         if not self.lifted_dim > self.n:
             bad.append(f"lifted_dim must exceed n = {self.n} (got {self.lifted_dim!r})")
+        if not self.seed >= 0:
+            bad.append(f"seed must be >= 0 (got {self.seed!r})")
         if bad:
             raise ValueError("; ".join(bad))
 
@@ -65,8 +67,7 @@ class KoopmanNetConfig:
     def from_dict(doc: dict) -> "KoopmanNetConfig":
         """The config ``asdict`` wrote, every field of it required; the
         constructor rejects a value that is not an integer."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"network config must be an object (got {doc!r})")
+        _object("network config", doc)
         return KoopmanNetConfig(**{f.name: doc[f.name] for f in fields(KoopmanNetConfig)})
 
 
@@ -245,9 +246,13 @@ class TrainHyper:
         bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
             ("batch_size", _is_number(self.batch_size, integer=True) and self.batch_size >= 1,
              "an integer >= 1"),
-            ("learning_rate", self.learning_rate > 0, "> 0"),
-            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("learning_rate", _is_finite(self.learning_rate) and self.learning_rate > 0,
+             "a finite number > 0"),
+            ("beta1", _is_number(self.beta1, integer=False) and 0 <= self.beta1 < 1,
+             "a number in [0, 1)"),
+            ("beta2", _is_number(self.beta2, integer=False) and 0 <= self.beta2 < 1,
+             "a number in [0, 1)"),
+            ("eps", _is_finite(self.eps) and self.eps > 0, "a finite number > 0"),
             ("max_epochs", _is_number(self.max_epochs, integer=True) and self.max_epochs >= 1,
              "an integer >= 1"),
             ("patience", _is_number(self.patience, integer=True) and self.patience >= 0,
@@ -272,10 +277,6 @@ class EpochStats:
     @property
     def val_mae(self) -> float:
         return self.val_mae_next + self.val_mae_recon
-
-
-def _normalized_arrays(ds: Dataset, scaler: Scaler):
-    return scaler.normalize_v(ds.v_k), scaler.normalize_u(ds.u_k), scaler.normalize_v(ds.v_next)
 
 
 def _error_sums(err_n: np.ndarray, err_k: np.ndarray) -> np.ndarray:
@@ -411,9 +412,10 @@ def train(
 ) -> tuple[KoopmanNet, list[EpochStats]]:
     """Mini-batch ADAM training with early stopping on validation MAE.
 
-    Normalization uses the datasets' fitted scaler.  Fully deterministic
-    for a fixed ``config.seed``: weight init and the per-epoch batch
-    shuffle both derive from it.  The returned network carries the
+    Each set's ``normalized()`` arrays are trained or validated on; the
+    two sets must carry the same scaler, else ``ValueError``.  Fully
+    deterministic for a fixed ``config.seed``: weight init and the
+    per-epoch batch shuffle both derive from it.  The returned network carries the
     parameters of the best validation epoch (``kept_epoch(history)``).
 
     Validation runs one epoch behind, in one forked worker process
@@ -425,12 +427,11 @@ def train(
     those of validating each epoch before training the next, whatever the
     worker's timing.
     """
-    scaler = train_ds.scaler
-    if scaler is None:
-        raise ValueError("training requires a fitted scaler on the dataset")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("training requires nonempty training and validation sets")
-    train_arrays = _normalized_arrays(train_ds, scaler)
+    if val_ds.scaler != train_ds.scaler:
+        raise ValueError("training and validation sets must share one scaler")
+    train_arrays = train_ds.normalized()
 
     net = KoopmanNet(config)
     opt = nn.Adam(
@@ -460,7 +461,7 @@ def train(
         return epoch - best_epoch >= hyper.patience
 
     pending = None  # (epoch, training metrics, parameters) submitted for validation
-    with _Validation(config, *_normalized_arrays(val_ds, scaler)) as validation:
+    with _Validation(config, *val_ds.normalized()) as validation:
         for epoch in range(hyper.max_epochs):
             try:
                 train_metrics = _train_epoch(net, opt, shuffle_rng.permutation(n_train),
@@ -553,7 +554,7 @@ class LiftedLinearModel(LiftedModel):
     @staticmethod
     def from_dict(doc: dict, payload) -> "LiftedLinearModel":
         enc = {name: decode_array(f"tensor {name!r}", rec, payload)
-               for name, rec in doc["encoder"].items()}
+               for name, rec in _object("encoder", doc["encoder"]).items()}
         return LiftedLinearModel(
             config=KoopmanNetConfig.from_dict(doc["config"]),
             encoder_params=enc,
@@ -566,8 +567,6 @@ class LiftedLinearModel(LiftedModel):
 def extract(net: KoopmanNet, scaler: Scaler) -> LiftedLinearModel:
     """Freeze the trained encoder and read A, B verbatim from the linear
     layers' weights."""
-    if scaler is None:
-        raise ValueError("extraction requires the scaler used in training")
     # the model copies every array it is given
     return LiftedLinearModel(
         config=net.config,
@@ -599,9 +598,7 @@ def load_net(path) -> tuple[KoopmanNet, Scaler]:
         doc = json.load(f)
     payload = read_payload(path, doc)
     try:
-        tensors, extra = doc["tensors"], doc["extra"]
-        if not isinstance(tensors, dict):
-            raise ValueError("checkpoint tensors are not an object of payload records")
+        tensors, extra = _object("tensors", doc["tensors"]), _object("extra", doc["extra"])
         net = KoopmanNet(KoopmanNetConfig.from_dict(extra["config"]))
         net.load_params({name: decode_array(f"tensor {name!r}", rec, payload)
                          for name, rec in tensors.items()})

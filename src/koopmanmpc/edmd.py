@@ -20,7 +20,7 @@ import numpy as np
 
 from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, finite_array
-from koopmanmpc.plant import _is_number, _number
+from koopmanmpc.plant import _is_number, _number, _object
 
 
 class SingularityError(np.linalg.LinAlgError):
@@ -115,7 +115,7 @@ class Dictionary:
     def from_dict(doc: dict, payload) -> "Dictionary":
         """The dictionary ``to_dict`` wrote: each key it writes for the kind
         is required, and the constructor checks every value."""
-        kind = doc["kind"]
+        kind = _object("dictionary", doc)["kind"]
         return Dictionary(
             kind=kind,
             input_dim=doc["input_dim"],
@@ -206,6 +206,9 @@ class EdmdModel(LiftedModel):
 
     @staticmethod
     def from_dict(doc: dict, payload) -> "EdmdModel":
+        residuals = _object("residuals", doc["residuals"])
+        for name, value in residuals.items():  # names to numbers, kept as written
+            _number(f"residuals {name}", value)
         return EdmdModel(
             dictionary=Dictionary.from_dict(doc["dictionary"], payload),
             A=decode_array("matrix A", doc["A"], payload),
@@ -214,7 +217,7 @@ class EdmdModel(LiftedModel):
             scaler=Scaler.from_dict(doc["scaler"]),
             n=_number("n", doc["n"], integer=True),
             h=_number("h", doc["h"], integer=True),
-            residuals=doc["residuals"],
+            residuals=residuals,
         )
 
 
@@ -225,16 +228,9 @@ def check_ridge(ridge: float) -> float:
     return ridge
 
 
-def require_scaler(ds: Dataset) -> Scaler:
-    """``ds``'s scaler, which defines the normalized units of a fit and of
-    its rbf centers; ``ValueError`` if the dataset has none."""
-    if ds.scaler is None:
-        raise ValueError("fitting requires a dataset with a fitted scaler")
-    return ds.scaler
-
-
 def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
-    """Least-squares fit of [A B] and of the projection C.
+    """Least-squares fit of [A B] and of the projection C, in the units of
+    ``ds.scaler``, which the model keeps.
 
     Stacks lifted predecessors against lifted successors and solves the
     ridge-regularized normal equations; a second least squares fits C so
@@ -246,12 +242,9 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
     check_ridge(ridge)
     if len(ds) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    scaler = require_scaler(ds)
     n, h, m = ds.dims
-
-    x_flat = scaler.normalize_v(ds.v_k).reshape(len(ds), -1)
-    y_flat = scaler.normalize_v(ds.v_next).reshape(len(ds), -1)
-    u_norm = scaler.normalize_u(ds.u_k)
+    x, u_norm, y = ds.normalized()
+    x_flat, y_flat = x.reshape(len(ds), -1), y.reshape(len(ds), -1)
 
     nd = dictionary.n_features
     g = np.hstack([dictionary.lift(x_flat), u_norm])
@@ -276,7 +269,7 @@ def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:
         A=A,
         B=B,
         C=C,
-        scaler=scaler,
+        scaler=ds.scaler,
         n=n,
         h=h,
         residuals={"dynamics_rms": dyn_res, "projection_rms": proj_res, "ridge": ridge},

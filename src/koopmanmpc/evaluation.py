@@ -25,6 +25,7 @@ from koopmanmpc.plant import (
     Trajectory,
     U_MAX,
     V_REF,
+    _is_finite,
     _is_number,
     clip,
     run_episode,
@@ -45,8 +46,8 @@ class VvcParams:
 
     def __post_init__(self):
         bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
-            ("deadband", np.isfinite(self.deadband), "finite"),
-            ("gain", self.gain >= 0 and np.isfinite(self.gain), "finite and >= 0"),
+            ("deadband", _is_finite(self.deadband), "a finite number"),
+            ("gain", _is_finite(self.gain) and self.gain >= 0, "a finite number >= 0"),
         ) if not ok]
         if bad:
             raise ValueError("; ".join(bad))

@@ -574,12 +574,25 @@ def _is_number(val, integer: bool) -> bool:
     return not isinstance(val, bool) and isinstance(val, kind)
 
 
+def _is_finite(val) -> bool:
+    """A real number, as ``_is_number``, that is neither infinite nor NaN."""
+    return _is_number(val, integer=False) and (_is_number(val, integer=True)
+                                                or math.isfinite(val))
+
+
 def _number(key: str, val, integer: bool = False):
     """``val`` as a float, or as itself where ``integer``; ``ValueError``
     naming ``key`` unless it is a JSON number, an integer where ``integer``."""
     if not _is_number(val, integer):
         raise ValueError(f"{key} must be {'an integer' if integer else 'a number'} (got {val!r})")
     return val if integer else float(val)
+
+
+def _object(key: str, val) -> dict:
+    """``val`` itself; ``ValueError`` naming ``key`` unless it is a JSON object."""
+    if not isinstance(val, dict):
+        raise ValueError(f"{key} must be an object (got {val!r})")
+    return val
 
 
 def _numbers(key: str, val):

@@ -362,13 +362,12 @@ def lstm_backward(self, cache, d_hs=None, d_h_last=None, input_grad=True):
 def train(config, train_ds, val_ds, hyper=deep_koopman.TrainHyper()):
     """``deep_koopman.train`` with each epoch validated in the epoch loop
     before the next one trains."""
-    scaler = train_ds.scaler
-    if scaler is None:
-        raise ValueError("training requires a fitted scaler on the dataset")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("training requires nonempty training and validation sets")
-    tv_k, tu_k, tv_next = deep_koopman._normalized_arrays(train_ds, scaler)
-    vv_k, vu_k, vv_next = deep_koopman._normalized_arrays(val_ds, scaler)
+    if val_ds.scaler != train_ds.scaler:
+        raise ValueError("training and validation sets must share one scaler")
+    tv_k, tu_k, tv_next = train_ds.normalized()
+    vv_k, vu_k, vv_next = val_ds.normalized()
 
     net = deep_koopman.KoopmanNet(config)
     opt = nn.Adam(

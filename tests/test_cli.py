@@ -82,6 +82,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section, key, value", [
         ("koopman_net", "learning_rate", -1),
         ("koopman_net", "learning_rate", 0),
+        ("koopman_net", "learning_rate", float("inf")),  # diverged in training when let through
         ("koopman_net", "beta1", 1.5),
         ("koopman_net", "lstm_hidden", 0),
         ("koopman_net", "patience", -3),
@@ -233,6 +234,49 @@ def test_library_counts_reject_what_is_not_an_integer(build, name, value):
 @pytest.mark.parametrize("build, name", COUNTS)
 def test_library_counts_take_python_and_numpy_integers(build, name, value):
     assert getattr(build(value), name) == 3
+
+
+FLOATS = [
+    pytest.param(lambda x: DatasetConfig(train_ratio=x), "train_ratio", id="train_ratio"),
+    pytest.param(lambda x: MpcConfig(r_weight=x), "r_weight", id="r_weight"),
+    pytest.param(lambda x: MpcConfig(tol=x), "tol", id="tol"),
+    pytest.param(lambda x: TrainHyper(learning_rate=x), "learning_rate", id="learning_rate"),
+    pytest.param(lambda x: TrainHyper(beta1=x), "beta1", id="beta1"),
+    pytest.param(lambda x: TrainHyper(beta2=x), "beta2", id="beta2"),
+    pytest.param(lambda x: TrainHyper(eps=x), "eps", id="eps"),
+    pytest.param(lambda x: VvcParams(deadband=x), "deadband", id="deadband"),
+    pytest.param(lambda x: VvcParams(gain=x), "gain", id="gain"),
+]
+
+
+@pytest.mark.parametrize("value", ["x", "0.5", None, True, [0.5]])
+@pytest.mark.parametrize("build, name", FLOATS)
+def test_library_floats_reject_what_is_not_a_number(build, name, value):
+    # named as a ValueError, where the comparison raised a bare TypeError
+    with pytest.raises(ValueError, match=rf"\b{name} must be a (finite )?number"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float32(0.5)])
+@pytest.mark.parametrize("build, name", FLOATS)
+def test_library_floats_take_python_and_numpy_numbers(build, name, value):
+    assert getattr(build(value), name) == value
+
+
+@pytest.mark.parametrize("build, name, value", [
+    pytest.param(lambda x: TrainHyper(learning_rate=x), "learning_rate", float("inf"),
+                 id="learning_rate_inf"),
+    pytest.param(lambda x: TrainHyper(learning_rate=x), "learning_rate", float("nan"),
+                 id="learning_rate_nan"),
+    pytest.param(lambda x: TrainHyper(eps=x), "eps", float("inf"), id="eps_inf"),
+    pytest.param(lambda x: TrainHyper(eps=x), "eps", float("nan"), id="eps_nan"),
+    pytest.param(lambda x: TrainHyper(eps=x), "eps", 0.0, id="eps_zero"),
+    pytest.param(lambda x: TrainHyper(eps=x), "eps", -1e-8, id="eps_negative"),
+    pytest.param(lambda x: KoopmanNetConfig(**NET_SIZE, seed=x), "seed", -1, id="seed_negative"),
+])
+def test_library_configs_reject_out_of_range_values(build, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        build(value)
 
 
 class TestGenData:
@@ -508,21 +552,30 @@ class TestPipeline:
                                 "lifted_model.json records", "type": "ValueError"}
         assert not (ws / "cmp").exists()
 
-    @pytest.mark.parametrize("spec", ["identity", "poly:2", "rbf:4:0.5"])
-    def test_fit_edmd_without_a_scaler_is_a_value_error(self, workspace, capsys, spec):
-        ws = workspace
+    @staticmethod
+    def refuses_a_null_scaler(ws, capsys, *stage):
+        """``stage`` on a dataset whose manifest has ``"scaler": null``
+        exits 1 with ``load``'s one error line and writes nothing."""
         assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
         manifest = json.loads((ws / "data" / "dataset.json").read_text())
         manifest["scaler"] = None
         (ws / "data" / "dataset.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        code = run_cli("fit-edmd", "--data", ws / "data", "--dict", spec, "--out", ws / "e")
-        assert code == 1
+        assert run_cli(*stage, "--data", ws / "data", "--out", ws / "e") == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "fitting requires a dataset with a fitted scaler",
-                                        "type": "ValueError"}
+        assert json.loads(lines[0]) == {
+            "error": "manifest missing or malformed field: scaler must be an object (got None)",
+            "type": "DatasetFormatError"}
         assert not (ws / "e").exists()
+
+    @pytest.mark.parametrize("spec", ["identity", "poly:2", "rbf:4:0.5"])
+    def test_fit_edmd_without_a_scaler_is_a_value_error(self, workspace, capsys, spec):
+        # DatasetFormatError is a ValueError
+        self.refuses_a_null_scaler(workspace, capsys, "fit-edmd", "--dict", spec)
+
+    def test_train_without_a_scaler_is_a_value_error(self, workspace, capsys):
+        self.refuses_a_null_scaler(workspace, capsys, "train", "--config", workspace / "run.json")
 
 
 class TestShippedConfigs:

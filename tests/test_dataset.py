@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -41,7 +42,7 @@ def small_dataset(n_loads=2, seed=7):
 
 def empty_dataset(n, h, m, **kwargs):
     return Dataset(v_k=np.zeros((0, n, h)), u_k=np.zeros((0, m)), v_next=np.zeros((0, n, h)),
-                   **kwargs)
+                   scaler=Scaler.identity(), **kwargs)
 
 
 class TestWindowing:
@@ -201,9 +202,16 @@ class TestScaler:
     def test_degenerate_range_rejected(self):
         with pytest.raises(ScalerError):
             Scaler(v_ref=1.0, v_lo=0.0, v_hi=0.0)
-        const = Dataset(v_k=np.ones((1, 2, 2)), u_k=np.zeros((1, 1)), v_next=np.ones((1, 2, 2)))
         with pytest.raises(ScalerError):
-            fit_scaler(const)
+            fit_scaler(np.ones((1, 2, 2)), np.ones((1, 2, 2)))
+
+    def test_generate_fits_its_scaler_on_its_histories(self):
+        ds = small_dataset(n_loads=2)
+        assert ds.scaler == fit_scaler(ds.v_k, ds.v_next)
+
+    def test_empty_histories_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fit_scaler(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
 
 
 class TestSplit:
@@ -297,13 +305,14 @@ class TestPersistence:
     @pytest.mark.parametrize("message, edit", [
         ("scaler v_lo must be a number (got None)", lambda doc: doc["scaler"].pop("v_lo")),
         ("scaler must be an object (got [1, 2])", lambda doc: doc.update(scaler=[1, 2])),
+        ("scaler must be an object (got None)", lambda doc: doc.update(scaler=None)),
         ("scaler v_lo must be a number (got 'x')", lambda doc: doc["scaler"].update(v_lo="x")),
         ("scaler u_hi must be a number (got True)", lambda doc: doc["scaler"].update(u_hi=True)),
         ("meta must be an object (got [1])", lambda doc: doc.update(meta=[1])),
         ("n_samples must be an integer (got 15.7)", lambda doc: doc.update(n_samples=15.7)),
         ("h must be an integer (got True)", lambda doc: doc.update(h=True)),
-    ], ids=["scaler_without_v_lo", "scaler_not_an_object", "v_lo_a_string", "u_hi_a_boolean",
-            "meta_not_an_object", "fractional_n_samples", "boolean_h"])
+    ], ids=["scaler_without_v_lo", "scaler_not_an_object", "scaler_null", "v_lo_a_string",
+            "u_hi_a_boolean", "meta_not_an_object", "fractional_n_samples", "boolean_h"])
     def test_malformed_manifest_field_rejected(self, tmp_path, message, edit):
         save(small_dataset(n_loads=1), tmp_path)
         path = tmp_path / dataset.MANIFEST_NAME
@@ -348,7 +357,21 @@ class TestDatasetShapes:
     ])
     def test_mismatched_shapes_rejected(self, v_k, u_k, v_next):
         with pytest.raises(ValueError):
-            Dataset(v_k=np.zeros(v_k), u_k=np.zeros(u_k), v_next=np.zeros(v_next))
+            Dataset(v_k=np.zeros(v_k), u_k=np.zeros(u_k), v_next=np.zeros(v_next),
+                    scaler=Scaler.identity())
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Dataset)])
+    def test_fields_cannot_be_reassigned(self, name):
+        ds = small_dataset(n_loads=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, getattr(ds, name))
+
+    def test_normalized_is_the_scalers_maps_bit_for_bit(self):
+        ds = small_dataset(n_loads=2)
+        sc = ds.scaler
+        want = (sc.normalize_v(ds.v_k), sc.normalize_u(ds.u_k), sc.normalize_v(ds.v_next))
+        for got, ref in zip(ds.normalized(), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestScalerRoundTrip:

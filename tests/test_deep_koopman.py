@@ -3,7 +3,7 @@ import json
 import multiprocessing
 import os
 import signal
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -49,9 +49,7 @@ def tiny_dataset(rng, n_samples=10, cfg=MINI):
         for _ in range(n_samples)
     ]
     v_k, u_k, v_next = (np.stack(arrays) for arrays in zip(*draws))
-    ds = Dataset(v_k=v_k, u_k=u_k, v_next=v_next)
-    ds.scaler = dataset_mod.fit_scaler(ds)
-    return ds
+    return Dataset(v_k=v_k, u_k=u_k, v_next=v_next, scaler=dataset_mod.fit_scaler(v_k, v_next))
 
 
 class TestConfig:
@@ -274,7 +272,7 @@ class TestFlatState:
         # the last: evaluating them again gives that epoch's MAE
         best = min(hist, key=lambda st: st.val_mae)
         assert best.epoch < hist[-1].epoch
-        again = deep_koopman._eval_metrics(net, *deep_koopman._normalized_arrays(ds, ds.scaler))
+        again = deep_koopman._eval_metrics(net, *ds.normalized())
         assert again[2] + again[3] == best.val_mae
 
     def test_non_finite_gradient_names_its_tensor_and_changes_nothing(self):
@@ -327,11 +325,18 @@ class TestTrain:
         assert h1 == h2
 
     def test_missing_scaler_rejected(self):
+        # no dataset reaches training without the scaler it normalizes with
+        ds = tiny_dataset(np.random.default_rng(14))
+        with pytest.raises(TypeError, match="scaler"):
+            Dataset(v_k=ds.v_k, u_k=ds.u_k, v_next=ds.v_next)
+
+    def test_validation_set_with_another_scaler_rejected(self):
         rng = np.random.default_rng(14)
-        ds = tiny_dataset(rng)
-        ds.scaler = None
-        with pytest.raises(ValueError):
-            train(MINI, ds, ds, TrainHyper(max_epochs=1))
+        tr, va = tiny_dataset(rng), tiny_dataset(rng)
+        assert va.scaler != tr.scaler
+        with pytest.raises(ValueError, match="share one scaler"):
+            train(MINI, tr, va, TrainHyper(max_epochs=1))
+        assert multiprocessing.active_children() == []
 
     def test_hyper_names_every_field_out_of_range(self):
         with pytest.raises(ValueError) as err:
@@ -355,9 +360,7 @@ def split_tiny(seed):
     with patience 2."""
     rng = np.random.default_rng(seed)
     tr = tiny_dataset(rng, n_samples=12)
-    va = tiny_dataset(rng, n_samples=6)
-    va.scaler = tr.scaler
-    return tr, va
+    return tr, replace(tiny_dataset(rng, n_samples=6), scaler=tr.scaler)
 
 
 def fast_hyper(**kw):
@@ -543,11 +546,6 @@ class TestExtractAndLift:
         z_ref = model.lift_reference(1.0)
         assert np.allclose(z_ref, model.lift(np.ones((2, 2))))
 
-    def test_extract_requires_scaler(self):
-        net = KoopmanNet(MINI)
-        with pytest.raises(ValueError):
-            extract(net, None)
-
 
 class TestSerialization:
     def test_lifted_model_round_trip(self, tmp_path):
@@ -600,10 +598,11 @@ class TestSerialization:
         net = KoopmanNet(KoopmanNetConfig(n=6, h=4, m=3, lifted_dim=16, lstm_hidden=8, seed=2022))
         sc = Scaler(v_ref=1.0, v_lo=-0.2, v_hi=0.1)
         rng = np.random.default_rng(2022)
-        ds = Dataset(v_k=rng.uniform(0.9, 1.1, size=(20, 2, 2)),
-                     u_k=rng.uniform(0.0, 0.25, size=(20, 1)),
-                     v_next=rng.uniform(0.9, 1.1, size=(20, 2, 2)))
-        ds.scaler = dataset_mod.fit_scaler(ds)
+        # drawn in this order: the pinned digests depend on it
+        v_k = rng.uniform(0.9, 1.1, size=(20, 2, 2))
+        u_k = rng.uniform(0.0, 0.25, size=(20, 1))
+        v_next = rng.uniform(0.9, 1.1, size=(20, 2, 2))
+        ds = Dataset(v_k=v_k, u_k=u_k, v_next=v_next, scaler=dataset_mod.fit_scaler(v_k, v_next))
         net_model = extract(net, sc)
         edmd_model = edmd.fit(ds, edmd.polynomial_dictionary(4, 2), ridge=1e-6)
         save_net(net, path / "checkpoint", scaler=sc)

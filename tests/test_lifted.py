@@ -330,6 +330,19 @@ def case(case_id, kind, edit, message):
          "checkpoint missing key 'config'"),
     case("checkpoint_no_scaler", "checkpoint", lambda doc: doc["extra"].pop("scaler"),
          "checkpoint missing key 'scaler'"),
+    # a key written as an object must be one, and residuals map names to numbers
+    case("edmd_dictionary_a_list", "edmd", lambda doc: doc.update(dictionary=[1]),
+         "dictionary must be an object (got [1])"),
+    case("edmd_residuals_a_list", "edmd", lambda doc: doc.update(residuals=[1]),
+         "residuals must be an object (got [1])"),
+    case("edmd_residuals_as_pairs", "edmd", lambda doc: doc.update(residuals=[["a", 1]]),
+         "residuals must be an object (got [['a', 1]])"),
+    case("edmd_residual_a_string", "edmd", lambda doc: doc["residuals"].update(ridge="0"),
+         "residuals ridge must be a number (got '0')"),
+    case("net_encoder_a_list", "net", lambda doc: doc.update(encoder=[1]),
+         "encoder must be an object (got [1])"),
+    case("checkpoint_extra_a_list", "checkpoint", lambda doc: doc.update(extra=[1]),
+         "extra must be an object (got [1])"),
 ])
 def test_model_files_take_their_numbers_as_written(small_models, checkpoint, kind, edit,
                                                    message):
