@@ -34,7 +34,7 @@ from koopmanmpc import dataset as dataset_mod
 from koopmanmpc import deep_koopman, edmd, evaluation, lifted
 from koopmanmpc import mpc as mpc_mod
 from koopmanmpc import plant as plant_mod
-from koopmanmpc.plant import _is_number
+from koopmanmpc.checks import INTEGER, NON_NEGATIVE_INT, NUMBER, checked, is_number
 
 
 class ConfigError(ValueError):
@@ -71,11 +71,6 @@ _SCHEMA = {
 }
 
 
-def _is_seed(val) -> bool:
-    """An integer >= 0, the seeds numpy's generators accept."""
-    return _is_number(val, integer=True) and val >= 0
-
-
 def _section(doc: dict, name: str, violations: list[str], extra: dict) -> dict:
     """Section ``name`` of ``doc`` built into each of its dataclasses, keyed
     by class; None where the constructor rejects its fields, with the
@@ -98,10 +93,9 @@ def _section(doc: dict, name: str, violations: list[str], extra: dict) -> dict:
             if f.name not in keys:
                 continue
             value = given.get(prefix + f.name, f.default)
-            integer = isinstance(f.default, int)
-            if _is_number(f.default, integer=False) and not _is_number(value, integer):
-                violations.append(f"{name}.{prefix}{f.name}: must be "
-                                  f"{'an integer' if integer else 'a number'}")
+            rule = INTEGER if isinstance(f.default, int) else NUMBER
+            if is_number(f.default) and not rule.test(value):
+                violations.append(f"{name}.{prefix}{f.name}: must be {rule.text}")
                 value = f.default
             kwargs[f.name] = value
         outside = extra.get(cls, {})
@@ -143,13 +137,13 @@ def load_run_config(path) -> RunConfig:
                 violations.append(f"plant: invalid plant config ({exc})")
 
     seed = doc.get("seed")
-    if not _is_seed(seed):
+    if not NON_NEGATIVE_INT.test(seed):
         violations.append(f"seed: required integer >= 0, no implicit entropy (got {seed!r})")
     known = {"plant", "seed", *_SCHEMA}
     violations += [f"{key}: unknown key" for key in sorted(doc.keys() - known)]
 
     net_size = None  # the network is sized for the plant, so it needs one
-    if plant_cfg is not None and _is_seed(seed):
+    if plant_cfg is not None and NON_NEGATIVE_INT.test(seed):
         net_size = dict(n=plant_cfg.model.n, h=plant_cfg.schedule.h, m=plant_cfg.model.m, seed=seed)
     built = {}
     for name in _SCHEMA:
@@ -210,10 +204,7 @@ def _seed(cfg: RunConfig, flag) -> int:
     the run config's seed when the flag is absent."""
     if flag is None:
         return cfg.seed
-    seed = _flag("seed", int, flag)
-    if not _is_seed(seed):
-        raise ConfigError([f"seed: must be an integer >= 0 (got {seed!r})"])
-    return seed
+    return _flag("seed", lambda text: checked("seed", int(text), NON_NEGATIVE_INT), flag)
 
 
 def _out_dir(arg) -> Path:
@@ -259,7 +250,7 @@ def cmd_fit_edmd(args) -> int:
     ridge = _flag("ridge", lambda text: edmd.check_ridge(float(text)), args.ridge)
     ds = dataset_mod.load(args.data)
     n, h, m = ds.dims
-    seed = int(ds.meta.get("master_seed", 0))
+    seed = ds.meta.get("master_seed", 0)  # checked by load
     flat = None
     if args.dict.startswith("rbf"):
         flat = ds.scaler.normalize_v(ds.v_k).reshape(len(ds), -1)

@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from koopmanmpc import plant as plant_mod
-from koopmanmpc.plant import (Trajectory, U_MAX, V_REF, _is_number, _number, _object,
-                              measurement_window, run_episode)
+from koopmanmpc.checks import (COUNT, NON_NEGATIVE_INT, OPEN_UNIT, Rule, checked, field_errors,
+                               number, object_, raise_if)
+from koopmanmpc.plant import Trajectory, U_MAX, V_REF, measurement_window, run_episode
 
 LOAD_RANGE = (0.9, 1.1)
 
@@ -88,8 +89,8 @@ class Scaler:
     def from_dict(doc: dict) -> "Scaler":
         """The scaler ``asdict`` wrote; ``ValueError`` unless ``doc`` is an
         object with a number for every field, naming the first that is not."""
-        _object("scaler", doc)
-        return Scaler(**{f.name: _number(f"scaler {f.name}", doc.get(f.name))
+        object_("scaler", doc)
+        return Scaler(**{f.name: number(f"scaler {f.name}", doc.get(f.name))
                          for f in fields(Scaler)})
 
     @staticmethod
@@ -137,6 +138,12 @@ class Dataset:
         return sc.normalize_v(self.v_k), sc.normalize_u(self.u_k), sc.normalize_v(self.v_next)
 
 
+_POLICY_LIST = Rule(
+    lambda p: (isinstance(p, (list, tuple)) and len(p) > 0
+               and all(isinstance(x, str) and x in POLICIES for x in p) and len(set(p)) == len(p)),
+    f"a nonempty list of distinct names from {list(POLICIES)}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """How much data to simulate and how to split it: ``n_loads`` load
@@ -149,20 +156,9 @@ class DatasetConfig:
     train_ratio: float = 0.7
 
     def __post_init__(self):
-        bad = []
-        if not (_is_number(self.n_loads, integer=True) and self.n_loads >= 1):
-            bad.append(f"n_loads must be an integer >= 1 (got {self.n_loads!r})")
-        if (isinstance(self.policies, (list, tuple)) and len(self.policies) > 0
-                and all(isinstance(p, str) and p in POLICIES for p in self.policies)
-                and len(set(self.policies)) == len(self.policies)):
-            object.__setattr__(self, "policies", tuple(self.policies))
-        else:
-            bad.append(f"policies must be a nonempty list of distinct names from "
-                       f"{list(POLICIES)} (got {self.policies!r})")
-        if not (_is_number(self.train_ratio, integer=False) and 0.0 < self.train_ratio < 1.0):
-            bad.append(f"train_ratio must be a number in (0, 1) (got {self.train_ratio!r})")
-        if bad:
-            raise ValueError("; ".join(bad))
+        raise_if(field_errors(self, {"n_loads": COUNT, "policies": _POLICY_LIST,
+                                  "train_ratio": OPEN_UNIT}))
+        object.__setattr__(self, "policies", tuple(self.policies))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,8 @@ def save(ds: Dataset, out_dir) -> None:
 
 def load(in_dir) -> Dataset:
     """Inverse of :func:`save`; ``DatasetFormatError`` for a malformed
-    manifest field (scaler, ``null`` included, and meta) or samples that differ from it."""
+    manifest field (scaler, ``null`` included, meta, and ``meta.master_seed``,
+    0 if absent) or samples that differ from it."""
     src = Path(in_dir)
     try:
         with open(src / MANIFEST_NAME) as f:
@@ -345,11 +342,12 @@ def load(in_dir) -> Dataset:
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read manifest: {exc}") from exc
     try:
-        n, h, m, n_samples = (_number(key, manifest[key], integer=True)
+        n, h, m, n_samples = (number(key, manifest[key], integer=True)
                               for key in ("n", "h", "m", "n_samples"))
         table = np.empty((n_samples, 2 * n * h + m))
         scaler = Scaler.from_dict(manifest["scaler"])
-        meta = _object("meta", manifest.get("meta", {}))
+        meta = object_("meta", manifest.get("meta", {}))
+        checked("meta master_seed", meta.get("master_seed", 0), NON_NEGATIVE_INT)
     except ScalerError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -29,11 +29,12 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from koopmanmpc import nn
+from koopmanmpc.checks import (COUNT, HALF_OPEN_UNIT, INTEGER, NON_NEGATIVE_INT, POSITIVE,
+                               field_errors, object_, raise_if)
 from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, read_payload, write_document
 # re-exported: perfbench/workloads.py loads models as deep_koopman.load_lifted_model
 from koopmanmpc.lifted import load_lifted_model  # noqa: F401
-from koopmanmpc.plant import _is_finite, _is_number, _object
 
 
 @dataclass(frozen=True)
@@ -50,24 +51,19 @@ class KoopmanNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        bad = [f"{f.name} must be an integer (got {getattr(self, f.name)!r})"
-               for f in fields(self) if not _is_number(getattr(self, f.name), integer=True)]
-        if bad:
-            raise ValueError("; ".join(bad))
-        bad = [f"{name} must be >= 1 (got {getattr(self, name)!r})"
-               for name in ("n", "h", "m", "lstm_hidden") if not getattr(self, name) >= 1]
-        if not self.lifted_dim > self.n:
-            bad.append(f"lifted_dim must exceed n = {self.n} (got {self.lifted_dim!r})")
-        if not self.seed >= 0:
-            bad.append(f"seed must be >= 0 (got {self.seed!r})")
-        if bad:
-            raise ValueError("; ".join(bad))
+        bad = field_errors(self, {f.name: INTEGER for f in fields(self)})
+        if not bad:  # only integers are compared
+            bad = field_errors(self, {"n": COUNT, "h": COUNT, "m": COUNT, "lstm_hidden": COUNT,
+                                      "seed": NON_NEGATIVE_INT})
+            if not self.lifted_dim > self.n:
+                bad.append(f"lifted_dim must exceed n = {self.n} (got {self.lifted_dim!r})")
+        raise_if(bad)
 
     @staticmethod
     def from_dict(doc: dict) -> "KoopmanNetConfig":
         """The config ``asdict`` wrote, every field of it required; the
         constructor rejects a value that is not an integer."""
-        _object("network config", doc)
+        object_("network config", doc)
         return KoopmanNetConfig(**{f.name: doc[f.name] for f in fields(KoopmanNetConfig)})
 
 
@@ -243,23 +239,10 @@ class TrainHyper:
     patience: int = 20
 
     def __post_init__(self):
-        bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
-            ("batch_size", _is_number(self.batch_size, integer=True) and self.batch_size >= 1,
-             "an integer >= 1"),
-            ("learning_rate", _is_finite(self.learning_rate) and self.learning_rate > 0,
-             "a finite number > 0"),
-            ("beta1", _is_number(self.beta1, integer=False) and 0 <= self.beta1 < 1,
-             "a number in [0, 1)"),
-            ("beta2", _is_number(self.beta2, integer=False) and 0 <= self.beta2 < 1,
-             "a number in [0, 1)"),
-            ("eps", _is_finite(self.eps) and self.eps > 0, "a finite number > 0"),
-            ("max_epochs", _is_number(self.max_epochs, integer=True) and self.max_epochs >= 1,
-             "an integer >= 1"),
-            ("patience", _is_number(self.patience, integer=True) and self.patience >= 0,
-             "an integer >= 0"),
-        ) if not ok]
-        if bad:
-            raise ValueError("; ".join(bad))
+        raise_if(field_errors(self, {
+            "batch_size": COUNT, "learning_rate": POSITIVE, "beta1": HALF_OPEN_UNIT,
+            "beta2": HALF_OPEN_UNIT, "eps": POSITIVE, "max_epochs": COUNT,
+            "patience": NON_NEGATIVE_INT}))
 
 
 @dataclass(frozen=True)
@@ -554,7 +537,7 @@ class LiftedLinearModel(LiftedModel):
     @staticmethod
     def from_dict(doc: dict, payload) -> "LiftedLinearModel":
         enc = {name: decode_array(f"tensor {name!r}", rec, payload)
-               for name, rec in _object("encoder", doc["encoder"]).items()}
+               for name, rec in object_("encoder", doc["encoder"]).items()}
         return LiftedLinearModel(
             config=KoopmanNetConfig.from_dict(doc["config"]),
             encoder_params=enc,
@@ -598,7 +581,7 @@ def load_net(path) -> tuple[KoopmanNet, Scaler]:
         doc = json.load(f)
     payload = read_payload(path, doc)
     try:
-        tensors, extra = _object("tensors", doc["tensors"]), _object("extra", doc["extra"])
+        tensors, extra = object_("tensors", doc["tensors"]), object_("extra", doc["extra"])
         net = KoopmanNet(KoopmanNetConfig.from_dict(extra["config"]))
         net.load_params({name: decode_array(f"tensor {name!r}", rec, payload)
                          for name, rec in tensors.items()})

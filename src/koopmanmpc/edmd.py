@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from koopmanmpc.checks import (COUNT, NON_NEGATIVE, POSITIVE, checked, field_errors, number,
+                               object_, raise_if)
 from koopmanmpc.dataset import Dataset, Scaler
 from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, finite_array
-from koopmanmpc.plant import _is_number, _number, _object
 
 
 class SingularityError(np.linalg.LinAlgError):
@@ -47,22 +48,20 @@ class Dictionary:
     def __post_init__(self):
         if self.kind not in ("identity", "polynomial", "rbf"):
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        if not (_is_number(self.input_dim, integer=True) and self.input_dim >= 1):
-            raise ValueError(f"dictionary input_dim must be an integer >= 1 "
-                             f"(got {self.input_dim!r})")
+        bad = field_errors(self, {"input_dim": COUNT}, prefix="dictionary ")
         if self.kind == "polynomial":
-            if not (_is_number(self.degree, integer=True) and self.degree >= 1):
-                raise ValueError(f"polynomial degree must be an integer >= 1 (got {self.degree!r})")
+            bad += field_errors(self, {"degree": COUNT}, prefix="polynomial ")
+        if self.kind == "rbf":
+            bad += field_errors(self, {"width": POSITIVE}, prefix="rbf ")
+            if self.centers is None:
+                bad.append("rbf dictionary needs centers")
+        raise_if(bad)
+        if self.kind == "polynomial":
             object.__setattr__(self, "_monomials", tuple(
                 np.array(list(itertools.combinations_with_replacement(range(self.input_dim), d)))
                 for d in range(2, self.degree + 1)
             ))
         if self.kind == "rbf":
-            if self.centers is None:
-                raise ValueError("rbf dictionary needs centers")
-            if not (_is_number(self.width, integer=False) and self.width > 0
-                    and np.isfinite(self.width)):
-                raise ValueError(f"rbf width must be a finite number > 0 (got {self.width!r})")
             centers = np.atleast_2d(finite_array("rbf centers", self.centers))
             if centers.shape[1] != self.input_dim:
                 raise ValueError("rbf centers must match the input dimension")
@@ -115,7 +114,7 @@ class Dictionary:
     def from_dict(doc: dict, payload) -> "Dictionary":
         """The dictionary ``to_dict`` wrote: each key it writes for the kind
         is required, and the constructor checks every value."""
-        kind = _object("dictionary", doc)["kind"]
+        kind = object_("dictionary", doc)["kind"]
         return Dictionary(
             kind=kind,
             input_dim=doc["input_dim"],
@@ -139,8 +138,7 @@ def rbf_dictionary(input_dim: int, centers: np.ndarray, width: float) -> Diction
 
 def rbf_centers_from_data(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """A seeded random subset of the rows of x, for use as rbf centers."""
-    if not k >= 1:
-        raise ValueError(f"rbf center count must be >= 1 (got {k!r})")
+    checked("rbf center count", k, COUNT)
     rng = np.random.default_rng(seed)
     idx = rng.choice(x.shape[0], size=min(k, x.shape[0]), replace=False)
     return np.array(x[np.sort(idx)])
@@ -206,26 +204,24 @@ class EdmdModel(LiftedModel):
 
     @staticmethod
     def from_dict(doc: dict, payload) -> "EdmdModel":
-        residuals = _object("residuals", doc["residuals"])
+        residuals = object_("residuals", doc["residuals"])
         for name, value in residuals.items():  # names to numbers, kept as written
-            _number(f"residuals {name}", value)
+            number(f"residuals {name}", value)
         return EdmdModel(
             dictionary=Dictionary.from_dict(doc["dictionary"], payload),
             A=decode_array("matrix A", doc["A"], payload),
             B=decode_array("matrix B", doc["B"], payload),
             C=decode_array("matrix C", doc["C"], payload),
             scaler=Scaler.from_dict(doc["scaler"]),
-            n=_number("n", doc["n"], integer=True),
-            h=_number("h", doc["h"], integer=True),
+            n=number("n", doc["n"], integer=True),
+            h=number("h", doc["h"], integer=True),
             residuals=residuals,
         )
 
 
 def check_ridge(ridge: float) -> float:
-    """``ridge`` itself if it is finite and >= 0; else ``ValueError``."""
-    if not (np.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be finite and >= 0 (got {ridge!r})")
-    return ridge
+    """``ridge`` itself if it is a finite number >= 0; else ``ValueError``."""
+    return checked("ridge", ridge, NON_NEGATIVE)
 
 
 def fit(ds: Dataset, dictionary: Dictionary, ridge: float = 0.0) -> EdmdModel:

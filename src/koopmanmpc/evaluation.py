@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from koopmanmpc import mpc as mpc_mod
+from koopmanmpc.checks import COUNT, FINITE, NON_NEGATIVE, field_errors, is_number, raise_if
 from koopmanmpc.dataset import load_factor
 from koopmanmpc.plant import (
     NON_FINITE,
@@ -25,8 +26,6 @@ from koopmanmpc.plant import (
     Trajectory,
     U_MAX,
     V_REF,
-    _is_finite,
-    _is_number,
     clip,
     run_episode,
 )
@@ -45,12 +44,7 @@ class VvcParams:
     gain: float = 2.5
 
     def __post_init__(self):
-        bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
-            ("deadband", _is_finite(self.deadband), "a finite number"),
-            ("gain", _is_finite(self.gain) and self.gain >= 0, "a finite number >= 0"),
-        ) if not ok]
-        if bad:
-            raise ValueError("; ".join(bad))
+        raise_if(field_errors(self, {"deadband": FINITE, "gain": NON_NEGATIVE}))
 
 
 @dataclass(frozen=True)
@@ -64,8 +58,7 @@ class EvalConfig:
     monitored: list[int] | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.n_cases, integer=True) and self.n_cases >= 1):
-            raise ValueError(f"n_cases must be an integer >= 1 (got {self.n_cases!r})")
+        raise_if(field_errors(self, {"n_cases": COUNT}))
 
 
 def vvc_policy(v_local, params: VvcParams):
@@ -84,7 +77,7 @@ def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
     """The monitored bus indices (every bus for None), distinct and checked
     against n."""
     if monitored is not None and not (isinstance(monitored, (list, tuple)) and all(
-            _is_number(i, integer=True) for i in monitored)):
+            is_number(i, integer=True) for i in monitored)):
         raise ValueError(f"monitored must be null or a list of bus indices (got {monitored!r})")
     monitored = tuple(range(n)) if monitored is None else tuple(int(i) for i in monitored)
     if len(monitored) == 0:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from koopmanmpc.checks import NON_NEGATIVE_INT
 from koopmanmpc.dataset import Scaler
 
 _REGENERATE = "must be regenerated with train or fit-edmd"
@@ -61,12 +62,11 @@ def decode_array(what: str, rec, payload) -> np.ndarray:
         raise ValueError(f"{what} is not a {{shape, dtype, offset}} payload record "
                          f"(a file in the nested-list or base64 form {_REGENERATE})")
     shape, offset = rec["shape"], rec["offset"]
-    if not (isinstance(shape, list)
-            and all(type(d) is int and d >= 0 for d in shape)):
+    if not (isinstance(shape, list) and all(NON_NEGATIVE_INT.test(d) for d in shape)):
         raise ValueError(f"{what} has shape {shape!r}, expected a list of sizes")
     if rec["dtype"] != "<f8":
         raise ValueError(f"{what} has dtype {rec['dtype']!r}, expected '<f8'")
-    if not (type(offset) is int and offset >= 0):
+    if not NON_NEGATIVE_INT.test(offset):
         raise ValueError(f"{what} has offset {offset!r}, expected an integer >= 0")
     count = math.prod(shape)
     if offset + 8 * count > len(payload):

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from koopmanmpc.plant import (PlantConfig, Schedule, Trajectory, U_MAX, V_REF, _is_finite,
-                              _is_number, clip, run_episode)
+from koopmanmpc.checks import COUNT, NON_NEGATIVE, POSITIVE, field_errors, raise_if
+from koopmanmpc.plant import PlantConfig, Schedule, Trajectory, U_MAX, V_REF, clip, run_episode
 from koopmanmpc.plant import step  # noqa: F401  (the benchmark's tracer finds plant.step here)
 
 #: Defaults for the projected-gradient solver.
@@ -58,14 +58,7 @@ class MpcConfig:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        bad = [f"{name} must be {rule} (got {getattr(self, name)!r})" for name, ok, rule in (
-            ("r_weight", _is_finite(self.r_weight) and self.r_weight >= 0, "a finite number >= 0"),
-            ("tol", _is_finite(self.tol) and self.tol > 0, "a finite number > 0"),
-            ("max_iter", _is_number(self.max_iter, integer=True) and self.max_iter >= 1,
-             "an integer >= 1"),
-        ) if not ok]
-        if bad:
-            raise ValueError("; ".join(bad))
+        raise_if(field_errors(self, {"r_weight": NON_NEGATIVE, "tol": POSITIVE, "max_iter": COUNT}))
 
 
 # Safety factor on the step's curvature lambda_max + lambda_min of the

@@ -16,7 +16,8 @@ from koopmanmpc.deep_koopman import KoopmanNetConfig, TrainHyper
 from koopmanmpc.evaluation import EvalConfig, VvcParams
 from koopmanmpc.lifted import decode_array, encode_array, read_payload, write_document
 from koopmanmpc.mpc import MpcConfig
-from koopmanmpc.plant import config_to_dict, default_config, load_config, save_config
+from koopmanmpc.plant import (FaultSpec, Schedule, config_to_dict, default_config, load_config,
+                              save_config)
 
 
 @pytest.fixture()
@@ -219,6 +220,8 @@ COUNTS = [
     pytest.param(lambda x: KoopmanNetConfig(**NET_SIZE, lstm_hidden=x), "lstm_hidden",
                  id="lstm_hidden"),
     pytest.param(lambda x: KoopmanNetConfig(**NET_SIZE, seed=x), "seed", id="seed"),
+    pytest.param(lambda x: Schedule(ts=0.75, tc=3.0, n_instants=x), "n_instants",
+                 id="n_instants"),
 ]
 
 
@@ -246,6 +249,9 @@ FLOATS = [
     pytest.param(lambda x: TrainHyper(eps=x), "eps", id="eps"),
     pytest.param(lambda x: VvcParams(deadband=x), "deadband", id="deadband"),
     pytest.param(lambda x: VvcParams(gain=x), "gain", id="gain"),
+    pytest.param(lambda x: Schedule(ts=x, tc=3.0, n_instants=5), "ts", id="ts"),
+    pytest.param(lambda x: Schedule(ts=0.25, tc=x, n_instants=5), "tc", id="tc"),
+    pytest.param(lambda x: FaultSpec(affected=(1,), depth=x), "depth", id="depth"),
 ]
 
 
@@ -576,6 +582,25 @@ class TestPipeline:
 
     def test_train_without_a_scaler_is_a_value_error(self, workspace, capsys):
         self.refuses_a_null_scaler(workspace, capsys, "train", "--config", workspace / "run.json")
+
+    @pytest.mark.parametrize("seed", [20240.7, -3, "abc", True])
+    def test_fit_edmd_refuses_a_malformed_master_seed(self, workspace, capsys, seed):
+        # the rbf centers' seed: neither truncated nor blamed on the --dict flag
+        ws = workspace
+        assert run_cli("gen-data", "--config", ws / "run.json", "--out", ws / "data") == 0
+        manifest = json.loads((ws / "data" / "dataset.json").read_text())
+        manifest["meta"]["master_seed"] = seed
+        (ws / "data" / "dataset.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("fit-edmd", "--data", ws / "data", "--dict", "rbf:4:0.5",
+                       "--out", ws / "e") == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "manifest missing or malformed field: "
+                     f"meta master_seed must be an integer >= 0 (got {seed!r})",
+            "type": "DatasetFormatError"}
+        assert not (ws / "e").exists()
 
 
 class TestShippedConfigs:

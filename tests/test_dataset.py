@@ -322,6 +322,26 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=re.escape(message)):
             load(tmp_path)
 
+    @pytest.mark.parametrize("seed", [20240.7, -3, "abc", True])
+    def test_master_seed_must_be_an_integer_of_at_least_zero(self, tmp_path, seed):
+        # fit-edmd seeds its rbf centers with it, so it is read as written
+        save(small_dataset(n_loads=1), tmp_path)
+        path = tmp_path / dataset.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        doc["meta"]["master_seed"] = seed
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"meta master_seed must be an integer >= 0 (got {seed!r})")):
+            load(tmp_path)
+
+    def test_absent_master_seed_loads(self, tmp_path):
+        save(small_dataset(n_loads=1), tmp_path)
+        path = tmp_path / dataset.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        del doc["meta"]["master_seed"]
+        path.write_text(json.dumps(doc))
+        assert "master_seed" not in load(tmp_path).meta
+
     def test_degenerate_scaler_stays_a_scaler_error(self, tmp_path):
         save(small_dataset(n_loads=1), tmp_path)
         path = tmp_path / dataset.MANIFEST_NAME

@@ -161,7 +161,7 @@ class TestFit:
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_bad_ridge_rejected(self, ridge):
-        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
             fit(linear_system_dataset(), identity_dictionary(1), ridge=ridge)
 
     def test_projection_reconstructs_exactly(self):
