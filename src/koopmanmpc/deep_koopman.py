@@ -2,16 +2,19 @@
 
 The encoder runs an LSTM across the voltage history (one step per sample
 column) and lifts the final hidden state through a tanh dense layer into
-an N-dimensional space.  Two bias-free linear layers play the role of the
-lifted state-transition and control-injection matrices, so one control
-interval in the lifted space is exactly ``z_next = A z + B u``.  The
-decoder mirrors the encoder in reverse: a tanh dense layer fans the
-lifted vector out to one hidden seed per history column, an LSTM runs
-across those, and a shared per-step readout produces the voltage matrix.
+an N-dimensional space.  Two bias-free linear layers hold the lifted
+state-transition and control-injection matrices A and B, which define
+the predictor ``z_next = A z + B u`` that MPC uses.  The decoder mirrors
+the encoder in reverse: a tanh dense layer fans the lifted vector out to
+one hidden seed per history column, an LSTM runs across those, and a
+shared per-step readout produces the voltage matrix.
 
 Training minimizes the mean squared reconstruction error of both the
 successor history (through A, B) and the input history itself (straight
-through encoder and decoder), with equal weights.
+through encoder and decoder), with equal weights.  The loss scores only
+decoded outputs, so ``encode(v_next) ≈ A z + B u`` is not trained for
+(the README gives the measured residual); whether the source paper's
+network trains such a linearity term is unknown from its abstract.
 
 ``save_net`` and ``load_net`` are the one writer and reader of the
 network's checkpoint, ``checkpoint.json`` and its sidecar: every tensor by
@@ -194,10 +197,10 @@ class KoopmanNet:
 def _encode(lstm: nn.LstmLayer, fc: nn.FcLayer, v_k: np.ndarray):
     """The encoder shared by the network and the extracted model: the LSTM
     runs over the history columns, its last hidden state goes through the
-    tanh layer."""
-    seq = np.ascontiguousarray(v_k.transpose(0, 2, 1))
+    tanh layer.  ``v_k`` is (..., batch, n, h), the result (..., batch, N)."""
+    seq = np.ascontiguousarray(np.swapaxes(v_k, -1, -2))
     hs, c_lstm = lstm.forward(seq)
-    z, c_fc = fc.forward(hs[:, -1, :])
+    z, c_fc = fc.forward(hs[..., -1, :])
     return z, (c_lstm, c_fc)
 
 
@@ -510,19 +513,14 @@ class LiftedLinearModel(LiftedModel):
         self.enc_fc = nn.FcLayer(nh, nl, activation="tanh")
         _copy_tensors(_encoder_params(self.enc_lstm, self.enc_fc), encoder_params)
 
-    def lift(self, v_hist: np.ndarray) -> np.ndarray:
-        """Normalize and encode a raw p.u. history (n, h) -> (N,), or a
-        batch (batch, n, h) -> (batch, N).
+    lift = LiftedModel.lift  # in this class too: perfbench traces the methods a class defines
 
-        A batch is encoded one history at a time, so each row has the bits
-        of its own single lift whatever else shares the batch; a batched
-        LSTM pass sums in an order that depends on the batch size.
-        """
-        v_hist = np.asarray(v_hist, dtype=float)
-        if v_hist.ndim == 3:
-            return np.stack([self.lift(v) for v in v_hist])
-        z, _ = _encode(self.enc_lstm, self.enc_fc, self.scaler.normalize_v(v_hist)[None])
-        return z[0]
+    def _lift_batch(self, v: np.ndarray) -> np.ndarray:
+        """Each history is its own batch of one, in one stacked pass: every
+        row has the bits of its single lift whatever shares the batch, where
+        a (C, n_in) product sums in an order that depends on C."""
+        z, _ = _encode(self.enc_lstm, self.enc_fc, v[:, None])
+        return z[:, 0]
 
     def to_dict(self, payload: bytearray) -> dict:
         return {

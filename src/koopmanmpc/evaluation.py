@@ -89,15 +89,20 @@ def monitored_buses(n: int, monitored=None) -> tuple[int, ...]:
     return monitored
 
 
-def performance_index(traj: Trajectory, monitored=None) -> float:
-    """Sum over every sample and every monitored bus of |v - V_REF|.
+def performance_index(traj: Trajectory, monitored=None):
+    """Sum over every sample and every monitored bus of |v - V_REF|: a
+    float for one episode, ``(E,)`` for a batch of E, each row the bits of
+    its episode alone.
 
     Zero exactly when the monitored voltages track the reference at every
     sample; additive over trajectories that share no sample.
     """
-    monitored = monitored_buses(traj.voltages.shape[1], monitored)
-    dev = np.abs(traj.voltages[:, monitored] - V_REF)
-    return float(dev.sum())
+    monitored = monitored_buses(traj.voltages.shape[-1], monitored)
+    dev = np.abs(traj.voltages[..., monitored] - V_REF)
+    if dev.ndim == 2:
+        return float(dev.sum())
+    # row by row: one sum over axes (1, 2) adds in another order
+    return np.array([row.sum() for row in dev])
 
 
 @dataclass(frozen=True)
@@ -189,45 +194,26 @@ def compare(
         return u
 
     traj = run_episode(base.with_load(np.tile(lams, 3)), sched, plant_config.fault, policy)
-    failed = traj.failed()
+    # rows: no control, VVC, MPC; columns: cases
+    failed = traj.failed().reshape(3, n_cases)
+    j = performance_index(traj, monitored).reshape(3, n_cases)
 
     records = []
-    wins = 0
     for idx, lam in enumerate(lams):
-        rows = (idx, n_cases + idx, 2 * n_cases + idx)  # no control, VVC, MPC
         # a baseline failure first, then the MPC's: the order they happen in
-        if failed[rows[0]] or failed[rows[1]]:
+        if failed[0, idx] or failed[1, idx]:
             error = IntegrationError(NON_FINITE)
         else:
             error = mpc_law.failure(idx)
-            if error is None and failed[rows[2]]:
+            if error is None and failed[2, idx]:
                 error = IntegrationError(NON_FINITE)
-        if error is not None:  # flag the case, keep going
-            records.append(
-                CaseRecord(
-                    index=idx, load_factor=float(lam), ok=False,
-                    j_no_control=float("nan"), j_vvc=float("nan"), j_mpc=float("nan"),
-                    error=f"{type(error).__name__}: {error}",
-                )
-            )
-            continue
-        j_no, j_vvc, j_mpc = (performance_index(traj.episode(e), monitored) for e in rows)
-        wins += int(j_mpc < j_vvc)
-        records.append(
-            CaseRecord(
-                index=idx, load_factor=float(lam), ok=True,
-                j_no_control=j_no, j_vvc=j_vvc, j_mpc=j_mpc,
-            )
-        )
-    n_ok = sum(r.ok for r in records)
-    win_fraction = wins / n_ok if n_ok else 0.0
-    return ComparisonReport(
-        records=records,
-        win_fraction=win_fraction,
-        seed=seed,
-        meta={
-            "n_cases": n_cases,
-            "vvc": asdict(vvc),
-            "v_ref": V_REF,
-        },
-    )
+        # a failed case is flagged, with no scores, and the rest keep going
+        j_no, j_vvc, j_mpc = j[:, idx].tolist() if error is None else [float("nan")] * 3
+        records.append(CaseRecord(
+            index=idx, load_factor=float(lam), ok=error is None,
+            j_no_control=j_no, j_vvc=j_vvc, j_mpc=j_mpc,
+            error="" if error is None else f"{type(error).__name__}: {error}"))
+    ok = [r for r in records if r.ok]
+    win_fraction = sum(r.j_mpc < r.j_vvc for r in ok) / len(ok) if ok else 0.0
+    return ComparisonReport(records=records, win_fraction=win_fraction, seed=seed,
+                            meta={"n_cases": n_cases, "vvc": asdict(vvc), "v_ref": V_REF})

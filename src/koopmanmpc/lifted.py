@@ -120,11 +120,14 @@ def read_payload(path, doc) -> bytes:
 class LiftedModel:
     """``A`` (N, N), ``B`` (N, m), the scaler defining the normalized units
     and the history shape ``(n, h)``; ``A`` and ``B`` are copied, and
-    either one misshapen or not finite raises ``ValueError`` naming it.  A
-    subclass sets ``kind`` and defines ``lift`` ((n, h) -> (N,), a batch
-    (C, n, h) -> (C, N)), ``from_dict(doc, payload)`` and its own
-    ``to_dict`` keys; both pass the document's sidecar bytes along to
-    ``encode_array`` and ``decode_array``.
+    either one misshapen or not finite raises ``ValueError`` naming it.
+
+    ``lift`` owns the one shape contract of both kinds: a raw p.u. history
+    (n, h) -> (N,), or a batch (C, n, h) -> (C, N) whose every row has the
+    bits of its single lift.  A subclass sets ``kind`` and defines
+    ``_lift_batch``, the lift of normalized histories (C, n, h) -> (C, N),
+    ``from_dict(doc, payload)`` and its own ``to_dict`` keys; both pass the
+    document's sidecar bytes along to ``encode_array`` and ``decode_array``.
     """
 
     kind: str
@@ -146,6 +149,15 @@ class LiftedModel:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    def lift(self, v_hist) -> np.ndarray:
+        """Normalize and lift a history (n, h), or a batch (C, n, h)."""
+        v = np.asarray(v_hist, dtype=float)
+        if v.ndim not in (2, 3) or v.shape[-2:] != (self.n, self.h):
+            raise ValueError(f"expected a history (n, h) = {(self.n, self.h)} or a batch "
+                             f"(C, {self.n}, {self.h}) of them, got shape {v.shape}")
+        z = self._lift_batch(self.scaler.normalize_v(v).reshape(-1, self.n, self.h))
+        return z.reshape(v.shape[:-2] + (self.lifted_dim,))
 
     def lift_reference(self, v: float) -> np.ndarray:
         """Lifted image of the history that holds every bus at ``v`` p.u."""

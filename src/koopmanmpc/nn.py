@@ -70,7 +70,8 @@ class _Layer:
 
 
 class FcLayer(_Layer):
-    """Affine map plus activation: y = act(x @ W.T + b).
+    """Affine map plus activation: y = act(x @ W.T + b), over any leading
+    dimensions of x in ``forward``.
 
     ``activation`` is 'tanh' or 'identity'; bias is optional so the layer
     can serve as a pure linear (Koopman) map.
@@ -90,8 +91,8 @@ class FcLayer(_Layer):
         self._init_grads()
 
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ValueError(f"expected input (batch, {self.n_in}), got {x.shape}")
+        if x.ndim < 2 or x.shape[-1] != self.n_in:
+            raise ValueError(f"expected input (..., batch, {self.n_in}), got {x.shape}")
         y = x @ self.weight.T
         if self.bias is not None:
             y = y + self.bias
@@ -113,6 +114,8 @@ class FcLayer(_Layer):
 
 class LstmLayer(_Layer):
     """Single-layer LSTM over a (batch, steps, features) sequence.
+    ``forward`` also takes leading dimensions before ``batch``; ``backward``
+    takes training's 3-D layout.
 
     Gate preactivations are stacked in the order
     [input, forget, candidate, output] along the first weight axis:
@@ -142,11 +145,11 @@ class LstmLayer(_Layer):
         self._init_grads()
 
     def forward(self, seq):
-        """Returns the hidden-state sequence (batch, steps, hidden); the
-        final hidden state is ``hs[:, -1]``."""
-        if seq.ndim != 3 or seq.shape[2] != self.n_in:
-            raise ValueError(f"expected input (batch, steps, {self.n_in}), got {seq.shape}")
-        batch, steps, _ = seq.shape
+        """Returns the hidden-state sequence (..., batch, steps, hidden);
+        the final hidden state is ``hs[..., -1, :]``."""
+        if seq.ndim < 3 or seq.shape[-1] != self.n_in:
+            raise ValueError(f"expected input (..., batch, steps, {self.n_in}), got {seq.shape}")
+        *lead, steps, _ = seq.shape
         if steps < 1:
             raise ValueError("sequence must contain at least one step")
         nh = self.n_hidden
@@ -154,23 +157,23 @@ class LstmLayer(_Layer):
         # stacked matmul runs one (batch, n_in) product per step, so each
         # step's bits equal those of the per-step product.  Each step's
         # preactivation is built in place in its slice.
-        pres = seq.transpose(1, 0, 2) @ self.w_x.T
-        gates = np.empty((steps, batch, 4 * nh))
-        cells = np.zeros((steps + 1, batch, nh))
-        hiddens = np.zeros((steps + 1, batch, nh))
-        tanh_cells = np.empty((steps, batch, nh))
+        pres = np.moveaxis(seq, -2, 0) @ self.w_x.T
+        gates = np.empty((steps, *lead, 4 * nh))
+        cells = np.zeros((steps + 1, *lead, nh))
+        hiddens = np.zeros((steps + 1, *lead, nh))
+        tanh_cells = np.empty((steps, *lead, nh))
         for t in range(steps):
             pre, gate = pres[t], gates[t]
             if t:  # h_0 = 0
                 pre += hiddens[t] @ self.w_h.T
             pre += self.bias
             _sigmoid(pre, out=gate)  # the candidate slot is overwritten next
-            g = np.tanh(pre[:, 2 * nh : 3 * nh], out=gate[:, 2 * nh : 3 * nh])
-            c = np.multiply(gate[:, nh : 2 * nh], cells[t], out=cells[t + 1])
-            c += gate[:, :nh] * g
+            g = np.tanh(pre[..., 2 * nh : 3 * nh], out=gate[..., 2 * nh : 3 * nh])
+            c = np.multiply(gate[..., nh : 2 * nh], cells[t], out=cells[t + 1])
+            c += gate[..., :nh] * g
             np.tanh(c, out=tanh_cells[t])
-            np.multiply(gate[:, 3 * nh :], tanh_cells[t], out=hiddens[t + 1])
-        return hiddens[1:].transpose(1, 0, 2), (seq, gates, cells, tanh_cells, hiddens)
+            np.multiply(gate[..., 3 * nh :], tanh_cells[t], out=hiddens[t + 1])
+        return np.moveaxis(hiddens[1:], 0, -2), (seq, gates, cells, tanh_cells, hiddens)
 
     def backward(self, cache, d_hs=None, d_h_last=None, input_grad=True):
         """Backpropagate through time.

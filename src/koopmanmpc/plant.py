@@ -127,9 +127,11 @@ class FaultSpec:
     depth: float
 
     def __post_init__(self):
-        affected = list(self.affected)
+        affected = list(self.affected) if isinstance(self.affected, (tuple, list)) else None
         bad = field_errors(self, {"depth": OPEN_UNIT})
-        if len(affected) == 0:
+        if affected is None:
+            bad.append(f"fault buses must be a tuple of bus indices (got {self.affected!r})")
+        elif len(affected) == 0:
             bad.append("fault must affect at least one bus")
         elif not all(NON_NEGATIVE_INT.test(i) for i in affected):
             bad.append(f"fault buses must be non-negative integers (got {affected!r})")

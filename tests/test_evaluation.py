@@ -33,13 +33,13 @@ from koopmanmpc.plant import (
 
 def make_traj(voltages, ts=0.75):
     voltages = np.asarray(voltages, dtype=float)
-    n_samples = voltages.shape[0]
+    n_samples = voltages.shape[-2]
     h = n_samples - 1 if n_samples > 1 else 1
     sched = Schedule(ts=ts, tc=ts * h, n_instants=1)
     return Trajectory(
         times=ts * np.arange(n_samples),
         voltages=voltages,
-        controls=np.zeros((1, 1)),
+        controls=np.zeros(voltages.shape[:-2] + (1, 1)),
         schedule=sched,
     )
 
@@ -91,10 +91,10 @@ class TestPerformanceIndex:
             performance_index(traj, monitored=())
 
     def test_repeated_monitored_rejected(self):
-        # a repeated bus would count twice in J
-        traj = make_traj(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="distinct"):
-            performance_index(traj, monitored=(1, 1))
+        # a repeated bus would count twice in J, in an episode or a batch
+        for lead in [(), (5,)]:
+            with pytest.raises(ValueError, match="distinct"):
+                performance_index(make_traj(np.ones(lead + (4, 2))), monitored=(1, 1))
 
     def test_additive_over_disjoint_parts(self):
         rng = np.random.default_rng(0)
@@ -297,6 +297,26 @@ class TestOneRollout:
         for got, ref in zip(report.records, records):
             if got.ok:
                 assert got == ref
+
+    def test_scores_are_the_batch_rows_of_one_pass(self, monkeypatch):
+        rollouts, checks = [], []
+        check = evaluation.monitored_buses
+        monkeypatch.setattr(evaluation, "monitored_buses",
+                            lambda *args: checks.append(args) or check(*args))
+        monkeypatch.setattr(evaluation, "run_episode",
+                            lambda *args: rollouts.append(run_episode(*args)) or rollouts[-1])
+        monitored = [0, 2, 5]
+        report = compare(untrained_model(), default_config(),
+                         EvalConfig(n_cases=4, monitored=monitored), seed=3)
+        assert len(checks) == 2  # before the rollout, and the one scoring pass
+        (batch,) = rollouts
+        j = performance_index(batch, monitored)
+        assert j.shape == (12,)
+        for e in range(12):  # each row has the bits of its episode alone
+            assert j[e] == performance_index(batch.episode(e), monitored)
+        assert all(r.ok for r in report.records)
+        for r in report.records:
+            assert [r.j_no_control, r.j_vvc, r.j_mpc] == j[r.index::4].tolist()
 
     def test_monitored_buses_checked_before_any_rollout(self, monkeypatch):
         calls = []

@@ -36,6 +36,17 @@ def test_both_kinds_share_the_interface(small_models, tmp_path, kind):
     assert type(load_lifted_model(tmp_path / "lifted_model.json")) is type(model)
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (24,), (3, 4, 6), (2, 3, 6, 4)],
+                         ids=["transposed", "flat", "transposed_batch", "four_d"])
+@pytest.mark.parametrize("kind", ["net", "edmd"])
+def test_lift_names_the_history_shape_for_any_other(small_models, kind, shape):
+    # (h, n) used to lift silently to the EDMD features, and each kind
+    # failed on the others with a message about its own internals
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected a history (n, h) = (6, 4) or a batch (C, 6, 4) of them, got shape {shape}")):
+        small_models[kind].lift(np.full(shape, 0.97))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind, matrix", [("net", "A"), ("net", "B"), ("edmd", "A"),
                                           ("edmd", "B"), ("edmd", "C")])

@@ -792,10 +792,12 @@ class TestPolicyMatchesSequentialLoop:
             assert np.array_equal(batch.voltages[e], single.trajectory.voltages)
             assert policy.diagnostics[e] == single.diagnostics
 
-    def test_lifted_batch_rows_equal_single_lifts(self, small_models):
-        windows = np.random.default_rng(6).uniform(0.7, 1.05, size=(9, 6, 4))
-        for model in small_models.values():
-            batch = model.lift(windows)
-            assert batch.shape == (9, model.lifted_dim)
-            for i, w in enumerate(windows):
-                assert np.array_equal(batch[i], model.lift(w))
+    @pytest.mark.parametrize("n_windows", [1, 7, 100])
+    @pytest.mark.parametrize("kind", ["net", "edmd"])
+    def test_lifted_batch_rows_equal_single_lifts(self, small_models, kind, n_windows):
+        model = small_models[kind]
+        windows = np.random.default_rng(6).uniform(0.7, 1.05, size=(n_windows, 6, 4))
+        batch = model.lift(windows)
+        assert batch.shape == (n_windows, model.lifted_dim)
+        for i, w in enumerate(windows):
+            assert np.array_equal(batch[i], model.lift(w))

@@ -234,6 +234,21 @@ class TestLstmLayer:
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
 
+    @pytest.mark.parametrize("lead", [(1,), (7, 1), (3, 2, 1)], ids=["3d", "4d", "5d"])
+    def test_leading_dimensions_are_a_stack_of_3d_passes(self, lead):
+        # each (1, steps, n_in) history keeps the bits of its own 3-D pass,
+        # and so does the dense layer on its last hidden state
+        rng = np.random.default_rng(4)
+        lstm, fc = LstmLayer(6, 32, rng=rng), FcLayer(32, 64, activation="tanh", rng=rng)
+        seq = rng.uniform(-1.0, 1.0, size=lead + (4, 6))
+        hs, _ = lstm.forward(seq)
+        z, _ = fc.forward(hs[..., -1, :])
+        assert hs.shape == lead + (4, 32) and z.shape == lead[:-1] + (1, 64)
+        for idx in np.ndindex(lead[:-1]):
+            one, _ = lstm.forward(seq[idx])
+            assert np.array_equal(hs[idx], one)
+            assert np.array_equal(z[idx], fc.forward(one[:, -1, :])[0])
+
     def test_empty_sequence_rejected(self):
         layer = LstmLayer(2, 2)
         with pytest.raises(ValueError):

@@ -411,6 +411,10 @@ class TestFault:
     def test_empty_affected_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec(affected=(), depth=0.2)
+        # not a sequence: named, where list() raised a bare TypeError
+        for affected in (5, None):
+            with pytest.raises(ValueError, match=rf"fault buses .* \(got {affected}\)"):
+                FaultSpec(affected=affected, depth=0.25)
 
     @pytest.mark.parametrize("lam", [1.0, np.array([0.9, 1.0, 1.1])], ids=["scalar", "vector_3"])
     def test_fresh_array_sagged_bus_by_bus(self, lam):
