@@ -304,41 +304,31 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per row of the table (name, handler as ``func``, help,
+    {flag: ``add_argument`` keywords}).  The table is built on each call,
+    not at import, so a row holds the ``cmd_*`` the module binds now: a
+    wrapper put in its place (``perfbench``'s tracer) is what runs."""
+    req = {"required": True}
+    stages = (
+        ("gen-data", cmd_gen_data, "simulate load cases and write the dataset",
+         {"--config": req, "--out": req, "--seed": {}}),
+        ("train", cmd_train, "train the deep lifting network",
+         {"--data": req, "--config": req, "--out": req}),
+        ("fit-edmd", cmd_fit_edmd, "fit the dictionary baseline",
+         {"--data": req, "--dict": {"default": "poly:2"}, "--ridge": {"default": "1e-8"},
+          "--out": req}),
+        ("run-mpc", cmd_run_mpc, "run the receding-horizon closed loop",
+         {"--model": req, "--config": req, "--out": req}),
+        ("compare", cmd_compare, "closed-loop comparison against baselines",
+         {"--model": req, "--config": req, "--cases": {}, "--seed": {}, "--out": req}),
+    )
     parser = argparse.ArgumentParser(prog="koopmanmpc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="simulate load cases and write the dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", default=None)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the deep lifting network")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("fit-edmd", help="fit the dictionary baseline")
-    p.add_argument("--data", required=True)
-    p.add_argument("--dict", default="poly:2")
-    p.add_argument("--ridge", default="1e-8")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_edmd)
-
-    p = sub.add_parser("run-mpc", help="run the receding-horizon closed loop")
-    p.add_argument("--model", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run_mpc)
-
-    p = sub.add_parser("compare", help="closed-loop comparison against baselines")
-    p.add_argument("--model", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--cases", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
+    for name, handler, text, flags in stages:
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -35,7 +35,8 @@ from koopmanmpc import nn
 from koopmanmpc.checks import (COUNT, HALF_OPEN_UNIT, INTEGER, NON_NEGATIVE_INT, POSITIVE,
                                field_errors, object_, raise_if)
 from koopmanmpc.dataset import Dataset, Scaler
-from koopmanmpc.lifted import LiftedModel, decode_array, encode_array, read_payload, write_document
+from koopmanmpc.lifted import (LiftedModel, decode_array, encode_array, finite_array, read_payload,
+                               write_document)
 # re-exported: perfbench/workloads.py loads models as deep_koopman.load_lifted_model
 from koopmanmpc.lifted import load_lifted_model  # noqa: F401
 
@@ -209,18 +210,16 @@ def _encoder_params(lstm: nn.LstmLayer, fc: nn.FcLayer) -> dict:
 
 
 def _copy_tensors(own: dict, params: dict) -> None:
-    """Copy ``params`` into the named arrays ``own`` in place, the one copy
-    a loaded tensor gets; every name of ``own`` must be present with its
-    shape and finite entries."""
+    """Copy ``params`` into the named arrays ``own`` in place; every name of
+    ``own`` must be present with its shape and finite entries, checked by
+    ``lifted.finite_array`` as the lifted matrices are."""
     missing = set(own) - set(params)
     if missing:
         raise ValueError(f"missing tensors: {sorted(missing)}")
     for name, arr in own.items():
-        src = np.asarray(params[name], dtype=float)
+        src = finite_array(f"tensor {name!r}", params[name])
         if src.shape != arr.shape:
             raise ValueError(f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
-        if not np.isfinite(src).all():
-            raise ValueError(f"tensor {name!r} has non-finite entries")
         arr[...] = src
 
 

@@ -77,29 +77,26 @@ class Dictionary:
         return base
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        """(d,) -> (n_features,) or batched (S, d) -> (S, n_features).
+        """A batch of S inputs ``(S, input_dim)`` -> ``(S, n_features)``.
         Features start with 1 followed by the raw coordinates."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = x[None] if single else x
-        if x2.shape[1] != self.input_dim:
-            raise ValueError(f"expected inputs of dimension {self.input_dim}, got {x2.shape[1]}")
-        cols = [np.ones((x2.shape[0], 1)), x2]
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"expected inputs (S, {self.input_dim}), got {x.shape}")
+        cols = [np.ones((x.shape[0], 1)), x]
         if self.kind == "polynomial":
             # per degree, every monomial at once: a product of gathered
             # coordinates, multiplied left to right as np.prod would; the
             # gather runs on rows of the transpose, which is contiguous
-            xt = np.ascontiguousarray(x2.T)
+            xt = np.ascontiguousarray(x.T)
             for idx in self._monomials:
                 feat = xt[idx[:, 0]]
                 for k in range(1, idx.shape[1]):
                     feat = feat * xt[idx[:, k]]
                 cols.append(feat.T)
         elif self.kind == "rbf":
-            d2 = ((x2[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((x[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
             cols.append(np.exp(-d2 / self.width**2))
-        out = np.hstack(cols)
-        return out[0] if single else out
+        return np.hstack(cols)
 
     def to_dict(self, payload: bytearray) -> dict:
         doc = {"kind": self.kind, "input_dim": self.input_dim}

@@ -345,11 +345,12 @@ class MpcPolicy:
     from the plant config's is rejected with ``ValueError``.
 
     Per episode the policy keeps ``diagnostics[e]``, one record per
-    instant.  An episode whose solve does not converge is aborted: its
-    last record carries the error and it gets zero control from then on.
-    An episode whose window is not finite (its integration failed) is
-    skipped and gets zero control.  A policy object serves one rollout:
-    instant 0 resets it.
+    instant: ``instant``, ``horizon``, ``converged`` (a ``bool``) and
+    ``pg_norm``, then ``iterations``, ``objective`` and ``u_pu`` if the
+    solve converged, or its ``error``: the episode is then aborted and
+    gets zero control from then on.  An episode whose window is not
+    finite (its integration failed) is skipped and gets zero control.  A
+    policy object serves one rollout: instant 0 resets it.
     """
 
     def __init__(self, model, plant_config: PlantConfig, config: MpcConfig = MpcConfig()):
@@ -397,28 +398,18 @@ class MpcPolicy:
                 seq = exc.result
             info = seq.info
             for j, e in enumerate(live):
-                if not info.row_converged[j]:
-                    pg_norm = float(info.row_pg_norm[j])
-                    self.diagnostics[e].append(
-                        {"instant": k, "horizon": horizon, "converged": False,
-                         "error": _residual_message(pg_norm, self.config.tol,
-                                                    int(info.row_iterations[j])),
-                         "pg_norm": pg_norm}
-                    )
+                converged, iterations = bool(info.row_converged[j]), int(info.row_iterations[j])
+                record = {"instant": k, "horizon": horizon, "converged": converged,
+                          "pg_norm": float(info.row_pg_norm[j])}
+                if converged:
+                    u[e] = clip(self.model.scaler.denormalize_u(seq.u[j, 0]), 0.0, self.u_max)
+                    record.update(iterations=iterations, objective=float(info.row_objective[j]),
+                                  u_pu=u[e].tolist())
+                else:
+                    record["error"] = _residual_message(record["pg_norm"], self.config.tol,
+                                                        iterations)
                     self.aborted[e] = True
-                    continue
-                u[e] = clip(self.model.scaler.denormalize_u(seq.u[j, 0]), 0.0, self.u_max)
-                self.diagnostics[e].append(
-                    {
-                        "instant": k,
-                        "horizon": horizon,
-                        "converged": True,
-                        "iterations": int(info.row_iterations[j]),
-                        "pg_norm": float(info.row_pg_norm[j]),
-                        "objective": float(info.row_objective[j]),
-                        "u_pu": u[e].tolist(),
-                    }
-                )
+                self.diagnostics[e].append(record)
         return u.reshape(window.shape[:-2] + u.shape[-1:])
 
     def failure(self, e: int = 0) -> QpNonConvergence | None:

@@ -71,7 +71,8 @@ class _Layer:
 
 class FcLayer(_Layer):
     """Affine map plus activation: y = act(x @ W.T + b), over any leading
-    dimensions of x in ``forward``.
+    dimensions of x in ``forward``; ``backward`` takes training's 2-D
+    layout and raises ``ValueError`` for any other.
 
     ``activation`` is 'tanh' or 'identity'; bias is optional so the layer
     can serve as a pure linear (Koopman) map.
@@ -102,6 +103,8 @@ class FcLayer(_Layer):
 
     def backward(self, cache, d_out):
         x, y = cache
+        if x.ndim != 2:
+            raise ValueError(f"backward takes a (batch, n_in) input, got {x.shape}")
         if self.activation == "tanh":
             d_pre = d_out * (1.0 - y * y)
         else:
@@ -115,7 +118,7 @@ class FcLayer(_Layer):
 class LstmLayer(_Layer):
     """Single-layer LSTM over a (batch, steps, features) sequence.
     ``forward`` also takes leading dimensions before ``batch``; ``backward``
-    takes training's 3-D layout.
+    takes training's 3-D layout and raises ``ValueError`` for any other.
 
     Gate preactivations are stacked in the order
     [input, forget, candidate, output] along the first weight axis:
@@ -185,6 +188,8 @@ class LstmLayer(_Layer):
         parameters upstream; the parameter gradients are the same either way.
         """
         seq, gates, cells, tanh_cells, hiddens = cache
+        if seq.ndim != 3:
+            raise ValueError(f"backward takes a (batch, steps, n_in) input, got {seq.shape}")
         batch, steps, _ = seq.shape
         nh = self.n_hidden
         # zeroed: the candidate slot goes through the sigmoid derivative

@@ -163,11 +163,8 @@ class PlantModel:
     lam: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _readonly(self.a))
-        object.__setattr__(self, "b", _readonly(self.b))
-        object.__setattr__(self, "w", _readonly(self.w))
-        object.__setattr__(self, "gamma", _readonly(self.gamma))
-        object.__setattr__(self, "d", _readonly(self.d))
+        for name in ("a", "b", "w", "gamma", "d"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim > 1:
             raise ValueError("lam must be a scalar or a vector of per-episode load factors")
@@ -252,9 +249,8 @@ class Trajectory:
     schedule: Schedule
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(self.times))
-        object.__setattr__(self, "voltages", _readonly(self.voltages))
-        object.__setattr__(self, "controls", _readonly(self.controls))
+        for name in ("times", "voltages", "controls"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n_intervals(self) -> int:
@@ -500,52 +496,29 @@ def ring_lattice(n: int) -> np.ndarray:
     return w
 
 
+def _ring_surrogate(control_buses, d, fault_buses) -> PlantConfig:
+    """The ring-surrogate plant with a gain-4 control channel on each of
+    ``control_buses``, load sensitivities ``d`` and the fault on
+    ``fault_buses``; n and m follow.  The rest is shared: a = 2, b = 5,
+    c = 1 on the ring, v_max = 1.1, lambda = 1, schedule 0.75/3/5, sag 0.25."""
+    n, m = len(d), len(control_buses)
+    model = PlantModel(n=n, m=m, a=np.full(n, 2.0), b=np.full(n, 5.0), c=1.0, w=ring_lattice(n),
+                       gamma=4.0 * np.eye(n)[:, control_buses], v_max=1.1, d=d, lam=1.0)
+    return PlantConfig(model=model, schedule=Schedule(ts=0.75, tc=3.0, n_instants=5),
+                       fault=FaultSpec(affected=fault_buses, depth=0.25))
+
+
 def default_config() -> PlantConfig:
     """Six-bus surrogate with three control channels on buses 0, 2, 4."""
-    n, m = 6, 3
-    gamma = np.zeros((n, m))
-    for l, bus in enumerate((0, 2, 4)):
-        gamma[bus, l] = 4.0
-    model = PlantModel(
-        n=n,
-        m=m,
-        a=np.full(n, 2.0),
-        b=np.full(n, 5.0),
-        c=1.0,
-        w=ring_lattice(n),
-        gamma=gamma,
-        v_max=1.1,
-        d=np.array([0.06, 0.08, 0.10, 0.10, 0.08, 0.06]),
-        lam=1.0,
-    )
-    sched = Schedule(ts=0.75, tc=3.0, n_instants=5)
-    fault = FaultSpec(affected=(1, 2, 3), depth=0.25)
-    return PlantConfig(model=model, schedule=sched, fault=fault)
+    return _ring_surrogate((0, 2, 4), [0.06, 0.08, 0.10, 0.10, 0.08, 0.06], (1, 2, 3))
 
 
 def mirror_config() -> PlantConfig:
     """Twelve-bus surrogate with five control channels, matching the
     monitored-region dimensions of the reference experiments."""
-    n, m = 12, 5
-    gamma = np.zeros((n, m))
-    for l, bus in enumerate((0, 1, 3, 4, 11)):
-        gamma[bus, l] = 4.0
-    d = np.array([0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.11, 0.10, 0.09, 0.08, 0.07, 0.06])
-    model = PlantModel(
-        n=n,
-        m=m,
-        a=np.full(n, 2.0),
-        b=np.full(n, 5.0),
-        c=1.0,
-        w=ring_lattice(n),
-        gamma=gamma,
-        v_max=1.1,
-        d=d,
-        lam=1.0,
-    )
-    sched = Schedule(ts=0.75, tc=3.0, n_instants=5)
-    fault = FaultSpec(affected=(9, 10, 11), depth=0.25)
-    return PlantConfig(model=model, schedule=sched, fault=fault)
+    return _ring_surrogate((0, 1, 3, 4, 11),
+                           [0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.11, 0.10, 0.09, 0.08, 0.07, 0.06],
+                           (9, 10, 11))
 
 
 def config_to_dict(cfg: PlantConfig) -> dict:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -601,6 +602,48 @@ class TestPipeline:
                      f"meta master_seed must be an integer >= 0 (got {seed!r})",
             "type": "DatasetFormatError"}
         assert not (ws / "e").exists()
+
+
+# Each stage's flags in order, as (option string, required, default).
+STAGE_FLAGS = {
+    "gen-data": [("--config", True, None), ("--out", True, None), ("--seed", False, None)],
+    "train": [("--data", True, None), ("--config", True, None), ("--out", True, None)],
+    "fit-edmd": [("--data", True, None), ("--dict", False, "poly:2"),
+                 ("--ridge", False, "1e-8"), ("--out", True, None)],
+    "run-mpc": [("--model", True, None), ("--config", True, None), ("--out", True, None)],
+    "compare": [("--model", True, None), ("--config", True, None), ("--cases", False, None),
+                ("--seed", False, None), ("--out", True, None)],
+}
+STAGE_HANDLERS = {"gen-data": "cmd_gen_data", "train": "cmd_train", "fit-edmd": "cmd_fit_edmd",
+                  "run-mpc": "cmd_run_mpc", "compare": "cmd_compare"}
+
+
+def subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParser:
+    def test_each_stage_declares_its_flags(self):
+        stages = subcommands(cli.build_parser())
+        assert list(stages) == list(STAGE_FLAGS)
+        for name, sub in stages.items():
+            flags = [(*a.option_strings, a.required, a.default) for a in sub._actions
+                     if not isinstance(a, argparse._HelpAction)]
+            assert flags == STAGE_FLAGS[name], name
+            assert sub.get_default("func") is getattr(cli, STAGE_HANDLERS[name])
+
+    @pytest.mark.parametrize("stage", list(STAGE_FLAGS))
+    def test_main_calls_the_handler_the_module_binds_now(self, monkeypatch, stage):
+        # perfbench's tracer times each stage by rebinding cli.cmd_*: the
+        # parser must pick the handler up when main builds it, not at import
+        calls = []
+        monkeypatch.setattr(cli, STAGE_HANDLERS[stage], lambda args: calls.append(args) or 7)
+        argv = [stage]
+        for flag, required, _ in STAGE_FLAGS[stage]:
+            argv += [flag, "x"] if required else []
+        assert cli.main(argv) == 7
+        assert len(calls) == 1 and calls[0].command == stage
 
 
 class TestShippedConfigs:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,16 +79,16 @@ class TestDictionary:
     def test_identity_features(self):
         d = identity_dictionary(3)
         x = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(d.lift(x), np.array([1.0, 1.5, -2.0, 0.25]))
+        assert np.array_equal(d.lift(x[None])[0], np.array([1.0, 1.5, -2.0, 0.25]))
 
     def test_polynomial_degree_two_scalar(self):
         d = polynomial_dictionary(1, 2)
-        out = d.lift(np.array([3.0]))
+        out = d.lift(np.array([3.0])[None])[0]
         assert np.array_equal(out, np.array([1.0, 3.0, 9.0]))
 
     def test_polynomial_cross_terms(self):
         d = polynomial_dictionary(2, 2)
-        out = d.lift(np.array([2.0, 3.0]))
+        out = d.lift(np.array([2.0, 3.0])[None])[0]
         # 1, x0, x1, x0^2, x0 x1, x1^2
         assert np.array_equal(out, np.array([1.0, 2.0, 3.0, 4.0, 6.0, 9.0]))
         assert d.n_features == 6
@@ -95,9 +96,9 @@ class TestDictionary:
     def test_rbf_peak_at_center(self):
         c = np.array([[0.5, -0.5]])
         d = rbf_dictionary(2, c, width=0.7)
-        out = d.lift(np.array([0.5, -0.5]))
+        out = d.lift(np.array([0.5, -0.5])[None])[0]
         assert out[-1] == pytest.approx(1.0)
-        far = d.lift(np.array([5.0, 5.0]))
+        far = d.lift(np.array([5.0, 5.0])[None])[0]
         assert far[-1] < 1e-6
 
     def test_dimension_mismatch(self):
@@ -105,13 +106,19 @@ class TestDictionary:
         with pytest.raises(ValueError):
             d.lift(np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
+    def test_lift_is_batch_only(self, shape):
+        d = identity_dictionary(3)
+        with pytest.raises(ValueError, match=re.escape(f"expected inputs (S, 3), got {shape}")):
+            d.lift(np.zeros(shape))
+
     def test_round_trip(self):
         for d in (identity_dictionary(4), polynomial_dictionary(4, 3),
                   rbf_dictionary(4, np.zeros((2, 4)), 0.3)):
             payload = bytearray()
             back = Dictionary.from_dict(d.to_dict(payload), payload)
             x = np.linspace(-1, 1, 4)
-            assert np.array_equal(back.lift(x), d.lift(x))
+            assert np.array_equal(back.lift(x[None])[0], d.lift(x[None])[0])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -126,7 +133,7 @@ class TestDictionary:
         rng = np.random.default_rng(seed)
         d = polynomial_dictionary(dim, degree)
         x = scale * rng.uniform(-1.0, 1.0, size=(dim,) if batch is None else (batch, dim))
-        got = d.lift(x)
+        got = d.lift(x) if batch is not None else d.lift(x[None])[0]
         assert got.shape == ((d.n_features,) if batch is None else (batch, d.n_features))
         assert np.array_equal(got, reference_polynomial_lift(d, x))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,14 @@ class TestFcLayer:
         with pytest.raises(ValueError):
             layer.forward(np.zeros((4, 5)))
 
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 1, 5, 2)])
+    def test_backward_names_its_layout(self, shape):
+        # forward takes leading dimensions, backward only training's 2-D cache
+        layer = FcLayer(shape[-1], 3, activation="tanh", rng=np.random.default_rng(0))
+        y, cache = layer.forward(np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape(f"(batch, n_in) input, got {shape}")):
+            layer.backward(cache, y)
+
 
 class TestLstmLayer:
     def test_zero_weights_give_zero_hidden_state(self):
@@ -248,6 +257,18 @@ class TestLstmLayer:
             one, _ = lstm.forward(seq[idx])
             assert np.array_equal(hs[idx], one)
             assert np.array_equal(z[idx], fc.forward(one[:, -1, :])[0])
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 1, 5, 2)])
+    def test_backward_names_its_layout(self, shape):
+        # (3, 3, 3) is training's (batch, steps, n_in); a leading dimension is refused
+        layer = LstmLayer(shape[-1], 4, rng=np.random.default_rng(0))
+        hs, cache = layer.forward(np.ones(shape))
+        if len(shape) == 3:
+            assert layer.backward(cache, d_hs=hs).shape == shape
+        else:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"(batch, steps, n_in) input, got {shape}")):
+                layer.backward(cache, d_hs=hs)
 
     def test_empty_sequence_rejected(self):
         layer = LstmLayer(2, 2)
